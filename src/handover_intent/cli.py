@@ -31,7 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a configured experiment")
     run.add_argument("--config", type=Path, required=True)
-    run.add_argument("--jobs", type=int, default=1, help="parallel window workers")
+    run.add_argument(
+        "--jobs", type=int, default=1, help="parallel participant worker processes"
+    )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", type=Path, default=None, help="override the output dir")
 

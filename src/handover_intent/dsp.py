@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import signal as sps
 
 from .core_data import TimeSeries
 
@@ -57,6 +56,8 @@ def low_pass(high_hz: float, order: int = 4) -> FilterSpec:
 
 
 def _design(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
+    from scipy import signal as sps
+
     spec.validate_at(sample_rate_hz)
     if spec.kind is FilterKind.BAND_PASS:
         return sps.butter(
@@ -73,6 +74,8 @@ def _design(spec: FilterSpec, sample_rate_hz: float) -> np.ndarray:
 
 def apply_filter(x: TimeSeries, spec: FilterSpec) -> TimeSeries:
     """Butterworth IIR filter along time; forward-backward when zero_phase."""
+    from scipy import signal as sps
+
     sos = _design(spec, 1.0 / x.step_s)
     if spec.zero_phase:
         padlen = min(x.n_samples - 1, 3 * (2 * len(sos) + 1))
@@ -254,6 +257,8 @@ def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
     nearest integer multiple of the input step, so the emitted grid stays
     strictly uniform (e.g. a 50 ms request on a 250 Hz input yields 52 ms).
     """
+    from scipy.signal import fftconvolve
+
     rate = 1.0 / x.step_s
     spec.validate_at(rate)
     stride = max(1, int(math.floor(spec.output_step_s / x.step_s + 0.5)))
@@ -271,7 +276,7 @@ def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
         chan = x.values[:, ch]
         power = np.empty((times.shape[0], len(wavelets)))
         for j, wavelet in enumerate(wavelets):
-            coef = sps.fftconvolve(chan, wavelet, mode="same")
+            coef = fftconvolve(chan, wavelet, mode="same")
             power[:, j] = (coef.real**2 + coef.imag**2)[::stride]
         features.append(
             TfFeature(times_s=times, freqs_hz=np.asarray(spec.freqs_hz), power=power)

@@ -4,13 +4,10 @@ detection latency, and the group statistics used for the summary tables."""
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
-from scipy.stats import rankdata
 
 from .classifiers import (
     LdaRecipe,
@@ -111,12 +108,26 @@ def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank (Mann-Whitney) formulation: the probability a random positive
     outranks a random negative, counting ties as 1/2."""
     scores, labels = _check_scored(scores, labels)
+    if np.isnan(scores).any():
+        return float("nan")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.shape[0] - n_pos
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks (what
+    ``scipy.stats.rankdata`` returns, without importing scipy.stats)."""
+    order = np.argsort(x, kind="mergesort")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.shape[0]]
+    ranks = np.empty(x.shape[0])
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +420,9 @@ def sweep(
     grid: WindowGrid | None = None,
     participant_id: int | None = None,
     tag: str | None = None,
-    jobs: int = 1,
 ) -> AucTimeline:
     """Evaluate every window end on the grid.  A failing window is recorded
-    and marked missing (nan) instead of aborting the sweep.
-
-    Windows are independent tasks; results are reduced in grid order, so the
-    output is identical for any ``jobs`` count.
-    """
+    and marked missing (nan) instead of aborting the sweep."""
     grid = WindowGrid() if grid is None else grid
     ordered = _sorted_sequences(sequences)
     end_times = grid.end_times()
@@ -424,39 +430,27 @@ def sweep(
         participant_id = ordered[0].trial_ref[0]
     if tag is None:
         tag = ordered[0].modality.value
-
-    def task(index_and_end):
-        _, end = index_and_end
-        return evaluate_window(ordered, float(end), recipe, scheme, grid)
-
-    items = list(enumerate(end_times))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_safe(task), items))
-    else:
-        outcomes = [_safe(task)(item) for item in items]
-
-    scores: dict[int, WindowScore] = {}
-    errors = []
-    for (i, end), outcome in zip(items, outcomes):
-        if isinstance(outcome, WindowScore):
-            scores[i] = outcome
-        else:
-            errors.append((float(end), str(outcome)))
+    scores, errors = evaluate_grid(
+        end_times, lambda end: evaluate_window(ordered, end, recipe, scheme, grid)
+    )
     n_splits = scheme.k * scheme.repeats
     return timeline_from_scores(
         participant_id, tag, recipe.name, end_times, scores, n_splits, errors
     )
 
 
-def _safe(fn):
-    def wrapped(item):
+def evaluate_grid(end_times, evaluate) -> "tuple[dict[int, WindowScore], list]":
+    """``evaluate(end)`` for each window end in grid order: the scores by
+    window index, and (end, message) for each window that raised
+    ``EvaluationError``."""
+    scores = {}
+    errors = []
+    for i, end in enumerate(end_times):
         try:
-            return fn(item)
+            scores[i] = evaluate(float(end))
         except EvaluationError as exc:
-            return exc
-
-    return wrapped
+            errors.append((float(end), str(exc)))
+    return scores, errors
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +542,8 @@ def median_timeline(timelines) -> AucTimeline:
 
 def paired_t_test(a, b) -> tuple[float, float]:
     """Two-sided paired t-test; p from the Student t CDF with n-1 dof."""
+    from scipy import stats as sstats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 2:
@@ -564,6 +560,8 @@ def paired_t_test(a, b) -> tuple[float, float]:
 
 def anova_oneway(groups) -> tuple[float, float]:
     """Classic one-way ANOVA: between/within mean-square ratio, p from F."""
+    from scipy import stats as sstats
+
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2 or any(g.ndim != 1 or g.shape[0] < 2 for g in groups):
         raise ValueError("need >= 2 groups with >= 2 samples each")

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,26 +258,40 @@ class FeatureCache:
     def get(
         self, trial_ref: tuple, modality: Modality, param_key: str, label: int
     ) -> FeatureSequence | None:
+        """The stored sequence, or None on a miss: no file, another version or
+        key, or a file that cannot be read (truncated, corrupt)."""
         path = self._path(trial_ref, modality, param_key)
         if not path.exists():
             return None
-        with np.load(path) as data:
-            if int(data["version"]) != CACHE_VERSION or str(data["key"]) != param_key:
-                return None
-            series = TimeSeries(
-                float(data["start_time_s"]), float(data["step_s"]), data["values"]
-            )
+        try:
+            with np.load(path) as data:
+                if int(data["version"]) != CACHE_VERSION or str(data["key"]) != param_key:
+                    return None
+                series = TimeSeries(
+                    float(data["start_time_s"]), float(data["step_s"]), data["values"]
+                )
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            return None
         return FeatureSequence(
             modality=modality, series=series, trial_ref=trial_ref, label=label
         )
 
     def put(self, seq: FeatureSequence, param_key: str) -> None:
+        """Write through a temporary file in the cache directory and rename it
+        into place, so a reader never sees a half-written entry."""
         path = self._path(seq.trial_ref, seq.modality, param_key)
-        np.savez(
-            path,
-            version=CACHE_VERSION,
-            key=param_key,
-            start_time_s=seq.series.start_time_s,
-            step_s=seq.series.step_s,
-            values=seq.series.values,
-        )
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(
+                    fh,
+                    version=CACHE_VERSION,
+                    key=param_key,
+                    start_time_s=seq.series.start_time_s,
+                    step_s=seq.series.step_s,
+                    values=seq.series.values,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise

@@ -4,7 +4,6 @@ per-modality classifier probabilities)."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,11 +16,11 @@ from .evaluation import (
     CvScheme,
     EvaluationError,
     WindowScore,
-    _safe,
     _score_stats,
     _sorted_sequences,
     _window_matrix,
     auc_roc,
+    evaluate_grid,
     make_splits,
     timeline_from_scores,
 )
@@ -115,7 +114,6 @@ def run_fusion_sweep(
     grid: WindowGrid | None = None,
     standardize_all: bool = False,
     shrinkage: float | None = None,
-    jobs: int = 1,
     audit_out: "list | None" = None,
 ) -> "AucTimeline":
     """LDA-based fusion sweep over the window grid.
@@ -145,9 +143,7 @@ def run_fusion_sweep(
         for m in spec.modalities
     }
 
-    def run_window(item) -> WindowScore:
-        index, end = item
-        end = float(end)
+    def run_window(end: float) -> WindowScore:
         try:
             matrices = {m: _window_matrix(ordered[m], end, grid) for m in spec.modalities}
         except Exception as exc:
@@ -171,20 +167,7 @@ def run_fusion_sweep(
             audit_out.extend(audits)
         return _score_stats(end, aucs)
 
-    items = list(enumerate(end_times))
-    if jobs > 1 and audit_out is None:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_safe(run_window), items))
-    else:
-        outcomes = [_safe(run_window)(item) for item in items]
-
-    scores = {}
-    errors = []
-    for (i, end), outcome in zip(items, outcomes):
-        if isinstance(outcome, WindowScore):
-            scores[i] = outcome
-        else:
-            errors.append((float(end), str(outcome)))
+    scores, errors = evaluate_grid(end_times, run_window)
     return timeline_from_scores(
         participant_id,
         spec.tag(),

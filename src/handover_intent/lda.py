@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
 DEFAULT_SHRINKAGE = 1e-4
 
@@ -24,6 +23,8 @@ class LdaModel:
 
 
 def lda_fit(x: np.ndarray, y: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE) -> LdaModel:
+    from scipy.linalg import cholesky
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -61,6 +62,8 @@ def lda_fit(x: np.ndarray, y: np.ndarray, shrinkage: float = DEFAULT_SHRINKAGE) 
 
 def lda_decision(model: LdaModel, x: np.ndarray) -> np.ndarray:
     """Log posterior odds of class 1 vs class 0 per row."""
+    from scipy.linalg import solve_triangular
+
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     x = np.atleast_2d(x)

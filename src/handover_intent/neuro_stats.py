@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sstats
 
 from .core_data import Condition, TimeSeries, TrialRecording, epoch
 from .dsp import TfSpec, morlet_tf
@@ -332,6 +331,8 @@ def band_power_condition_test(
 
 def two_sample_t_test(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Pooled-variance Student t for two independent samples."""
+    from scipy import stats as sstats
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[0] < 2 or b.shape[0] < 2:

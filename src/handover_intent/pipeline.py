@@ -4,10 +4,13 @@ latency tables, and deterministic result emission."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import __version__
+from . import BLAS_THREAD_VARS, __version__
 from .classifiers import lda_recipe_for, lstm_recipe_for
 from .config import ExperimentConfig, config_text_hash
 from .core_data import (
@@ -46,7 +49,7 @@ DECISION_FLAGS = {
     "late_fusion_weight_metric": "training-fold AUC, normalized",
     "anova_grouping_unit": "participants' per-modality sustained times",
     "tf_output_step": "snapped to the nearest integer multiple of the input step",
-    "missing_windows": "excluded from sustained-level scanning",
+    "missing_windows": "fail the sustained-level condition; a nan window breaks a run",
     "eeg_lda_preprocessing": "standardize then PCA, fitted on training folds only",
 }
 
@@ -70,28 +73,33 @@ def _tf_spec(cfg: ExperimentConfig) -> TfSpec:
     )
 
 
-def _build_sequences(cfg, trials, modality, cache):
+def _build_sequences(cfg, trials, modality, cache, built: dict):
+    """The feature sequences of ``trials`` for one modality.  ``built`` holds
+    every sequence made so far, keyed by (modality, trial ref), so the views
+    that share a modality share its features."""
     tf = _tf_spec(cfg)
+    key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
     out = []
     for lt in trials:
         trial = lt.trial
-        if modality is Modality.GAZE:
-            out.append(build_gaze_features(trial))
-        elif modality is Modality.MOTION:
-            out.append(build_motion_features(trial))
-        else:
-            key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
-            ref = (trial.participant_id, trial.trial_id)
-            cached = None
-            if cache is not None:
-                cached = cache.get(ref, Modality.EEG, key, lt.label)
-            if cached is None:
-                cached = build_eeg_features(
-                    trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power
-                )
+        ref = (trial.participant_id, trial.trial_id)
+        seq = built.get((modality, ref))
+        if seq is None:
+            if modality is Modality.GAZE:
+                seq = build_gaze_features(trial)
+            elif modality is Modality.MOTION:
+                seq = build_motion_features(trial)
+            else:
                 if cache is not None:
-                    cache.put(cached, key)
-            out.append(cached)
+                    seq = cache.get(ref, Modality.EEG, key, lt.label)
+                if seq is None:
+                    seq = build_eeg_features(
+                        trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power
+                    )
+                    if cache is not None:
+                        cache.put(seq, key)
+            built[(modality, ref)] = seq
+        out.append(seq)
     return out
 
 
@@ -120,89 +128,140 @@ def _safe_tag(tag: str) -> str:
     return tag.replace(":", "-")
 
 
+def _views(cfg: ExperimentConfig) -> list:
+    """(tag, modalities, fusion spec or None) of every sweep, in output order:
+    the single-modality sweeps, then the fusion sweeps."""
+    views = [(m.value, (m,), None) for m in cfg.modalities]
+    views += [(spec.tag(), spec.modalities, spec) for spec in cfg.fusion_specs()]
+    return views
+
+
+@dataclass
+class ParticipantOutcome:
+    """What one participant's task returns to the parent process."""
+
+    participant_id: int
+    load_error: str | None = None
+    gated: tuple = ()  # tags the participant passed gating for
+    timelines: dict = field(default_factory=dict)  # tag -> AucTimeline
+    audits: dict = field(default_factory=dict)  # fusion tag -> audit summary
+    feature_error: tuple | None = None  # (tag, message); later tags not run
+
+
+def run_participant(task) -> ParticipantOutcome:
+    """Load one participant's trials, gate them for every view, build each
+    modality's features once, and run every sweep the participant is gated
+    into.  ``task`` is (config, manifest holding only that participant's
+    entries).  Failures come back as messages, so the parent can report them
+    in the order a serial run meets them."""
+    cfg, manifest = task
+    outcome = ParticipantOutcome(manifest.entries[0].participant_id)
+    try:
+        lts = labeled(load_dataset(cfg.dataset_root, manifest))
+    except Exception as exc:
+        outcome.load_error = str(exc)
+        return outcome
+    views = _views(cfg)
+    outcome.gated = tuple(
+        tag
+        for tag, mods, _ in views
+        if gate_participants(lts, set(mods), cfg.min_trials)
+    )
+    cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
+    built: dict = {}
+    pid = outcome.participant_id
+    for tag, mods, spec in views:
+        if tag not in outcome.gated:
+            continue
+        usable = complete_trials(lts, set(mods))
+        try:
+            by_modality = {
+                m: _build_sequences(cfg, usable, m, cache, built) for m in mods
+            }
+        except Exception as exc:
+            outcome.feature_error = (tag, str(exc))
+            break
+        if spec is None:
+            outcome.timelines[tag] = sweep(
+                by_modality[mods[0]],
+                _recipe(cfg, mods[0]),
+                _scheme(cfg, tag, pid),
+                grid=cfg.grid,
+                participant_id=pid,
+                tag=tag,
+            )
+            continue
+        audit: list = []
+        outcome.timelines[tag] = run_fusion_sweep(
+            by_modality,
+            spec,
+            _scheme(cfg, tag, pid),
+            grid=cfg.grid,
+            standardize_all=cfg.standardize_all,
+            shrinkage=cfg.lda_shrinkage,
+            audit_out=audit,
+        )
+        outcome.audits[tag] = _audit_summary(audit)
+    return outcome
+
+
 def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, config_text: str = ""
 ) -> RunResult:
     """Execute gating, feature build, sweeps (plus fusion when configured),
     aggregation, and latency tables; write CSVs and run metadata under
-    ``cfg.out_dir``.  Output bytes depend only on (dataset, config, seed)."""
+    ``cfg.out_dir``.  Output bytes depend only on (dataset, config, seed).
+
+    Each participant is one task.  With ``jobs`` > 1 and more than one
+    participant, a pool of worker processes runs the tasks; it is joined
+    before the outputs are written.  Errors
+    are raised in the order a serial run meets them: a load error of the
+    lowest-numbered failing participant, then per view a gating error or the
+    feature error of the lowest-numbered failing participant.
+    """
     try:
         manifest = parse_manifest(cfg.manifest_path)
-        trials = load_dataset(cfg.dataset_root, manifest)
     except Exception as exc:
         raise PipelineError(f"dataset load: {exc}") from exc
-    lts = labeled(trials)
-    cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
+    pids = sorted({e.participant_id for e in manifest.entries})
+    tasks = [
+        (cfg, replace(manifest, entries=[e for e in manifest.entries if e.participant_id == p]))
+        for p in pids
+    ]
+    workers = max(1, min(jobs, len(tasks)))
+    if workers == 1:
+        outcomes = [run_participant(task) for task in tasks]
+    else:
+        # Forked workers inherit the imported modules instead of importing
+        # them again.  Forking is safe because the pipeline starts no threads.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            outcomes = list(pool.map(run_participant, tasks))
+    for outcome in outcomes:
+        if outcome.load_error is not None:
+            raise PipelineError(f"dataset load: {outcome.load_error}")
 
     out = Path(cfg.out_dir)
     timeline_dir = out / "timelines"
     timelines: list[AucTimeline] = []
     participants_by_tag: dict = {}
     fusion_audits: list = []
-
-    for modality in cfg.modalities:
-        gated = sorted(gate_participants(lts, {modality}, cfg.min_trials))
+    for tag, _, spec in _views(cfg):
+        gated = [o for o in outcomes if tag in o.gated]
         if not gated:
+            what = f"{tag} trials" if spec is None else f"trials for {tag}"
             raise PipelineError(
-                f"gating: no participant has >= {cfg.min_trials} complete "
-                f"{modality.value} trials"
+                f"gating: no participant has >= {cfg.min_trials} complete {what}"
             )
-        participants_by_tag[modality.value] = gated
-        for pid in gated:
-            mine = [lt for lt in lts if lt.trial.participant_id == pid]
-            usable = complete_trials(mine, {modality})
-            try:
-                seqs = _build_sequences(cfg, usable, modality, cache)
-            except Exception as exc:
-                raise PipelineError(
-                    f"participant {pid}, {modality.value} features: {exc}"
-                ) from exc
-            timeline = sweep(
-                seqs,
-                _recipe(cfg, modality),
-                _scheme(cfg, modality.value, pid),
-                grid=cfg.grid,
-                participant_id=pid,
-                tag=modality.value,
-                jobs=jobs,
-            )
-            timelines.append(timeline)
-
-    for spec in cfg.fusion_specs():
-        mods = set(spec.modalities)
-        gated = sorted(gate_participants(lts, mods, cfg.min_trials))
-        if not gated:
-            raise PipelineError(
-                f"gating: no participant has >= {cfg.min_trials} complete trials "
-                f"for {spec.tag()}"
-            )
-        participants_by_tag[spec.tag()] = gated
-        for pid in gated:
-            mine = [lt for lt in lts if lt.trial.participant_id == pid]
-            usable = complete_trials(mine, mods)
-            try:
-                by_modality = {
-                    m: _build_sequences(cfg, usable, m, cache) for m in spec.modalities
-                }
-            except Exception as exc:
-                raise PipelineError(
-                    f"participant {pid}, {spec.tag()} features: {exc}"
-                ) from exc
-            audit: list = []
-            timeline = run_fusion_sweep(
-                by_modality,
-                spec,
-                _scheme(cfg, spec.tag(), pid),
-                grid=cfg.grid,
-                standardize_all=cfg.standardize_all,
-                shrinkage=cfg.lda_shrinkage,
-                jobs=1,  # audit collection is ordered; windows stay cheap here
-                audit_out=audit,
-            )
-            fusion_audits.append(
-                {"participant": pid, "tag": spec.tag(), "records": _audit_summary(audit)}
-            )
-            timelines.append(timeline)
+        participants_by_tag[tag] = [o.participant_id for o in gated]
+        for o in gated:
+            if o.feature_error is not None and o.feature_error[0] == tag:
+                pid = o.participant_id
+                raise PipelineError(f"participant {pid}, {tag} features: {o.feature_error[1]}")
+            timelines.append(o.timelines[tag])
+            if spec is not None:
+                audit = {"participant": o.participant_id, "tag": tag, "records": o.audits[tag]}
+                fusion_audits.append(audit)
 
     for timeline in timelines:
         name = f"p{timeline.participant_id:03d}_{_safe_tag(timeline.tag)}_{timeline.model}.csv"
@@ -243,6 +302,11 @@ def run_experiment(
         "fusion_audits": fusion_audits,
         "window_errors": errors,
         "library_versions": _library_versions(),
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+            "workers": workers,
+        },
     }
     with open(out / "run_metadata.json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(metadata, fh, indent=2, sort_keys=True)

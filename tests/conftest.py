@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+# Imported before numpy on purpose: the package pins OpenBLAS to one thread
+# per process, which only takes effect if it runs before numpy loads OpenBLAS.
+# Without the pin, the in-process end-to-end runs oversubscribe the CPUs.
+import handover_intent  # noqa: F401
+
 import numpy as np
 import pytest
 

@@ -325,6 +325,18 @@ class TestFeatureCache:
         assert cache.get((1, 0), Modality.GAZE, "other-key", 1) is None
         assert cache.get((2, 0), Modality.GAZE, "k1", 1) is None
 
+    def test_truncated_file_is_a_miss_and_rewritten_whole(self, tmp_path):
+        seq = build_gaze_features(make_trial(gaze=make_gaze()))
+        cache = FeatureCache(tmp_path)
+        cache.put(seq, "k1")
+        [path] = tmp_path.iterdir()
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        assert cache.get((1, 0), Modality.GAZE, "k1", 1) is None
+        cache.put(seq, "k1")
+        back = cache.get((1, 0), Modality.GAZE, "k1", 1)
+        assert np.array_equal(back.series.values, seq.series.values)
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
 
 class TestDeterminism:
     def test_identical_trial_bytes_give_identical_features(self, rng):
