@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core_data import TimeSeries
 
@@ -252,13 +253,16 @@ def morlet_wavelet(freq_hz: float, n_cycles: float, step_s: float) -> np.ndarray
 def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
     """Morlet time-frequency power per channel of ``x``.
 
-    The full-rate power stream is decimated to (approximately) the requested
-    output step by plain sample selection; the selection stride snaps to the
-    nearest integer multiple of the input step, so the emitted grid stays
-    strictly uniform (e.g. a 50 ms request on a 250 Hz input yields 52 ms).
+    Power is the squared magnitude of the same-mode convolution with each
+    wavelet, kept every ``stride`` input samples starting at the first; only
+    the kept samples are computed.  The stride is the output step in input
+    samples, rounded to the nearest integer, so the emitted grid stays
+    strictly uniform.  A request that falls halfway between two multiples
+    of the input step is a tie that float noise in the step breaks: 50 ms
+    on a 250 Hz input yields 52 ms when the step is exactly 1/250 s, but
+    48 ms on a recording loaded from CSV, whose step (the median spacing of
+    the parsed time column) lands a hair above 4 ms.
     """
-    from scipy.signal import fftconvolve
-
     rate = 1.0 / x.step_s
     spec.validate_at(rate)
     stride = max(1, int(math.floor(spec.output_step_s / x.step_s + 0.5)))
@@ -270,14 +274,24 @@ def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
             f"({longest} samples at {spec.freqs_hz[0]:g} Hz); need at least "
             f"{longest} samples"
         )
+    # Same-mode convolution at sample i is the dot product of the input
+    # window centred on i with the time-reversed wavelet.  Every wavelet has
+    # odd length, so centring each one in ``longest`` rows lets one sliding
+    # window serve them all; real parts fill the first F columns, imaginary
+    # parts the last F.
+    half = (longest - 1) // 2
+    bank = np.zeros((longest, len(wavelets)), dtype=complex)
+    for j, wavelet in enumerate(wavelets):
+        lo = half - (len(wavelet) - 1) // 2
+        bank[lo : lo + len(wavelet), j] = wavelet[::-1]
+    bank = np.hstack([bank.real, bank.imag])
+    n_freqs = len(wavelets)
     times = x.times()[::stride]
     features = []
     for ch in range(x.n_features):
-        chan = x.values[:, ch]
-        power = np.empty((times.shape[0], len(wavelets)))
-        for j, wavelet in enumerate(wavelets):
-            coef = fftconvolve(chan, wavelet, mode="same")
-            power[:, j] = (coef.real**2 + coef.imag**2)[::stride]
+        padded = np.pad(x.values[:, ch], half)
+        coef = sliding_window_view(padded, longest)[::stride] @ bank
+        power = coef[:, :n_freqs] ** 2 + coef[:, n_freqs:] ** 2
         features.append(
             TfFeature(times_s=times, freqs_hz=np.asarray(spec.freqs_hz), power=power)
         )

@@ -237,7 +237,8 @@ def pca_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Feature cache (saves re-running the Morlet transform across window sweeps)
+# Feature cache (saves re-running the Morlet transform across runs; within a
+# run, each participant's features are built once and shared by its views)
 # ---------------------------------------------------------------------------
 
 CACHE_VERSION = 1

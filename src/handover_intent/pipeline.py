@@ -3,6 +3,7 @@ latency tables, and deterministic result emission."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -73,10 +74,19 @@ def _tf_spec(cfg: ExperimentConfig) -> TfSpec:
     )
 
 
+def _eeg_digest(eeg) -> str:
+    """Short hash of an EEG recording's content, so that a cache entry is
+    only served for the recording it was built from."""
+    h = hashlib.sha256(eeg.samples.tobytes())
+    h.update(repr((eeg.start_time_s, eeg.sample_rate_hz, eeg.channel_names)).encode())
+    return h.hexdigest()[:16]
+
+
 def _build_sequences(cfg, trials, modality, cache, built: dict):
     """The feature sequences of ``trials`` for one modality.  ``built`` holds
     every sequence made so far, keyed by (modality, trial ref), so the views
-    that share a modality share its features."""
+    that share a modality share its features.  Cached EEG features are keyed
+    by the trial's EEG content as well as by the feature parameters."""
     tf = _tf_spec(cfg)
     key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
     out = []
@@ -91,13 +101,14 @@ def _build_sequences(cfg, trials, modality, cache, built: dict):
                 seq = build_motion_features(trial)
             else:
                 if cache is not None:
-                    seq = cache.get(ref, Modality.EEG, key, lt.label)
+                    trial_key = f"{key}_eeg{_eeg_digest(trial.eeg)}"
+                    seq = cache.get(ref, Modality.EEG, trial_key, lt.label)
                 if seq is None:
                     seq = build_eeg_features(
                         trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power
                     )
                     if cache is not None:
-                        cache.put(seq, key)
+                        cache.put(seq, trial_key)
             built[(modality, ref)] = seq
         out.append(seq)
     return out

@@ -215,6 +215,21 @@ def direct_convolution_power(values, wavelet):
     return np.abs(coef) ** 2
 
 
+def assert_matches_oracle(values, spec, stride, step=0.004):
+    """Every channel's power equals the oracle's at every ``stride``-th sample,
+    to 1e-12 of the oracle's largest value at that frequency."""
+    tfs = morlet_tf(series(0.0, step, values), spec)
+    assert len(tfs) == values.shape[1]
+    kept = -(-values.shape[0] // stride)
+    for ch, tf in enumerate(tfs):
+        assert tf.power.shape == (kept, len(spec.freqs_hz))
+        assert np.allclose(tf.times_s, step * stride * np.arange(kept))
+        for j, f in enumerate(spec.freqs_hz):
+            wavelet = morlet_wavelet(f, spec.n_cycles, step)
+            oracle = direct_convolution_power(values[:, ch], wavelet)[::stride]
+            assert np.abs(tf.power[:, j] - oracle).max() <= 1e-12 * oracle.max()
+
+
 class TestMorlet:
     def test_wavelet_shape_and_center_gain(self):
         w = morlet_wavelet(10.0, 3.0, 0.004)
@@ -240,6 +255,31 @@ class TestMorlet:
         for j, f in enumerate(spec.freqs_hz):
             oracle = direct_convolution_power(x, morlet_wavelet(f, 3.0, 0.004))
             assert np.abs(tf.power[:, j] - oracle).max() < 1e-9 * oracle.max()
+
+    @pytest.mark.parametrize("stride", [2, 7, 12])
+    def test_strided_output_matches_oracle(self, rng, stride):
+        x = rng.normal(size=(503, 1))  # 503 is a multiple of none of the strides
+        spec = TfSpec(freqs_hz=(6.0, 11.0, 19.0), n_cycles=3.0, output_step_s=0.004 * stride)
+        assert_matches_oracle(x, spec, stride)
+
+    def test_twelve_channels_match_oracle(self, rng):
+        x = rng.normal(size=(400, 12)) * rng.uniform(0.5, 20.0, size=12)
+        spec = TfSpec(freqs_hz=(8.0, 13.0, 30.0), n_cycles=3.0, output_step_s=0.012)
+        assert_matches_oracle(x, spec, 3)
+
+    def test_wavelets_of_different_lengths_match_oracle(self, rng):
+        spec = TfSpec(freqs_hz=(5.0, 5.5, 7.0, 12.5, 23.0, 40.0), n_cycles=3.0,
+                      output_step_s=0.02)
+        lengths = [len(morlet_wavelet(f, 3.0, 0.004)) for f in spec.freqs_hz]
+        assert len(set(lengths)) == len(lengths)
+        assert_matches_oracle(rng.normal(size=(700, 2)), spec, 5)
+
+    def test_signal_as_long_as_the_longest_wavelet_matches_oracle(self, rng):
+        spec = TfSpec(freqs_hz=(5.0, 9.0, 40.0), n_cycles=3.0, output_step_s=0.008)
+        longest = len(morlet_wavelet(5.0, 3.0, 0.004))
+        assert_matches_oracle(rng.normal(size=(longest, 3)), spec, 2)
+        with pytest.raises(ValueError, match="at least"):
+            morlet_tf(series(0.0, 0.004, np.zeros(longest - 1)), spec)
 
     def test_zero_signal_zero_power(self):
         tf = morlet_tf(series(0.0, 0.004, np.zeros(600)), default_tf_spec())[0]
@@ -267,6 +307,14 @@ class TestMorlet:
         step = tf.times_s[1] - tf.times_s[0]
         assert step == pytest.approx(0.052)  # nearest multiple of 4 ms to 50 ms
         assert np.allclose(np.diff(tf.times_s), step)
+
+    def test_half_step_tie_is_broken_by_float_noise_in_the_step(self):
+        # 50 ms is 12.5 steps of 4 ms.  An exact 1/250 s step rounds up; the
+        # median spacing of a time column parsed from CSV lands a hair above
+        # 4 ms and rounds down.
+        for step, expected in ((1.0 / 250.0, 0.052), (0.0040000000000000036, 0.048)):
+            tf = morlet_tf(series(0.0, step, np.zeros(600)), default_tf_spec())[0]
+            assert tf.times_s[1] - tf.times_s[0] == pytest.approx(expected)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handover_intent.cli import main
 from handover_intent.core_data import Condition, Modality
 from handover_intent.dsp import TfSpec
 from handover_intent.features import (
@@ -336,6 +337,41 @@ class TestFeatureCache:
         back = cache.get((1, 0), Modality.GAZE, "k1", 1)
         assert np.array_equal(back.series.values, seq.series.values)
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+    def test_dataset_rewritten_in_place_gets_fresh_eeg_features(self, tmp_path):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 2\ntrials_per_condition = 5\nmodalities = eeg\n"
+        )
+        data, other = tmp_path / "data", tmp_path / "other"
+        for root, seed in ((data, 3), (other, 4)):
+            synth = ["synth", "--profile", str(profile), "--out", str(root), "--seed", str(seed)]
+            assert main(synth) == 0
+        config = (
+            f"[dataset]\nroot = {data}\n"
+            "[experiment]\nmodalities = eeg\nmodel = lda\nseed = 1\nmin_trials = 10\n"
+            "[cv]\nfolds = 2\nrepeats = 1\n"
+            "[windows]\nfirst_end_s = 0.0\nlast_end_s = 1.0\nstep_s = 0.5\n"
+            "[features]\ntf_freq_lo_hz = 8\ntf_freq_hi_hz = 12\n{cache}"
+            "[output]\ndir = ./out\n"
+        )
+        cached, uncached = tmp_path / "cached.txt", tmp_path / "uncached.txt"
+        cached.write_text(config.format(cache=f"cache_dir = {tmp_path / 'cache'}\n"))
+        uncached.write_text(config.format(cache=""))
+
+        def run(cfg, out):
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "results.csv").read_bytes()
+
+        before = run(cached, "before")
+        # Regenerate participant 2's EEG in place: same file names, new content.
+        rewritten = sorted((other / "eeg").glob("p02_*.csv"))
+        assert rewritten
+        for path in rewritten:
+            (data / "eeg" / path.name).write_bytes(path.read_bytes())
+        fresh = run(uncached, "fresh")
+        assert fresh != before
+        assert run(cached, "after") == fresh
 
 
 class TestDeterminism:

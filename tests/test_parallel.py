@@ -1,5 +1,6 @@
 """The participant process pool and the process-level setup it relies on:
-one BLAS thread per process, and no scipy import at CLI start-up."""
+one BLAS thread per process, and no scipy import at CLI start-up or for EEG
+features."""
 
 import json
 import os
@@ -144,6 +145,20 @@ class TestProcessSetup:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert python(code) == "[]"
+
+    def test_eeg_features_load_no_scipy_signal(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from handover_intent.core_data import Condition, RawEeg, TrialRecording\n"
+            "from handover_intent.features import DEFAULT_EEG_CHANNELS, build_eeg_features\n"
+            "samples = np.random.default_rng(0).normal(size=(12, 2751))\n"
+            "eeg = RawEeg(250.0, DEFAULT_EEG_CHANNELS, samples, -5.5)\n"
+            "trial = TrialRecording(1, 0, Condition.HANDOVER, 0.0, eeg=eeg)\n"
+            "print(build_eeg_features(trial).series.values.shape)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
+        )
+        assert python(code).splitlines() == ["(212, 36)", "[]"]
 
     def test_import_pins_blas_threads_to_one(self):
         code = (
