@@ -17,7 +17,7 @@ from .classifiers import (
     fit_sequence_preprocessing,
 )
 from .features import FeatureSequence, WindowGrid, flatten, window_features
-from .lstm import lstm_forward, lstm_train
+from .lstm import TrainingDivergedError, lstm_train_members, predict_proba_batch
 from .rng import derive_seed, substream
 
 DEFAULT_AUC_LEVELS = (0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90)
@@ -266,44 +266,62 @@ def _score_stats(end_time_s: float, aucs: "list[float]") -> WindowScore:
 def fit_lstm_ensemble(
     x: np.ndarray,
     y: np.ndarray,
-    split: "Split",
+    splits: "list[Split]",
     recipe: LstmRecipe,
-    seed: int,
-) -> TrainedClassifier:
-    """Train one member per inner (fit, val) fold of ``split``; ensemble
+    seeds: "list[int]",
+) -> "list[TrainedClassifier]":
+    """One ensemble per split, with one member per inner (fit, val) fold of
+    that split; every member of every split trains in one stack.  Ensemble
     weights are the members' validation AUCs, normalized (equal weights when
-    every AUC is zero).  Preprocessing is fitted on the outer training fold."""
-    if split.inner is None:
-        raise ValueError("LSTM evaluation needs a nested CvScheme")
-    prep = fit_sequence_preprocessing(x[split.train_idx], recipe)
-    xp = prep.apply_sequences(x)
-    members = []
-    val_aucs = []
-    for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
-        spec = recipe.spec(
-            input_dim=x.shape[2], seed=derive_seed(seed, "member", inner_index)
+    every AUC is zero).  Preprocessing is fitted on each outer training fold.
+    A failure raises ``EvaluationError`` naming the split it belongs to."""
+    prepared, specs, trains, vals, owners = [], [], [], [], []
+    for split_index, (split, seed) in enumerate(zip(splits, seeds, strict=True)):
+        try:
+            if split.inner is None:
+                raise ValueError("LSTM evaluation needs a nested CvScheme")
+            prep = fit_sequence_preprocessing(x[split.train_idx], recipe)
+        except Exception as exc:
+            raise EvaluationError(f"split {split_index}: {exc}") from exc
+        xp = prep.apply_sequences(x)
+        prepared.append((prep, xp))
+        for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
+            specs.append(
+                recipe.spec(
+                    input_dim=x.shape[2], seed=derive_seed(seed, "member", inner_index)
+                )
+            )
+            trains.append(list(zip(xp[fit_idx], y[fit_idx])))
+            vals.append(list(zip(xp[val_idx], y[val_idx])))
+            owners.append(split_index)
+    try:
+        models = lstm_train_members(specs, trains, vals)
+    except (ValueError, TrainingDivergedError) as exc:
+        # Specs and shapes agree here, so every error is one member's, tagged.
+        raise EvaluationError(f"split {owners[exc.member]}: {exc}") from exc
+    classifiers = []
+    for split_index, (split, (prep, xp)) in enumerate(zip(splits, prepared)):
+        members = [mdl for mdl, owner in zip(models, owners) if owner == split_index]
+        val_aucs = []
+        for model, (_, val_idx) in zip(members, split.inner):
+            probs = predict_proba_batch(model, xp[val_idx])
+            has_both = len(np.unique(y[val_idx])) > 1
+            val_aucs.append(auc_roc(probs, y[val_idx]) if has_both else 0.0)
+        weights = np.asarray(val_aucs, dtype=float)
+        fallback = bool(weights.sum() <= 0.0)
+        if fallback:
+            weights = np.full_like(weights, 1.0 / len(members))
+        else:
+            weights = weights / weights.sum()
+        classifiers.append(
+            TrainedClassifier(
+                kind="lstm_ensemble",
+                preprocessing=prep,
+                members=tuple(zip(members, weights.tolist())),
+                weight_fallback=fallback,
+            )
         )
-        model = lstm_train(
-            spec,
-            list(zip(xp[fit_idx], y[fit_idx])),
-            list(zip(xp[val_idx], y[val_idx])),
-        )
-        probs = np.array([lstm_forward(model, s) for s in xp[val_idx]])
-        has_both = len(np.unique(y[val_idx])) > 1
-        val_aucs.append(auc_roc(probs, y[val_idx]) if has_both else 0.0)
-        members.append(model)
-    weights = np.asarray(val_aucs, dtype=float)
-    fallback = bool(weights.sum() <= 0.0)
-    if fallback:
-        weights = np.full_like(weights, 1.0 / len(members))
-    else:
-        weights = weights / weights.sum()
-    return TrainedClassifier(
-        kind="lstm_ensemble",
-        preprocessing=prep,
-        members=tuple(zip(members, weights.tolist())),
-        weight_fallback=fallback,
-    )
+    return classifiers
 
 
 def evaluate_window(
@@ -327,6 +345,9 @@ def evaluate_window(
             x = _window_tensor(ordered, end_time_s, grid)
     except Exception as exc:
         raise EvaluationError(f"window setup: {exc}") from exc
+    if not is_lda:
+        seeds = [derive_seed(scheme.seed, "lstm", window_index, i) for i in range(len(splits))]
+        ensembles = fit_lstm_ensemble(x, labels, splits, recipe, seeds)
     aucs = []
     for split_index, split in enumerate(splits):
         try:
@@ -335,13 +356,7 @@ def evaluate_window(
                     x[split.train_idx], labels[split.train_idx], recipe
                 )
             else:
-                clf = fit_lstm_ensemble(
-                    x,
-                    labels,
-                    split,
-                    recipe,
-                    seed=derive_seed(scheme.seed, "lstm", window_index, split_index),
-                )
+                clf = ensembles[split_index]
             probs = clf.predict_proba(x[split.test_idx])
             aucs.append(auc_roc(probs, labels[split.test_idx]))
         except Exception as exc:

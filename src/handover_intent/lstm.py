@@ -5,11 +5,19 @@ Architecture: 1 or 2 standard LSTM layers; the last time step's top hidden
 state passes through ReLU and a fully connected layer to a sigmoid output.
 Loss is binary cross-entropy on the logit.  Optimizer is adaptive-moment
 gradient descent (lr 1e-3, global gradient-norm clip 5.0).
+
+The kernel (``_forward``, ``_loss_and_grad``) works on a stack of G members
+that share a spec and a sequence shape: parameters (G, P), sequences
+(G, B, T, D), one loss per member.  ``lstm_train_members`` trains a stack in
+one loop, and each member's result is bit-identical to training it alone,
+because every per-member product is the same BLAS call on the same operands
+and every reduction runs over the same axis in the same order.  Prediction and
+``lstm_train`` use stacks of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,13 +32,16 @@ EARLY_STOP_START_EPOCH = 100  # patience only counts after this many epochs
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch: int, learning_rate: float):
+    """``member`` is the index of the diverged member in its training stack."""
+
+    def __init__(self, epoch: int, learning_rate: float, member: int = 0):
         super().__init__(
             f"training loss became non-finite at epoch {epoch} "
             f"(learning rate {learning_rate:g})"
         )
         self.epoch = epoch
         self.learning_rate = learning_rate
+        self.member = member
 
 
 @dataclass(frozen=True)
@@ -79,23 +90,24 @@ class LstmModel:
 
 
 def _unpack(spec: LstmSpec, params: np.ndarray):
-    """Views into the flat vector: per layer (W, U, b) with gate rows ordered
-    input, forget, candidate, output; then the head (w, b)."""
+    """Views into a (G, P) stack of flat vectors: per layer (W, U, b) with gate
+    rows ordered input, forget, candidate, output; then the head (w, b)."""
+    n_members = params.shape[0]
     h = spec.hidden
     layers = []
     offset = 0
     d = spec.input_dim
     for _ in range(spec.layers):
-        w = params[offset : offset + 4 * h * d].reshape(4 * h, d)
+        w = params[:, offset : offset + 4 * h * d].reshape(n_members, 4 * h, d)
         offset += 4 * h * d
-        u = params[offset : offset + 4 * h * h].reshape(4 * h, h)
+        u = params[:, offset : offset + 4 * h * h].reshape(n_members, 4 * h, h)
         offset += 4 * h * h
-        b = params[offset : offset + 4 * h]
+        b = params[:, offset : offset + 4 * h]
         offset += 4 * h
         layers.append((w, u, b))
         d = h
-    head_w = params[offset : offset + h]
-    head_b = params[offset + h : offset + h + 1]
+    head_w = params[:, offset : offset + h]
+    head_b = params[:, offset + h]
     return layers, head_w, head_b
 
 
@@ -121,95 +133,106 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _forward(spec: LstmSpec, params: np.ndarray, x: np.ndarray):
-    """Batched forward pass. x: (B, T, D). Returns (logits, cache)."""
-    if x.ndim != 3 or x.shape[2] != spec.input_dim:
+    """Forward pass of a stack of G members.  params: (G, P), x: (G, B, T, D).
+    Returns (logits (G, B), cache)."""
+    if x.ndim != 4 or x.shape[3] != spec.input_dim:
         raise ValueError(
-            f"expected sequences of shape (B, T, {spec.input_dim}), got {x.shape}"
+            f"expected sequences of shape (B, T, {spec.input_dim}), got {x.shape[1:]}"
         )
-    n_batch, n_steps, _ = x.shape
+    n_members, n_batch, n_steps, _ = x.shape
     h = spec.hidden
     layers, head_w, head_b = _unpack(spec, params)
     layer_caches = []
     inputs = x
-    for w, u, b in layers:
-        hidden = np.zeros((n_batch, h))
-        cell = np.zeros((n_batch, h))
-        steps = []
-        outputs = np.empty((n_batch, n_steps, h))
-        for t in range(n_steps):
-            xt = inputs[:, t, :]
-            z = xt @ w.T + hidden @ u.T + b
-            gi = _sigmoid(z[:, 0 * h : 1 * h])
-            gf = _sigmoid(z[:, 1 * h : 2 * h])
-            gg = np.tanh(z[:, 2 * h : 3 * h])
-            go = _sigmoid(z[:, 3 * h : 4 * h])
-            new_cell = gf * cell + gi * gg
-            tanh_cell = np.tanh(new_cell)
-            new_hidden = go * tanh_cell
-            steps.append((xt, hidden, cell, gi, gf, gg, go, tanh_cell))
-            hidden, cell = new_hidden, new_cell
-            outputs[:, t, :] = hidden
-        layer_caches.append((steps, outputs))
-        inputs = outputs
-    last_hidden = inputs[:, -1, :]
+    # One sigmoid over all 4h gate columns per step, under one errstate for
+    # the whole pass; the candidate columns' sigmoid is computed and unused.
+    with np.errstate(over="ignore"):
+        for w, u, b in layers:
+            w_t = w.transpose(0, 2, 1)
+            u_t = u.transpose(0, 2, 1)
+            bias = b[:, None, :]
+            hidden = np.zeros((n_members, n_batch, h))
+            cell = np.zeros((n_members, n_batch, h))
+            steps = []
+            outputs = np.empty((n_members, n_batch, n_steps, h))
+            for t in range(n_steps):
+                xt = inputs[:, :, t, :]
+                z = xt @ w_t + hidden @ u_t + bias
+                gates = 1.0 / (1.0 + np.exp(-z))
+                gi = gates[..., 0 * h : 1 * h]
+                gf = gates[..., 1 * h : 2 * h]
+                gg = np.tanh(z[..., 2 * h : 3 * h])
+                go = gates[..., 3 * h : 4 * h]
+                new_cell = gf * cell + gi * gg
+                tanh_cell = np.tanh(new_cell)
+                new_hidden = go * tanh_cell
+                steps.append((xt, hidden, cell, gi, gf, gg, go, tanh_cell))
+                hidden, cell = new_hidden, new_cell
+                outputs[:, :, t, :] = hidden
+            layer_caches.append((steps, outputs))
+            inputs = outputs
+    last_hidden = inputs[:, :, -1, :]
     rect = np.maximum(last_hidden, 0.0)
-    logits = rect @ head_w + head_b[0]
+    logits = (rect @ head_w[:, :, None])[..., 0] + head_b[:, None]
     cache = (x, layer_caches, last_hidden, rect)
     return logits, cache
 
 
-def _bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> float:
+def _bce_from_logits(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean binary cross-entropy per member: (G, B) logits -> (G,)."""
     s, y = logits, labels
-    return float(np.mean(np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s)))))
+    return np.mean(
+        np.maximum(s, 0.0) - s * y + np.log1p(np.exp(-np.abs(s))), axis=-1
+    )
 
 
 def _loss_and_grad(spec: LstmSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Per-member loss (G,) and gradient (G, P) of a stack; y: (G, B)."""
     logits, cache = _forward(spec, params, x)
     loss = _bce_from_logits(logits, y)
     _, layer_caches, last_hidden, rect = cache
-    n_batch, n_steps = x.shape[0], x.shape[1]
+    n_members, n_batch, n_steps = x.shape[:3]
     h = spec.hidden
     layers, head_w, _ = _unpack(spec, params)
     grad = np.zeros_like(params)
     glayers, ghead_w, ghead_b = _unpack(spec, grad)
 
     dlogits = (_sigmoid(logits) - y) / n_batch
-    ghead_w += rect.T @ dlogits
-    ghead_b += dlogits.sum()
-    drect = np.outer(dlogits, head_w)
+    ghead_w += (rect.transpose(0, 2, 1) @ dlogits[:, :, None])[..., 0]
+    ghead_b += dlogits.sum(axis=1)
+    drect = dlogits[:, :, None] * head_w[:, None, :]
     dtop = drect * (last_hidden > 0.0)
 
     # Gradient flowing into each layer's output sequence.
-    dout = np.zeros((n_batch, n_steps, h))
-    dout[:, -1, :] = dtop
+    dout = np.zeros((n_members, n_batch, n_steps, h))
+    dout[:, :, -1, :] = dtop
+    dz = np.empty((n_members, n_batch, 4 * h))
+    dz_t = dz.transpose(0, 2, 1)
     for layer_index in range(spec.layers - 1, -1, -1):
         w, u, _ = layers[layer_index]
         gw, gu, gb = glayers[layer_index]
         steps, _ = layer_caches[layer_index]
-        din = np.zeros((n_batch, n_steps, w.shape[1]))
-        dh_carry = np.zeros((n_batch, h))
-        dc = np.zeros((n_batch, h))
+        # The bottom layer's input gradient is never used.
+        din = np.zeros((n_members, n_batch, n_steps, h)) if layer_index else None
+        dh_carry = np.zeros((n_members, n_batch, h))
+        dc = np.zeros((n_members, n_batch, h))
         for t in range(n_steps - 1, -1, -1):
             xt, h_prev, c_prev, gi, gf, gg, go, tanh_cell = steps[t]
-            dh = dout[:, t, :] + dh_carry
+            dh = dout[:, :, t, :] + dh_carry
             do = dh * tanh_cell
             dc = dc + dh * go * (1.0 - tanh_cell**2)
             di = dc * gg
             dg = dc * gi
             df = dc * c_prev
-            dz = np.concatenate(
-                [
-                    di * gi * (1.0 - gi),
-                    df * gf * (1.0 - gf),
-                    dg * (1.0 - gg**2),
-                    do * go * (1.0 - go),
-                ],
-                axis=1,
-            )
-            gw += dz.T @ xt
-            gu += dz.T @ h_prev
-            gb += dz.sum(axis=0)
-            din[:, t, :] = dz @ w
+            dz[..., 0 * h : 1 * h] = di * gi * (1.0 - gi)
+            dz[..., 1 * h : 2 * h] = df * gf * (1.0 - gf)
+            dz[..., 2 * h : 3 * h] = dg * (1.0 - gg**2)
+            dz[..., 3 * h : 4 * h] = do * go * (1.0 - go)
+            gw += dz_t @ xt
+            gu += dz_t @ h_prev
+            gb += dz.sum(axis=1)
+            if din is not None:
+                din[:, :, t, :] = dz @ w
             dh_carry = dz @ u
             dc = dc * gf
         dout = din
@@ -221,16 +244,17 @@ def lstm_forward(model: LstmModel, seq: np.ndarray) -> float:
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 2:
         raise ValueError(f"sequence must be (T, D), got shape {seq.shape}")
-    logits, _ = _forward(model.spec, model.parameters, seq[None, :, :])
-    p = float(_sigmoid(logits)[0])
+    logits, _ = _forward(model.spec, model.parameters[None], seq[None, None])
+    p = float(_sigmoid(logits)[0, 0])
     return float(np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
 
 
 def predict_proba_batch(model: LstmModel, x: np.ndarray) -> np.ndarray:
+    """Class-1 probabilities for sequences of shape (B, T, D)."""
     x = np.asarray(x, dtype=float)
-    logits, _ = _forward(model.spec, model.parameters, x)
+    logits, _ = _forward(model.spec, model.parameters[None], x[None])
     return np.clip(
-        _sigmoid(logits), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        _sigmoid(logits[0]), np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
     )
 
 
@@ -241,19 +265,20 @@ def gradient_check(
     differences over every parameter.  Only sensible for small models."""
     if param_count(model.spec) > 500:
         raise ValueError("gradient_check is limited to models with <= 500 parameters")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    _, analytic = _loss_and_grad(model.spec, model.parameters, x, y)
+    x = np.asarray(x, dtype=float)[None]
+    y = np.asarray(y, dtype=float)[None]
+    _, analytic = _loss_and_grad(model.spec, model.parameters[None], x, y)
+    analytic = analytic[0]
     params = model.parameters.copy()
     numeric = np.empty_like(analytic)
     for i in range(params.shape[0]):
         saved = params[i]
         params[i] = saved + fd_step
-        up, _ = _forward(model.spec, params, x)
-        loss_up = _bce_from_logits(up, y)
+        up, _ = _forward(model.spec, params[None], x)
+        loss_up = _bce_from_logits(up, y)[0]
         params[i] = saved - fd_step
-        down, _ = _forward(model.spec, params, x)
-        loss_down = _bce_from_logits(down, y)
+        down, _ = _forward(model.spec, params[None], x)
+        loss_down = _bce_from_logits(down, y)[0]
         params[i] = saved
         numeric[i] = (loss_up - loss_down) / (2.0 * fd_step)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-5)
@@ -267,6 +292,28 @@ def _stack(dataset) -> tuple[np.ndarray, np.ndarray]:
     if len(shapes) != 1:
         raise ValueError(f"sequences must share one shape, got {sorted(shapes)}")
     return np.stack(seqs), labels
+
+
+def _member_data(train, val):
+    if not train or not val:
+        raise ValueError("train and val sets must be nonempty")
+    x_train, y_train = _stack(train)
+    x_val, y_val = _stack(val)
+    if len(set(y_train.tolist())) < 2:
+        raise ValueError("training labels contain a single class")
+    if x_train.shape[1:] != x_val.shape[1:]:
+        raise ValueError(
+            f"val sequences {x_val.shape[1:]} differ from train {x_train.shape[1:]}"
+        )
+    return x_train, y_train, x_val, y_val
+
+
+def _by_size(members, size_of) -> "list[list[int]]":
+    """Members grouped by size_of(member), so each group stacks without padding."""
+    groups = {}
+    for g in members:
+        groups.setdefault(size_of(g), []).append(g)
+    return list(groups.values())
 
 
 def lstm_train(
@@ -284,66 +331,137 @@ def lstm_train(
     With ``spec.early_stop_after`` set, training stops once the validation
     loss has not improved for that many epochs, checked only after
     ``early_stop_start`` epochs.  ``history``, when given, collects the
-    per-epoch validation losses.
+    per-epoch validation losses.  This is ``lstm_train_members`` on a stack
+    of one.
     """
-    if not train or not val:
-        raise ValueError("train and val sets must be nonempty")
-    x_train, y_train = _stack(train)
-    x_val, y_val = _stack(val)
-    if len(set(y_train.tolist())) < 2:
-        raise ValueError("training labels contain a single class")
-    if x_train.shape[1:] != x_val.shape[1:]:
+    histories = None if history is None else [history]
+    return lstm_train_members(
+        [spec], [train], [val], learning_rate, clip_norm, early_stop_start, histories
+    )[0]
+
+
+def lstm_train_members(
+    specs,
+    trains,
+    vals,
+    learning_rate: float = LEARNING_RATE,
+    clip_norm: float = CLIP_NORM,
+    early_stop_start: int = EARLY_STOP_START_EPOCH,
+    histories: "list | None" = None,
+) -> "list[LstmModel]":
+    """Train member g on (trains[g], vals[g]) with specs[g], all in one stack.
+
+    Each member's model is bit-identical to ``lstm_train`` on it alone: it
+    keeps its own batch order, Adam steps, gradient clip, best snapshot and
+    early stop, and leaves the stack when it stops.  Specs differ only in
+    their seed; all sequences share one shape.  A step stacks the members
+    whose batches (or val sets) have one size, so ragged tails run as
+    separate sub-stacks, never padded.  ``histories[g]`` collects member g's
+    per-epoch validation losses.  Errors carry the member's index in
+    ``.member``: a member with invalid input raises at once; a diverged
+    member leaves the stack, and the lowest one's ``TrainingDivergedError``
+    is raised once the others finish.
+    """
+    specs = list(specs)
+    if len({replace(s, seed=0) for s in specs}) != 1:
+        raise ValueError("members must share one spec apart from the seed")
+    spec = specs[0]
+    data = []
+    for member, (_, train, val) in enumerate(zip(specs, trains, vals, strict=True)):
+        try:
+            data.append(_member_data(train, val))
+        except ValueError as exc:
+            exc.member = member
+            raise
+    x_train, y_train, x_val, y_val = (list(column) for column in zip(*data))
+    shapes = {x.shape[1:] for x in x_train}
+    if len(shapes) != 1:
         raise ValueError(
-            f"val sequences {x_val.shape[1:]} differ from train {x_train.shape[1:]}"
+            f"members' sequences must share one shape, got {sorted(shapes)}"
         )
 
-    model = init_model(spec)
-    params = model.parameters.copy()
-    order_rng = substream(spec.seed, "lstm-batch-order")
+    n_members = len(specs)
+    params = np.stack([init_model(s).parameters for s in specs])
     m = np.zeros_like(params)
     v = np.zeros_like(params)
-    step = 0
+    step = [0] * n_members
+    order_rngs = [substream(s.seed, "lstm-batch-order") for s in specs]
 
-    def val_loss_of(p: np.ndarray) -> float:
-        logits, _ = _forward(spec, p, x_val)
-        return _bce_from_logits(logits, y_val)
+    def val_losses(members) -> "dict[int, float]":
+        losses = {}
+        for group in _by_size(members, lambda g: y_val[g].shape[0]):
+            logits, _ = _forward(
+                spec, params[group], np.stack([x_val[g] for g in group])
+            )
+            loss = _bce_from_logits(logits, np.stack([y_val[g] for g in group]))
+            losses.update(zip(group, loss.tolist()))
+        return losses
 
-    best_loss = val_loss_of(params)
-    best_params = params.copy()
-    best_epoch = 0
-    n = x_train.shape[0]
+    best_loss = val_losses(range(n_members))
+    best_params = list(params.copy())
+    best_epoch = [0] * n_members
+    active = list(range(n_members))
+    diverged = {}
     for epoch in range(1, spec.max_epochs + 1):
-        order = order_rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            batch = order[start : start + spec.batch_size]
-            loss, grad = _loss_and_grad(spec, params, x_train[batch], y_train[batch])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, learning_rate)
-            norm = float(np.linalg.norm(grad))
-            if norm > clip_norm:
-                grad = grad * (clip_norm / norm)
-            step += 1
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad**2
-            m_hat = m / (1.0 - ADAM_BETA1**step)
-            v_hat = v / (1.0 - ADAM_BETA2**step)
-            params -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        current = val_loss_of(params)
-        if history is not None:
-            history.append(current)
-        if not np.isfinite(current):
-            raise TrainingDivergedError(epoch, learning_rate)
-        if current < best_loss:
-            best_loss = current
-            best_params = params.copy()
-            best_epoch = epoch
-        if (
-            spec.early_stop_after is not None
-            and epoch >= early_stop_start
-            and epoch - best_epoch >= spec.early_stop_after
-        ):
+        if not active:
             break
-    return LstmModel(spec=spec, parameters=best_params)
+        orders = {g: order_rngs[g].permutation(y_train[g].shape[0]) for g in active}
+        longest = max(order.shape[0] for order in orders.values())
+        for start in range(0, longest, spec.batch_size):
+            batches = {
+                g: orders[g][start : start + spec.batch_size]
+                for g in active
+                if start < orders[g].shape[0]
+            }
+            stepped, grads = [], []
+            for group in _by_size(batches, lambda g: batches[g].shape[0]):
+                loss, grad = _loss_and_grad(
+                    spec,
+                    params[group],
+                    np.stack([x_train[g][batches[g]] for g in group]),
+                    np.stack([y_train[g][batches[g]] for g in group]),
+                )
+                for row, g in enumerate(group):
+                    if not np.isfinite(loss[row]):
+                        diverged[g] = TrainingDivergedError(epoch, learning_rate, g)
+                        active.remove(g)
+                        continue
+                    norm = float(np.linalg.norm(grad[row]))
+                    if norm > clip_norm:
+                        grad[row] *= clip_norm / norm
+                    step[g] += 1
+                    stepped.append(g)
+                    grads.append(grad[row])
+            if not stepped:
+                continue
+            grad = np.stack(grads)
+            counts = [step[g] for g in stepped]
+            m[stepped] = ADAM_BETA1 * m[stepped] + (1.0 - ADAM_BETA1) * grad
+            v[stepped] = ADAM_BETA2 * v[stepped] + (1.0 - ADAM_BETA2) * grad**2
+            m_hat = m[stepped] / np.array([[1.0 - ADAM_BETA1**k] for k in counts])
+            v_hat = v[stepped] / np.array([[1.0 - ADAM_BETA2**k] for k in counts])
+            params[stepped] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        current = val_losses(active)
+        for g in list(active):
+            if histories is not None:
+                histories[g].append(current[g])
+            if not np.isfinite(current[g]):
+                diverged[g] = TrainingDivergedError(epoch, learning_rate, g)
+                active.remove(g)
+                continue
+            if current[g] < best_loss[g]:
+                best_loss[g] = current[g]
+                best_params[g] = params[g].copy()
+                best_epoch[g] = epoch
+            if (
+                spec.early_stop_after is not None
+                and epoch >= early_stop_start
+                and epoch - best_epoch[g] >= spec.early_stop_after
+            ):
+                active.remove(g)
+    if diverged:
+        raise diverged[min(diverged)]
+    return [LstmModel(spec=s, parameters=p) for s, p in zip(specs, best_params)]
 
 
 def ensemble_predict(members, seq: np.ndarray) -> float:

@@ -288,6 +288,23 @@ class TestEvaluateWindow:
                 CvScheme(k=3, repeats=1, seed=0),
             )
 
+    def test_lstm_divergence_names_the_split_that_owns_the_member(self, rng):
+        seqs = toy_sequences(rng, n=18, t_samples=55)
+        scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=2, seed=2)
+        labels = np.array([s.label for s in seqs])
+        splits = make_splits(labels, scheme)
+        # A trial in split 0's test fold is in split 1's training set only.
+        poisoned = int(splits[0].test_idx[0])
+        assert poisoned in splits[1].train_idx
+        from dataclasses import replace
+
+        bad = seqs[poisoned]
+        nan_series = replace(bad.series, values=np.full_like(bad.series.values, np.nan))
+        seqs[poisoned] = replace(bad, series=nan_series)
+        recipe = replace(lstm_recipe_for(Modality.MOTION), max_epochs=3, hidden=3)
+        with pytest.raises(EvaluationError, match=r"^split 1: .*non-finite at epoch 1"):
+            evaluate_window(seqs, -3.0, recipe, scheme)
+
     def test_nested_lstm_evaluation_runs(self, rng):
         seqs = toy_sequences(rng, n=18, t_samples=55, signal_at=-5.0, effect=4.0)
         recipe = lstm_recipe_for(Modality.MOTION)

@@ -158,7 +158,7 @@ class TestGradients:
         seq = substream(4, "zero").normal(size=(5, 2))
         x = np.stack([seq, seq])
         y = np.array([0.0, 1.0])
-        _, grad = _loss_and_grad(spec, model.parameters, x, y)
+        _, grad = _loss_and_grad(spec, model.parameters[None], x[None], y[None])
         assert np.abs(grad).max() < 1e-12
 
     def test_loss_scale_linearity(self):
@@ -167,10 +167,13 @@ class TestGradients:
         rng = substream(5, "scale")
         x = rng.normal(size=(4, 3, 2))
         y = np.array([1.0, 0.0, 1.0, 0.0])
-        loss, grad = _loss_and_grad(spec, model.parameters, x, y)
+        (loss,), (grad,) = _loss_and_grad(spec, model.parameters[None], x[None], y[None])
         # duplicating the batch keeps the mean loss and gradient identical
-        loss2, grad2 = _loss_and_grad(
-            spec, model.parameters, np.concatenate([x, x]), np.concatenate([y, y])
+        (loss2,), (grad2,) = _loss_and_grad(
+            spec,
+            model.parameters[None],
+            np.concatenate([x, x])[None],
+            np.concatenate([y, y])[None],
         )
         assert loss2 == pytest.approx(loss, rel=1e-12)
         assert np.abs(grad - grad2).max() < 1e-12
@@ -179,13 +182,14 @@ class TestGradients:
         for index in (0, param_count(spec) // 2, param_count(spec) - 1):
             params = model.parameters.copy()
             params[index] += eps
-            up, _ = _forward(spec, params, x)
+            up, _ = _forward(spec, params[None], x[None])
             params[index] -= 2 * eps
-            down, _ = _forward(spec, params, x)
+            down, _ = _forward(spec, params[None], x[None])
             from handover_intent.lstm import _bce_from_logits
 
             fd_doubled = (
-                2.0 * _bce_from_logits(up, y) - 2.0 * _bce_from_logits(down, y)
+                2.0 * _bce_from_logits(up, y[None])[0]
+                - 2.0 * _bce_from_logits(down, y[None])[0]
             ) / (2 * eps)
             assert fd_doubled == pytest.approx(2.0 * grad[index], abs=1e-5)
 
@@ -268,10 +272,10 @@ class TestTraining:
         model = lstm_train(spec, data[:18], data[18:], history=history)
         x_val = np.stack([s for s, _ in data[18:]])
         y_val = np.array([float(lbl) for _, lbl in data[18:]])
-        logits, _ = _forward(spec, model.parameters, x_val)
+        logits, _ = _forward(spec, model.parameters[None], x_val[None])
         from handover_intent.lstm import _bce_from_logits
 
-        returned_loss = _bce_from_logits(logits, y_val)
+        returned_loss = _bce_from_logits(logits, y_val[None])[0]
         assert returned_loss == pytest.approx(min(history), abs=1e-12)
 
     def test_mixed_sequence_lengths_rejected(self):
