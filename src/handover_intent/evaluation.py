@@ -17,7 +17,14 @@ from .classifiers import (
     fit_sequence_preprocessing,
 )
 from .features import FeatureSequence, WindowGrid, flatten, window_features
-from .lstm import TrainingDivergedError, lstm_train_members, predict_proba_batch
+from .lstm import (
+    STACK_BYTES,
+    LstmModel,
+    LstmSpec,
+    lstm_train_members,
+    member_bytes,
+    predict_proba_batch,
+)
 from .rng import derive_seed, substream
 
 DEFAULT_AUC_LEVELS = (0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90)
@@ -263,65 +270,107 @@ def _score_stats(end_time_s: float, aucs: "list[float]") -> WindowScore:
     )
 
 
-def fit_lstm_ensemble(
+def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]":
+    """Train ensemble members as one stack; each member is (seed, x_fit,
+    y_fit, x_val, y_val).  Returns each member's model and validation AUC (0
+    when its val set holds one class).  A training error carries the failing
+    member's index in ``.member``."""
+    seeds, x_fits, y_fits, x_vals, y_vals = zip(*members)
+    models = lstm_train_members(
+        spec,
+        seeds,
+        [list(zip(xs, ys)) for xs, ys in zip(x_fits, y_fits)],
+        [list(zip(xs, ys)) for xs, ys in zip(x_vals, y_vals)],
+    )
+    trained = []
+    for model, x_val, y_val in zip(models, x_vals, y_vals):
+        has_both = len(np.unique(y_val)) > 1
+        probs = predict_proba_batch(model, x_val)
+        trained.append((model, auc_roc(probs, y_val) if has_both else 0.0))
+    return trained
+
+
+def _lstm_ensembles(
     x: np.ndarray,
     y: np.ndarray,
     splits: "list[Split]",
     recipe: LstmRecipe,
     seeds: "list[int]",
-) -> "list[TrainedClassifier]":
-    """One ensemble per split, with one member per inner (fit, val) fold of
-    that split; every member of every split trains in one stack.  Ensemble
+):
+    """Yield each split's ensemble, in split order, with one member per inner
+    (fit, val) fold of that split.
+
+    Consecutive members train as one stack, filled up to ``STACK_BYTES``, and
+    a split's ensemble is yielded once its last member is trained, so only
+    one stack's data and the models of unfinished splits are held.  Ensemble
     weights are the members' validation AUCs, normalized (equal weights when
     every AUC is zero).  Preprocessing is fitted on each outer training fold.
-    A failure raises ``EvaluationError`` naming the split it belongs to."""
-    prepared, specs, trains, vals, owners = [], [], [], [], []
+    A failure raises ``EvaluationError`` naming the split that serial
+    training would have failed in first.
+    """
+    preps, trained = {}, {}  # by split, until its ensemble is yielded
+    pending = []  # (split, seed, x_fit, y_fit, x_val, y_val, bytes)
+
+    def train_pending():
+        if not pending:
+            return
+        owners = [member[0] for member in pending]
+        try:
+            results = fit_lstm_ensemble(spec, [member[1:6] for member in pending])
+        except Exception as exc:
+            member = getattr(exc, "member", None)
+            where = "window" if member is None else f"split {owners[member]}"
+            raise EvaluationError(f"{where}: {exc}") from exc
+        pending.clear()
+        for owner, result in zip(owners, results):
+            trained[owner].append(result)
+        for owner in sorted(set(owners)):
+            if len(trained[owner]) == len(splits[owner].inner):
+                yield _weighted_ensemble(preps.pop(owner), trained.pop(owner))
+
     for split_index, (split, seed) in enumerate(zip(splits, seeds, strict=True)):
         try:
             if split.inner is None:
                 raise ValueError("LSTM evaluation needs a nested CvScheme")
+            spec = recipe.spec(input_dim=x.shape[2], seed=seed)
             prep = fit_sequence_preprocessing(x[split.train_idx], recipe)
+            xp = prep.apply_sequences(x)
         except Exception as exc:
+            yield from train_pending()  # earlier splits come first
             raise EvaluationError(f"split {split_index}: {exc}") from exc
-        xp = prep.apply_sequences(x)
-        prepared.append((prep, xp))
+        preps[split_index] = prep
+        trained[split_index] = []
         for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
-            specs.append(
-                recipe.spec(
-                    input_dim=x.shape[2], seed=derive_seed(seed, "member", inner_index)
+            cost = member_bytes(spec, x.shape[1], len(fit_idx), len(val_idx))
+            if sum(member[-1] for member in pending) + cost > STACK_BYTES:
+                yield from train_pending()
+            pending.append(
+                (
+                    split_index,
+                    derive_seed(seed, "member", inner_index),
+                    xp[fit_idx],
+                    y[fit_idx],
+                    xp[val_idx],
+                    y[val_idx],
+                    cost,
                 )
             )
-            trains.append(list(zip(xp[fit_idx], y[fit_idx])))
-            vals.append(list(zip(xp[val_idx], y[val_idx])))
-            owners.append(split_index)
-    try:
-        models = lstm_train_members(specs, trains, vals)
-    except (ValueError, TrainingDivergedError) as exc:
-        # Specs and shapes agree here, so every error is one member's, tagged.
-        raise EvaluationError(f"split {owners[exc.member]}: {exc}") from exc
-    classifiers = []
-    for split_index, (split, (prep, xp)) in enumerate(zip(splits, prepared)):
-        members = [mdl for mdl, owner in zip(models, owners) if owner == split_index]
-        val_aucs = []
-        for model, (_, val_idx) in zip(members, split.inner):
-            probs = predict_proba_batch(model, xp[val_idx])
-            has_both = len(np.unique(y[val_idx])) > 1
-            val_aucs.append(auc_roc(probs, y[val_idx]) if has_both else 0.0)
-        weights = np.asarray(val_aucs, dtype=float)
-        fallback = bool(weights.sum() <= 0.0)
-        if fallback:
-            weights = np.full_like(weights, 1.0 / len(members))
-        else:
-            weights = weights / weights.sum()
-        classifiers.append(
-            TrainedClassifier(
-                kind="lstm_ensemble",
-                preprocessing=prep,
-                members=tuple(zip(members, weights.tolist())),
-                weight_fallback=fallback,
-            )
-        )
-    return classifiers
+    yield from train_pending()
+
+
+def _weighted_ensemble(prep, trained) -> TrainedClassifier:
+    weights = np.asarray([auc for _, auc in trained], dtype=float)
+    fallback = bool(weights.sum() <= 0.0)
+    if fallback:
+        weights = np.full_like(weights, 1.0 / len(trained))
+    else:
+        weights = weights / weights.sum()
+    return TrainedClassifier(
+        kind="lstm_ensemble",
+        preprocessing=prep,
+        members=tuple(zip((model for model, _ in trained), weights.tolist())),
+        weight_fallback=fallback,
+    )
 
 
 def evaluate_window(
@@ -347,7 +396,7 @@ def evaluate_window(
         raise EvaluationError(f"window setup: {exc}") from exc
     if not is_lda:
         seeds = [derive_seed(scheme.seed, "lstm", window_index, i) for i in range(len(splits))]
-        ensembles = fit_lstm_ensemble(x, labels, splits, recipe, seeds)
+        ensembles = _lstm_ensembles(x, labels, splits, recipe, seeds)
     aucs = []
     for split_index, split in enumerate(splits):
         try:
@@ -356,9 +405,11 @@ def evaluate_window(
                     x[split.train_idx], labels[split.train_idx], recipe
                 )
             else:
-                clf = ensembles[split_index]
+                clf = next(ensembles)
             probs = clf.predict_proba(x[split.test_idx])
             aucs.append(auc_roc(probs, labels[split.test_idx]))
+        except EvaluationError:
+            raise
         except Exception as exc:
             raise EvaluationError(f"split {split_index}: {exc}") from exc
     return _score_stats(end_time_s, aucs)

@@ -11,7 +11,9 @@ that share a spec and a sequence shape: parameters (G, P), sequences
 (G, B, T, D), one loss per member.  ``lstm_train_members`` trains a stack in
 one loop, and each member's result is bit-identical to training it alone,
 because every per-member product is the same BLAS call on the same operands
-and every reduction runs over the same axis in the same order.  Prediction and
+and every reduction runs over the same axis in the same order.  A stack's
+memory grows with its member count, so callers fill stacks up to
+``STACK_BYTES`` as estimated by ``member_bytes``.  Prediction and
 ``lstm_train`` use stacks of one.
 """
 
@@ -29,6 +31,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 EARLY_STOP_START_EPOCH = 100  # patience only counts after this many epochs
+STACK_BYTES = 64 * 2**20  # working-memory budget of one training stack
 
 
 class TrainingDivergedError(RuntimeError):
@@ -336,12 +339,36 @@ def lstm_train(
     """
     histories = None if history is None else [history]
     return lstm_train_members(
-        [spec], [train], [val], learning_rate, clip_norm, early_stop_start, histories
+        spec,
+        [spec.seed],
+        [train],
+        [val],
+        learning_rate,
+        clip_norm,
+        early_stop_start,
+        histories,
     )[0]
 
 
+def member_bytes(spec: LstmSpec, n_steps: int, n_fit: int, n_val: int) -> int:
+    """Approximate working memory of one member in a training stack; callers
+    fill a stack up to ``STACK_BYTES``.
+
+    A member holds its n_fit + n_val sequences twice (the caller's copy and
+    the stacked one), and a forward-backward pass over a batch or the val set
+    keeps about 12 hidden-wide float64 arrays per layer, step and row.  About
+    ten parameter-sized vectors come on top: parameters, Adam moments, best
+    snapshot, gradient and update temporaries, and the trained model.
+    """
+    rows = max(min(spec.batch_size, n_fit), n_val)
+    per_step = 2 * (n_fit + n_val) * spec.input_dim
+    per_step += 12 * spec.layers * spec.hidden * rows
+    return 8 * (n_steps * per_step + 10 * param_count(spec))
+
+
 def lstm_train_members(
-    specs,
+    spec: LstmSpec,
+    seeds,
     trains,
     vals,
     learning_rate: float = LEARNING_RATE,
@@ -349,43 +376,49 @@ def lstm_train_members(
     early_stop_start: int = EARLY_STOP_START_EPOCH,
     histories: "list | None" = None,
 ) -> "list[LstmModel]":
-    """Train member g on (trains[g], vals[g]) with specs[g], all in one stack.
+    """Train member g, ``spec`` with seed ``seeds[g]``, on (trains[g],
+    vals[g]); all members in one stack.
 
     Each member's model is bit-identical to ``lstm_train`` on it alone: it
     keeps its own batch order, Adam steps, gradient clip, best snapshot and
-    early stop, and leaves the stack when it stops.  Specs differ only in
-    their seed; all sequences share one shape.  A step stacks the members
-    whose batches (or val sets) have one size, so ragged tails run as
-    separate sub-stacks, never padded.  ``histories[g]`` collects member g's
-    per-epoch validation losses.  Errors carry the member's index in
-    ``.member``: a member with invalid input raises at once; a diverged
-    member leaves the stack, and the lowest one's ``TrainingDivergedError``
-    is raised once the others finish.
+    early stop, and leaves the stack when it stops.  All sequences share one
+    shape.  A step stacks the members whose batches (or val sets) have one
+    size, so ragged tails run as separate sub-stacks, never padded.
+    ``histories[g]`` collects member g's per-epoch validation losses.
+
+    The error raised is the one training the members one after another would
+    raise first, with the failing member's index in ``.member``: once member
+    g has invalid input or diverges, the members after it drop out, and its
+    error is raised when the members before it have finished.
     """
-    specs = list(specs)
-    if len({replace(s, seed=0) for s in specs}) != 1:
-        raise ValueError("members must share one spec apart from the seed")
-    spec = specs[0]
+    if not len(seeds) == len(trains) == len(vals):
+        raise ValueError("need one seed, train set and val set per member")
+    specs = [replace(spec, seed=seed) for seed in seeds]
+    failed = {}
     data = []
-    for member, (_, train, val) in enumerate(zip(specs, trains, vals, strict=True)):
+    for member, (train, val) in enumerate(zip(trains, vals)):
         try:
-            data.append(_member_data(train, val))
+            arrays = _member_data(train, val)
+            if data and arrays[0].shape[1:] != data[0][0].shape[1:]:
+                raise ValueError(
+                    f"sequences {arrays[0].shape[1:]} differ from member 0's "
+                    f"{data[0][0].shape[1:]}"
+                )
         except ValueError as exc:
             exc.member = member
-            raise
+            failed[member] = exc
+            break
+        data.append(arrays)
+    if not data:
+        raise failed[0] if failed else ValueError("no members to train")
     x_train, y_train, x_val, y_val = (list(column) for column in zip(*data))
-    shapes = {x.shape[1:] for x in x_train}
-    if len(shapes) != 1:
-        raise ValueError(
-            f"members' sequences must share one shape, got {sorted(shapes)}"
-        )
 
-    n_members = len(specs)
-    params = np.stack([init_model(s).parameters for s in specs])
+    n_members = len(data)
+    params = np.stack([init_model(s).parameters for s in specs[:n_members]])
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     step = [0] * n_members
-    order_rngs = [substream(s.seed, "lstm-batch-order") for s in specs]
+    order_rngs = [substream(s.seed, "lstm-batch-order") for s in specs[:n_members]]
 
     def val_losses(members) -> "dict[int, float]":
         losses = {}
@@ -401,7 +434,6 @@ def lstm_train_members(
     best_params = list(params.copy())
     best_epoch = [0] * n_members
     active = list(range(n_members))
-    diverged = {}
     for epoch in range(1, spec.max_epochs + 1):
         if not active:
             break
@@ -423,8 +455,7 @@ def lstm_train_members(
                 )
                 for row, g in enumerate(group):
                     if not np.isfinite(loss[row]):
-                        diverged[g] = TrainingDivergedError(epoch, learning_rate, g)
-                        active.remove(g)
+                        failed[g] = TrainingDivergedError(epoch, learning_rate, g)
                         continue
                     norm = float(np.linalg.norm(grad[row]))
                     if norm > clip_norm:
@@ -432,6 +463,8 @@ def lstm_train_members(
                     step[g] += 1
                     stepped.append(g)
                     grads.append(grad[row])
+            if failed:
+                active = [g for g in active if g < min(failed)]
             if not stepped:
                 continue
             grad = np.stack(grads)
@@ -446,7 +479,7 @@ def lstm_train_members(
             if histories is not None:
                 histories[g].append(current[g])
             if not np.isfinite(current[g]):
-                diverged[g] = TrainingDivergedError(epoch, learning_rate, g)
+                failed[g] = TrainingDivergedError(epoch, learning_rate, g)
                 active.remove(g)
                 continue
             if current[g] < best_loss[g]:
@@ -459,8 +492,10 @@ def lstm_train_members(
                 and epoch - best_epoch[g] >= spec.early_stop_after
             ):
                 active.remove(g)
-    if diverged:
-        raise diverged[min(diverged)]
+        if failed:
+            active = [g for g in active if g < min(failed)]
+    if failed:
+        raise failed[min(failed)]
     return [LstmModel(spec=s, parameters=p) for s, p in zip(specs, best_params)]
 
 

@@ -305,6 +305,47 @@ class TestEvaluateWindow:
         with pytest.raises(EvaluationError, match=r"^split 1: .*non-finite at epoch 1"):
             evaluate_window(seqs, -3.0, recipe, scheme)
 
+    def test_lstm_training_crash_is_a_failed_window(self, rng, monkeypatch):
+        import handover_intent.evaluation as evaluation
+
+        def crash(*args, **kwargs):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(evaluation, "lstm_train_members", crash)
+        seqs = toy_sequences(rng, n=18, t_samples=55)
+        scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=2, seed=2)
+        recipe = lstm_recipe_for(Modality.MOTION)
+        with pytest.raises(EvaluationError, match="^window: out of memory"):
+            evaluate_window(seqs, -3.0, recipe, scheme)
+        timeline = sweep(seqs, recipe, scheme, participant_id=1, tag="motion")
+        assert np.isnan(timeline.auc).all()
+        assert len(timeline.errors) == timeline.window_end_times_s.shape[0]
+
+    def test_stack_budget_changes_no_result(self, rng, monkeypatch):
+        import handover_intent.evaluation as evaluation
+        from dataclasses import replace
+
+        stacks = []
+        train = evaluation.lstm_train_members
+
+        def recording(spec, seeds, trains, vals, **kwargs):
+            stacks.append(len(seeds))
+            return train(spec, seeds, trains, vals, **kwargs)
+
+        monkeypatch.setattr(evaluation, "lstm_train_members", recording)
+        seqs = toy_sequences(rng, n=18, t_samples=55, signal_at=-5.0, effect=4.0)
+        recipe = replace(
+            lstm_recipe_for(Modality.MOTION), max_epochs=4, hidden=3, early_stop_after=None
+        )
+        scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=3, seed=2)
+        whole = evaluate_window(seqs, -3.0, recipe, scheme)
+        assert stacks == [6]
+        stacks.clear()
+        monkeypatch.setattr(evaluation, "STACK_BYTES", 1)
+        one_by_one = evaluate_window(seqs, -3.0, recipe, scheme)
+        assert stacks == [1] * 6
+        assert one_by_one == whole
+
     def test_nested_lstm_evaluation_runs(self, rng):
         seqs = toy_sequences(rng, n=18, t_samples=55, signal_at=-5.0, effect=4.0)
         recipe = lstm_recipe_for(Modality.MOTION)

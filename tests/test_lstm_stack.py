@@ -16,6 +16,7 @@ from handover_intent.lstm import (
     TrainingDivergedError,
     lstm_train,
     lstm_train_members,
+    member_bytes,
 )
 
 
@@ -26,14 +27,17 @@ def member_data(rng, n_fit, n_val, steps, dim):
     return fit, val
 
 
-def assert_matches_oracle(specs, trains, vals, **kw):
-    histories = [[] for _ in specs]
-    models = lstm_train_members(specs, trains, vals, histories=histories, **kw)
-    for spec, train, val, model, history in zip(specs, trains, vals, models, histories):
+def assert_matches_oracle(spec, seeds, trains, vals, **kw):
+    histories = [[] for _ in seeds]
+    models = lstm_train_members(spec, seeds, trains, vals, histories=histories, **kw)
+    for seed, train, val, model, history in zip(seeds, trains, vals, models, histories):
+        member_spec = replace(spec, seed=seed)
         expected_history = []
-        expected = lstm_oracle.train(spec, train, val, history=expected_history, **kw)
+        expected = lstm_oracle.train(
+            member_spec, train, val, history=expected_history, **kw
+        )
         assert np.array_equal(model.parameters, expected.parameters)
-        assert model.spec == spec
+        assert model.spec == member_spec
         assert history == expected_history
     return histories
 
@@ -69,10 +73,11 @@ def test_stack_matches_serial_oracle(
 ):
     rng = np.random.default_rng(seed)
     base = LstmSpec(layers, hidden, dim, batch_size, max_epochs, early_stop_after)
-    specs = [replace(base, seed=int(rng.integers(0, 10_000))) for _ in sizes]
+    seeds = [int(rng.integers(0, 10_000)) for _ in sizes]
     data = [member_data(rng, n_fit, n_val, steps, dim) for n_fit, n_val in sizes]
     assert_matches_oracle(
-        specs,
+        base,
+        seeds,
         [fit for fit, _ in data],
         [val for _, val in data],
         learning_rate=learning_rate,
@@ -84,10 +89,10 @@ def test_members_stopping_at_different_epochs_match_the_oracle():
     rng = np.random.default_rng(3)
     base = LstmSpec(2, 3, 2, 4, max_epochs=40, early_stop_after=2)
     sizes = [(7, 3), (8, 4), (9, 3), (5, 2)]
-    specs = [replace(base, seed=10 + i) for i in range(len(sizes))]
     data = [member_data(rng, n_fit, n_val, 3, 2) for n_fit, n_val in sizes]
     histories = assert_matches_oracle(
-        specs,
+        base,
+        [10 + i for i in range(len(sizes))],
         [fit for fit, _ in data],
         [val for _, val in data],
         learning_rate=0.05,
@@ -108,34 +113,80 @@ def test_lstm_train_is_the_stack_of_one():
     assert history == expected_history
 
 
+def poison(member):
+    fit, val = member
+    return [(np.full_like(s, np.nan), lbl) for s, lbl in fit], val
+
+
 def test_nan_member_raises_at_epoch_1_with_its_index():
     rng = np.random.default_rng(5)
     spec = LstmSpec(1, 3, 2, 4, max_epochs=5)
     data = [member_data(rng, 8, 3, 3, 2) for _ in range(3)]
-    fit, val = data[1]
-    data[1] = ([(np.full_like(s, np.nan), lbl) for s, lbl in fit], val)
+    data[1] = poison(data[1])
+    histories = [[], [], []]
     with pytest.raises(TrainingDivergedError, match="epoch 1") as info:
         lstm_train_members(
-            [replace(spec, seed=i) for i in range(3)],
+            spec,
+            [0, 1, 2],
             [f for f, _ in data],
             [v for _, v in data],
+            histories=histories,
         )
     assert info.value.member == 1
+    # Member 0 trains to the end, as serially; member 2 never trains.
+    expected_history = []
+    lstm_oracle.train(spec, *data[0], history=expected_history)
+    assert histories == [expected_history, [], []]
+
+
+def test_first_member_diverging_stops_the_stack_at_once():
+    rng = np.random.default_rng(8)
+    spec = LstmSpec(1, 3, 2, 4, max_epochs=500)
+    data = [member_data(rng, 8, 3, 3, 2) for _ in range(2)]
+    data[0] = poison(data[0])
+    histories = [[], []]
+    with pytest.raises(TrainingDivergedError) as info:
+        lstm_train_members(
+            spec, [0, 1], [f for f, _ in data], [v for _, v in data], histories=histories
+        )
+    assert info.value.member == 0
+    assert histories == [[], []]
 
 
 def test_invalid_member_input_names_the_member():
     rng = np.random.default_rng(6)
     spec = LstmSpec(1, 3, 2, 4, max_epochs=5)
     good = member_data(rng, 8, 3, 3, 2)
-    one_class = ([(s, 1) for s, _ in good[0]], good[1])
+    one_class = [(s, 1) for s, _ in good[0]]
+    histories = [[], [], []]
     with pytest.raises(ValueError, match="single class") as info:
-        lstm_train_members([spec, spec], [good[0], one_class[0]], [good[1], good[1]])
+        lstm_train_members(
+            spec,
+            [0, 1, 2],
+            [good[0], one_class, good[0]],
+            [good[1]] * 3,
+            histories=histories,
+        )
     assert info.value.member == 1
+    assert len(histories[0]) == 5 and histories[1:] == [[], []]
 
 
-def test_specs_must_agree_apart_from_the_seed():
-    rng = np.random.default_rng(7)
-    fit, val = member_data(rng, 8, 3, 3, 2)
-    a = LstmSpec(1, 3, 2, 4, max_epochs=5)
-    with pytest.raises(ValueError, match="apart from the seed"):
-        lstm_train_members([a, replace(a, hidden=4)], [fit, fit], [val, val])
+@pytest.mark.parametrize("layers, hidden, batch_size, n_val", [(1, 32, 8, 6), (2, 16, 4, 12)])
+def test_member_bytes_tracks_the_measured_peak(layers, hidden, batch_size, n_val):
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    spec = LstmSpec(layers, hidden, 8, batch_size, max_epochs=1)
+    stacks = {}
+    for n_members in (1, 3):
+        data = [member_data(rng, 40, n_val, 60, 8) for _ in range(n_members)]
+        tracemalloc.start()
+        lstm_train_members(
+            spec, list(range(n_members)), [f for f, _ in data], [v for _, v in data]
+        )
+        stacks[n_members] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    caller_copy = 8 * 60 * (40 + n_val) * 8
+    per_member = (stacks[3] - stacks[1]) / 2 + caller_copy
+    estimate = member_bytes(spec, 60, 40, n_val)
+    assert 0.7 * estimate < per_member < 1.3 * estimate
