@@ -36,7 +36,6 @@ from .dsp import (
     TfSpec,
     apply_filter,
     average_channels,
-    decimate,
     interpolate_gaps,
     morlet_tf,
     standardize,
@@ -66,7 +65,7 @@ from .features import (
     pca_fit,
     window_features,
 )
-from .fusion import FusionMode, FusionSpec, early_fuse, late_fuse, run_fusion_sweep
+from .fusion import FusionMode, FusionSpec, late_fuse, run_fusion_sweep
 from .lda import LdaModel, lda_fit, lda_predict_proba
 from .lstm import (
     LstmModel,

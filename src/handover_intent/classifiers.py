@@ -1,4 +1,4 @@
-"""Model recipes, the fitted-classifier wrapper, and binary serialization."""
+"""Model recipes, fold-fitted preprocessing, and the fitted-classifier wrapper."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from .core_data import Modality
 from .dsp import Standardization, standardize
 from .features import PcaModel, pca_apply, pca_fit
 from .lda import DEFAULT_SHRINKAGE, LdaModel, lda_fit, lda_predict_proba
-from .lstm import LstmModel, LstmSpec, ensemble_predict, lstm_forward
+from .lstm import LstmSpec, ensemble_predict
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ def fit_sequence_preprocessing(
 class TrainedClassifier:
     """An immutable fitted model exposing class-1 probability scoring.
 
-    kind is one of ``lda``, ``lstm``, ``lstm_ensemble``; exactly the matching
-    payload field is set.
+    kind is ``lda`` or ``lstm_ensemble``; exactly the matching payload field
+    is set.
     """
 
     kind: str
@@ -130,11 +130,11 @@ class TrainedClassifier:
     weight_fallback: bool = False  # True when equal weights replaced zero scores
 
     def __post_init__(self):
-        if self.kind not in ("lda", "lstm", "lstm_ensemble"):
+        if self.kind not in ("lda", "lstm_ensemble"):
             raise ValueError(f"unknown classifier kind {self.kind!r}")
         if self.kind == "lda" and self.lda is None:
             raise ValueError("lda classifier needs an LdaModel")
-        if self.kind in ("lstm", "lstm_ensemble"):
+        if self.kind == "lstm_ensemble":
             if not self.members:
                 raise ValueError("lstm classifier needs members")
             weights = np.array([w for _, w in self.members], dtype=float)
@@ -147,9 +147,6 @@ class TrainedClassifier:
         if self.kind == "lda":
             return lda_predict_proba(self.lda, self.preprocessing.apply_flat(x))
         seqs = self.preprocessing.apply_sequences(x)
-        if len(self.members) == 1:
-            model = self.members[0][0]
-            return np.array([lstm_forward(model, s) for s in seqs])
         return np.array([ensemble_predict(self.members, s) for s in seqs])
 
 
@@ -159,111 +156,3 @@ def fit_lda_classifier(
     prep = fit_flat_preprocessing(x_train, recipe)
     model = lda_fit(prep.apply_flat(x_train), y_train, recipe.shrinkage)
     return TrainedClassifier(kind="lda", preprocessing=prep, lda=model)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: npz container with magic/version, exact float64 round-trip.
-# ---------------------------------------------------------------------------
-
-_MAGIC = "handover-intent-classifier"
-_FORMAT_VERSION = 1
-
-
-def save_classifier(path, clf: TrainedClassifier) -> None:
-    payload = {
-        "magic": _MAGIC,
-        "format_version": _FORMAT_VERSION,
-        "kind": clf.kind,
-        "weight_fallback": int(clf.weight_fallback),
-    }
-    prep = clf.preprocessing
-    if prep.standardization is not None:
-        payload["std_mean"] = prep.standardization.mean
-        payload["std_std"] = prep.standardization.std
-    if prep.pca is not None:
-        payload["pca_mean"] = prep.pca.mean
-        payload["pca_components"] = prep.pca.components
-        payload["pca_ratio"] = prep.pca.explained_variance_ratio
-    if clf.kind == "lda":
-        payload["lda_means"] = clf.lda.class_means
-        payload["lda_factor"] = clf.lda.covariance_factor
-        payload["lda_log_priors"] = clf.lda.log_priors
-        payload["lda_shrinkage"] = clf.lda.shrinkage
-    else:
-        payload["n_members"] = len(clf.members)
-        for i, (model, weight) in enumerate(clf.members):
-            s = model.spec
-            payload[f"member{i}_spec"] = np.array(
-                [
-                    s.layers,
-                    s.hidden,
-                    s.input_dim,
-                    s.batch_size,
-                    s.max_epochs,
-                    -1 if s.early_stop_after is None else s.early_stop_after,
-                    s.seed,
-                ],
-                dtype=np.int64,
-            )
-            payload[f"member{i}_params"] = model.parameters
-            payload[f"member{i}_weight"] = float(weight)
-    np.savez(path, **payload)
-
-
-def load_classifier(path) -> TrainedClassifier:
-    with np.load(path) as data:
-        if str(data["magic"]) != _MAGIC:
-            raise ValueError(f"{path}: not a classifier file")
-        if int(data["format_version"]) != _FORMAT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported format version {int(data['format_version'])}"
-            )
-        stats = None
-        if "std_mean" in data:
-            stats = Standardization(mean=data["std_mean"], std=data["std_std"])
-        pca = None
-        if "pca_mean" in data:
-            pca = PcaModel(
-                mean=data["pca_mean"],
-                components=data["pca_components"],
-                explained_variance_ratio=data["pca_ratio"],
-            )
-        prep = FittedPreprocessing(standardization=stats, pca=pca)
-        kind = str(data["kind"])
-        if kind == "lda":
-            lda = LdaModel(
-                class_means=data["lda_means"],
-                covariance_factor=data["lda_factor"],
-                log_priors=data["lda_log_priors"],
-                shrinkage=float(data["lda_shrinkage"]),
-            )
-            return TrainedClassifier(
-                kind=kind,
-                preprocessing=prep,
-                lda=lda,
-                weight_fallback=bool(int(data["weight_fallback"])),
-            )
-        members = []
-        for i in range(int(data["n_members"])):
-            raw = data[f"member{i}_spec"]
-            spec = LstmSpec(
-                layers=int(raw[0]),
-                hidden=int(raw[1]),
-                input_dim=int(raw[2]),
-                batch_size=int(raw[3]),
-                max_epochs=int(raw[4]),
-                early_stop_after=None if int(raw[5]) < 0 else int(raw[5]),
-                seed=int(raw[6]),
-            )
-            members.append(
-                (
-                    LstmModel(spec=spec, parameters=data[f"member{i}_params"]),
-                    float(data[f"member{i}_weight"]),
-                )
-            )
-        return TrainedClassifier(
-            kind=kind,
-            preprocessing=prep,
-            members=tuple(members),
-            weight_fallback=bool(int(data["weight_fallback"])),
-        )

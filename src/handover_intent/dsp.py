@@ -1,4 +1,4 @@
-"""Signal conditioning: IIR filtering, decimation, gap interpolation,
+"""Signal conditioning: IIR filtering, gap interpolation,
 standardization, and the Morlet time-frequency transform."""
 
 from __future__ import annotations
@@ -102,22 +102,6 @@ def butterworth_magnitude(spec: FilterSpec, freq_hz: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         ratio = np.where(f > 0, (f**2 - f1 * f2) / (f * (f2 - f1)), np.inf)
     return 1.0 / np.sqrt(1.0 + ratio ** (2 * n))
-
-
-def decimate(x: TimeSeries, factor: int) -> TimeSeries:
-    """Keep every ``factor``-th sample after an internal anti-alias low-pass.
-
-    The anti-alias cutoff is 0.8x the new Nyquist; output length is
-    ceil(T / factor).
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if factor == 1:
-        return x
-    new_rate = 1.0 / (x.step_s * factor)
-    spec = low_pass(0.8 * new_rate / 2.0)
-    filtered = apply_filter(x, spec)
-    return TimeSeries(x.start_time_s, x.step_s * factor, filtered.values[::factor])
 
 
 def interpolate_gaps(x: TimeSeries) -> TimeSeries:

@@ -1,4 +1,5 @@
-"""ROC/AUC, cross-validation schemes, window-sweep evaluation, sustained-level
+"""ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
+every view (a single modality, early or late fusion, an LSTM), sustained-level
 detection latency, and the group statistics used for the summary tables."""
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from .classifiers import (
     LdaRecipe,
     LstmRecipe,
     TrainedClassifier,
+    fit_flat_preprocessing,
     fit_lda_classifier,
     fit_sequence_preprocessing,
 )
 from .features import FeatureSequence, WindowGrid, flatten, window_features
+from .lda import lda_fit, lda_predict_proba
 from .lstm import (
     STACK_BYTES,
     LstmModel,
@@ -36,30 +39,6 @@ class EvaluationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.tn, self.fp, self.fn) < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-    @property
-    def tpr(self) -> float:
-        return self.tp / (self.tp + self.fn)
-
-    @property
-    def fpr(self) -> float:
-        return self.fp / (self.fp + self.tn)
-
-
-@dataclass(frozen=True)
 class RocPoint:
     fpr: float
     tpr: float
@@ -75,19 +54,6 @@ def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     if not np.array_equal(present, [0, 1]):
         raise ValueError(f"need both classes 0 and 1, got labels {present.tolist()}")
     return scores, labels
-
-
-def confusion_at(scores: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
-    """Counts when predicting positive for score >= threshold."""
-    scores, labels = _check_scored(scores, labels)
-    pred = scores >= threshold
-    pos = labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fp=int(np.sum(pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
 
 
 def roc_curve(scores: np.ndarray, labels: np.ndarray) -> "list[RocPoint]":
@@ -373,46 +339,100 @@ def _weighted_ensemble(prep, trained) -> TrainedClassifier:
     )
 
 
+@dataclass(frozen=True)
+class View:
+    """What one sweep evaluates, aligned once for all of its windows.
+
+    ``blocks`` holds one (sequences sorted by trial, recipe) pair per
+    modality, every block covering the same trials; ``labels`` and ``splits``
+    are shared by every window.  LDA blocks fuse early (one LDA on their
+    concatenation; a single modality is one block) unless ``late`` (one LDA
+    per block, weighted by training AUC).  An LSTM view has one block.
+    """
+
+    blocks: tuple
+    labels: np.ndarray
+    splits: tuple
+    seed: int  # the CV scheme's; LSTM member seeds derive from it
+    late: bool = False
+
+
+def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
+    """Sort each block's (sequences, recipe) by trial, require every block to
+    cover the same (trial, label) pairs, and draw the CV splits."""
+    ordered = tuple((_sorted_sequences(seqs), recipe) for seqs, recipe in blocks)
+    if not ordered:
+        raise ValueError("a view needs at least one block")
+    if len(ordered) > 1 and not all(isinstance(r, LdaRecipe) for _, r in ordered):
+        raise ValueError("only LDA blocks can be fused")
+    keys = [[(s.trial_ref, s.label) for s in seqs] for seqs, _ in ordered]
+    if any(key != keys[0] for key in keys[1:]):
+        raise ValueError("modalities cover different trials; gate upstream")
+    labels = np.array([s.label for s in ordered[0][0]])
+    return View(ordered, labels, tuple(make_splits(labels, scheme)), scheme.seed, late)
+
+
 def evaluate_window(
-    sequences,
-    end_time_s: float,
-    recipe,
-    scheme: CvScheme,
-    grid: WindowGrid | None = None,
+    view: View, grid: WindowGrid, window_index: int, audit_out: "list | None" = None
 ) -> WindowScore:
-    """Fit and score each CV split on one window; aggregate across splits."""
-    grid = WindowGrid() if grid is None else grid
-    ordered = _sorted_sequences(sequences)
-    labels = np.array([s.label for s in ordered])
-    splits = make_splits(labels, scheme)
-    window_index = grid.index_of(end_time_s)
-    is_lda = isinstance(recipe, LdaRecipe)
+    """Fit and score every CV split of ``view`` on one window of ``grid``;
+    aggregate the test AUCs across splits.
+
+    Preprocessing is fitted on each split's training fold.  ``audit_out``,
+    when given, receives the window's per-split records once every split has
+    succeeded: ``fused_dim`` for early fusion, ``weight_fallback`` when late
+    fusion fell back to equal weights.
+    """
+    end = float(grid.end_times()[window_index])
+    labels = view.labels
+    recipe = view.blocks[0][1]
+    lstm = isinstance(recipe, LstmRecipe)
+    window = _window_tensor if lstm else _window_matrix
     try:
-        if is_lda:
-            x = _window_matrix(ordered, end_time_s, grid)
-        else:
-            x = _window_tensor(ordered, end_time_s, grid)
+        xs = [window(seqs, end, grid) for seqs, _ in view.blocks]
     except Exception as exc:
         raise EvaluationError(f"window setup: {exc}") from exc
-    if not is_lda:
-        seeds = [derive_seed(scheme.seed, "lstm", window_index, i) for i in range(len(splits))]
-        ensembles = _lstm_ensembles(x, labels, splits, recipe, seeds)
-    aucs = []
-    for split_index, split in enumerate(splits):
+    if lstm:
+        seeds = [derive_seed(view.seed, "lstm", window_index, i) for i in range(len(view.splits))]
+        ensembles = _lstm_ensembles(xs[0], labels, view.splits, recipe, seeds)
+    aucs, audits = [], []
+    for split_index, split in enumerate(view.splits):
+        train, test = split.train_idx, split.test_idx
+        audit = {}
         try:
-            if is_lda:
-                clf = fit_lda_classifier(
-                    x[split.train_idx], labels[split.train_idx], recipe
-                )
+            if lstm:
+                scores = next(ensembles).predict_proba(xs[0][test])
+            elif view.late:
+                from .fusion import late_fusion_weights  # fusion imports this module
+
+                perfs, member_scores = [], []
+                for x, (_, r) in zip(xs, view.blocks):
+                    clf = fit_lda_classifier(x[train], labels[train], r)
+                    perfs.append(auc_roc(clf.predict_proba(x[train]), labels[train]))
+                    member_scores.append(clf.predict_proba(x[test]))
+                weights, fallback = late_fusion_weights(perfs)
+                scores = weights @ np.stack(member_scores)
+                if fallback:
+                    audit = {"weight_fallback": True}
             else:
-                clf = next(ensembles)
-            probs = clf.predict_proba(x[split.test_idx])
-            aucs.append(auc_roc(probs, labels[split.test_idx]))
+                parts = []
+                for x, (_, r) in zip(xs, view.blocks):
+                    prep = fit_flat_preprocessing(x[train], r)
+                    parts.append((prep.apply_flat(x[train]), prep.apply_flat(x[test])))
+                x_train, x_test = (np.hstack(side) for side in zip(*parts))
+                model = lda_fit(x_train, labels[train], recipe.shrinkage)
+                scores = lda_predict_proba(model, x_test)
+                audit = {"fused_dim": x_train.shape[1]}
+            aucs.append(auc_roc(scores, labels[test]))
         except EvaluationError:
             raise
         except Exception as exc:
             raise EvaluationError(f"split {split_index}: {exc}") from exc
-    return _score_stats(end_time_s, aucs)
+        if audit:
+            audits.append({"window_end_s": end, **audit, "split": split_index})
+    if audit_out is not None:
+        audit_out.extend(audits)
+    return _score_stats(end, aucs)
 
 
 @dataclass(frozen=True)
@@ -445,28 +465,43 @@ class AucTimeline:
             raise ValueError("AUC values must lie in [0, 1]")
 
 
-def timeline_from_scores(
-    participant_id: int,
-    tag: str,
-    model: str,
-    end_times: np.ndarray,
-    scores: "dict[int, WindowScore]",
-    n_splits: int,
-    errors,
+def sweep(
+    blocks,
+    scheme: CvScheme,
+    grid: WindowGrid | None = None,
+    participant_id: int | None = None,
+    tag: str | None = None,
+    late: bool = False,
+    audit_out: "list | None" = None,
 ) -> AucTimeline:
-    n = end_times.shape[0]
-    cols = {name: np.full(n, np.nan) for name in ("mean", "std", "stderr", "median", "q25", "q75")}
-    for i, ws in scores.items():
-        cols["mean"][i] = ws.mean
-        cols["std"][i] = ws.std
-        cols["stderr"][i] = ws.stderr
-        cols["median"][i] = ws.median
-        cols["q25"][i] = ws.q25
-        cols["q75"][i] = ws.q75
+    """Evaluate one view on every window end of the grid.
+
+    ``blocks`` is a list of (sequences, recipe), one per modality; ``late``
+    and ``audit_out`` are as in ``View`` and ``evaluate_window``.  The blocks
+    are aligned and the CV splits drawn once per sweep.  A failing window is
+    recorded and marked missing (nan) instead of aborting the sweep.  The
+    participant and tag default to the first trial's participant and the
+    first block's modality.
+    """
+    grid = WindowGrid() if grid is None else grid
+    view = make_view(blocks, scheme, late)
+    sequences, recipe = view.blocks[0]
+    end_times = grid.end_times()
+    stats = ("mean", "std", "stderr", "median", "q25", "q75")
+    cols = {name: np.full(end_times.shape[0], np.nan) for name in stats}
+    errors = []
+    for i, end in enumerate(end_times):
+        try:
+            score = evaluate_window(view, grid, i, audit_out)
+        except EvaluationError as exc:
+            errors.append((float(end), str(exc)))
+            continue
+        for name in stats:
+            cols[name][i] = getattr(score, name)
     return AucTimeline(
-        participant_id=participant_id,
-        tag=tag,
-        model=model,
+        participant_id=sequences[0].trial_ref[0] if participant_id is None else participant_id,
+        tag=sequences[0].modality.value if tag is None else tag,
+        model=recipe.name,
         window_end_times_s=end_times,
         auc=cols["mean"],
         auc_std=cols["std"],
@@ -474,49 +509,9 @@ def timeline_from_scores(
         auc_median=cols["median"],
         auc_q25=cols["q25"],
         auc_q75=cols["q75"],
-        n_splits=n_splits,
+        n_splits=scheme.k * scheme.repeats,
         errors=tuple(errors),
     )
-
-
-def sweep(
-    sequences,
-    recipe,
-    scheme: CvScheme,
-    grid: WindowGrid | None = None,
-    participant_id: int | None = None,
-    tag: str | None = None,
-) -> AucTimeline:
-    """Evaluate every window end on the grid.  A failing window is recorded
-    and marked missing (nan) instead of aborting the sweep."""
-    grid = WindowGrid() if grid is None else grid
-    ordered = _sorted_sequences(sequences)
-    end_times = grid.end_times()
-    if participant_id is None:
-        participant_id = ordered[0].trial_ref[0]
-    if tag is None:
-        tag = ordered[0].modality.value
-    scores, errors = evaluate_grid(
-        end_times, lambda end: evaluate_window(ordered, end, recipe, scheme, grid)
-    )
-    n_splits = scheme.k * scheme.repeats
-    return timeline_from_scores(
-        participant_id, tag, recipe.name, end_times, scores, n_splits, errors
-    )
-
-
-def evaluate_grid(end_times, evaluate) -> "tuple[dict[int, WindowScore], list]":
-    """``evaluate(end)`` for each window end in grid order: the scores by
-    window index, and (end, message) for each window that raised
-    ``EvaluationError``."""
-    scores = {}
-    errors = []
-    for i, end in enumerate(end_times):
-        try:
-            scores[i] = evaluate(float(end))
-        except EvaluationError as exc:
-            errors.append((float(end), str(exc)))
-    return scores, errors
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def run_participant(task) -> ParticipantOutcome:
             break
         if spec is None:
             outcome.timelines[tag] = sweep(
-                by_modality[mods[0]],
-                _recipe(cfg, mods[0]),
+                [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
                 _scheme(cfg, tag, pid),
                 grid=cfg.grid,
                 participant_id=pid,

@@ -8,9 +8,7 @@ from handover_intent.classifiers import (
     fit_flat_preprocessing,
     fit_sequence_preprocessing,
     lda_recipe_for,
-    load_classifier,
     lstm_recipe_for,
-    save_classifier,
 )
 from handover_intent.core_data import Modality
 from handover_intent.dsp import standardize
@@ -75,6 +73,10 @@ class TestTrainedClassifier:
         with pytest.raises(ValueError):
             TrainedClassifier(kind="lda", preprocessing=FittedPreprocessing())
         model = init_model(LstmSpec(1, 3, 2, 2, 5))
+        with pytest.raises(ValueError, match="unknown classifier kind"):
+            TrainedClassifier(
+                kind="lstm", preprocessing=FittedPreprocessing(), members=((model, 1.0),)
+            )
         with pytest.raises(ValueError, match="sum to 1"):
             TrainedClassifier(
                 kind="lstm_ensemble",
@@ -92,57 +94,3 @@ class TestTrainedClassifier:
         manual_x = pca_apply(pca, stats.apply(x))
         manual = lda_predict_proba(lda_fit(manual_x, y, recipe.shrinkage), manual_x)
         assert np.allclose(clf.predict_proba(x), manual)
-
-
-class TestSerialization:
-    def test_lda_round_trip_is_bit_exact(self, rng, tmp_path):
-        x = np.vstack([rng.normal(size=(20, 5)) - 1.0, rng.normal(size=(20, 5)) + 1.0])
-        y = np.array([0] * 20 + [1] * 20)
-        clf = fit_lda_classifier(x, y, lda_recipe_for(Modality.EEG))
-        path = tmp_path / "model.npz"
-        save_classifier(path, clf)
-        back = load_classifier(path)
-        assert back.kind == "lda"
-        assert np.array_equal(back.lda.class_means, clf.lda.class_means)
-        assert np.array_equal(back.lda.covariance_factor, clf.lda.covariance_factor)
-        assert np.array_equal(back.lda.log_priors, clf.lda.log_priors)
-        assert np.array_equal(
-            back.preprocessing.pca.components, clf.preprocessing.pca.components
-        )
-        probe = rng.normal(size=(7, 5))
-        assert np.array_equal(back.predict_proba(probe), clf.predict_proba(probe))
-
-    def test_lstm_ensemble_round_trip_is_bit_exact(self, rng, tmp_path):
-        spec_a = LstmSpec(1, 3, 2, 2, 5, seed=1)
-        spec_b = LstmSpec(2, 3, 2, 2, 7, early_stop_after=3, seed=2)
-        members = ((init_model(spec_a), 0.25), (init_model(spec_b), 0.75))
-        mean = np.zeros(2)
-        std = np.ones(2)
-        from handover_intent.dsp import Standardization
-
-        clf = TrainedClassifier(
-            kind="lstm_ensemble",
-            preprocessing=FittedPreprocessing(
-                standardization=Standardization(mean=mean, std=std)
-            ),
-            members=members,
-            weight_fallback=True,
-        )
-        path = tmp_path / "ensemble.npz"
-        save_classifier(path, clf)
-        back = load_classifier(path)
-        assert back.kind == "lstm_ensemble"
-        assert back.weight_fallback is True
-        assert len(back.members) == 2
-        for (m0, w0), (m1, w1) in zip(clf.members, back.members):
-            assert m0.spec == m1.spec
-            assert w0 == w1
-            assert np.array_equal(m0.parameters, m1.parameters)
-        probe = rng.normal(size=(4, 6, 2))
-        assert np.array_equal(back.predict_proba(probe), clf.predict_proba(probe))
-
-    def test_foreign_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, magic="something-else", format_version=1)
-        with pytest.raises(ValueError, match="not a classifier"):
-            load_classifier(path)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -329,3 +330,37 @@ class TestFusionPipeline:
         assert {"gaze", "motion", "early:gaze+motion", "late:gaze+motion"} <= tags
         audits = metadata["fusion_audits"]
         assert any(a["records"]["early_fused_dims"] for a in audits)
+
+    def test_make_splits_runs_once_per_participant_and_view(self, tmp_path, monkeypatch):
+        import handover_intent.evaluation as evaluation
+
+        original = evaluation.make_splits
+        seeds = []
+
+        def counting(labels, scheme):
+            seeds.append(scheme.seed)
+            return original(labels, scheme)
+
+        for name, module in list(sys.modules.items()):
+            bound = getattr(module, "make_splits", None)
+            if name.startswith("handover_intent") and bound is original:
+                monkeypatch.setattr(module, "make_splits", counting)
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 2\ntrials_per_condition = 6\n"
+            "modalities = gaze,motion\nseed = 4\n"
+        )
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "[dataset]\nroot = ./data\n"
+            "[experiment]\nmodalities = gaze\nmodel = lda\nseed = 2\nmin_trials = 10\n"
+            "[cv]\nfolds = 3\nrepeats = 1\n"
+            "[windows]\nfirst_end_s = 0.0\nlast_end_s = 3.0\nstep_s = 1.0\n"
+            "[fusion]\nmodes = early,late\nmodalities = gaze,motion\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
+        # gaze, early:gaze+motion and late:gaze+motion for each of 2 participants,
+        # each with its own CV seed.
+        assert len(seeds) == len(set(seeds)) == 2 * 3

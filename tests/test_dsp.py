@@ -10,7 +10,6 @@ from handover_intent.dsp import (
     average_channels,
     band_pass,
     butterworth_magnitude,
-    decimate,
     default_tf_spec,
     interpolate_gaps,
     low_pass,
@@ -91,36 +90,6 @@ class TestFilter:
             band_pass(100.0, 1.0)
         with pytest.raises(ValueError):
             low_pass(-1.0)
-
-
-class TestDecimate:
-    def test_1000hz_by_4_gives_250hz(self):
-        x = series(0.0, 0.001, np.random.default_rng(0).normal(size=11000))
-        y = decimate(x, 4)
-        assert y.n_samples == 2750
-        assert y.step_s == pytest.approx(0.004)
-
-    def test_factor_one_is_identity(self):
-        x = series(0.0, 0.04, np.arange(10.0))
-        y = decimate(x, 1)
-        assert np.array_equal(y.values, x.values)
-
-    def test_ceil_length(self):
-        # Oracle: enumerate kept indices 0, 3, 6, 9 -> 4 rows.
-        x = series(0.0, 0.04, np.arange(10.0))
-        y = decimate(x, 3)
-        assert y.n_samples == 4
-        assert y.step_s == pytest.approx(0.12)
-
-    def test_bad_factor(self):
-        with pytest.raises(ValueError):
-            decimate(series(0.0, 0.1, np.zeros(5)), 0)
-
-    def test_antialias_attenuates_high_band(self):
-        # 45 Hz tone aliases to 5 Hz at 50 Hz rate unless filtered out first.
-        x = sine(45.0, 200.0, 10.0)
-        y = decimate(x, 4)
-        assert np.abs(y.values[y.n_samples // 3 :]).max() < 0.2
 
 
 class TestInterpolateGaps:

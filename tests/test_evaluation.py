@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from handover_intent.classifiers import lda_recipe_for, lstm_recipe_for
+from handover_intent.classifiers import fit_lda_classifier, lda_recipe_for, lstm_recipe_for
 from handover_intent.core_data import Modality
 from handover_intent.evaluation import (
     AucTimeline,
-    ConfusionCounts,
     CvScheme,
     EvaluationError,
     aggregate_participants,
     anova_oneway,
     auc_roc,
-    confusion_at,
     detection_latency_table,
     evaluate_window,
     make_splits,
+    make_view,
     median_timeline,
     paired_t_test,
     read_timelines_csv,
@@ -28,7 +27,7 @@ from handover_intent.evaluation import (
     write_results_csv,
     write_timeline_csv,
 )
-from handover_intent.features import FeatureSequence, WindowGrid
+from handover_intent.features import FeatureSequence, WindowGrid, flatten, window_features
 
 from conftest import series
 
@@ -64,19 +63,6 @@ def t_sf_oracle(t, df):
 
 
 class TestConfusionAndRoc:
-    def test_rates_follow_their_definitions(self):
-        scores = np.array([0.9, 0.8, 0.3, 0.2])
-        labels = np.array([1, 0, 1, 0])
-        c = confusion_at(scores, labels, 0.5)
-        assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-        assert c.tpr == c.tp / (c.tp + c.fn)
-        assert c.fpr == c.fp / (c.fp + c.tn)
-        assert c.total == 4
-
-    def test_counts_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            ConfusionCounts(tp=-1, tn=0, fp=0, fn=0)
-
     def test_perfect_separation_passes_through_0_1(self):
         points = roc_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
         assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in points)
@@ -246,10 +232,17 @@ def toy_sequences(rng, n=90, t_samples=55, rate=5.0, signal_at=None, effect=3.0)
     return out
 
 
+def evaluate_at(seqs, end, recipe, scheme, grid=None):
+    """``evaluate_window`` on the window ending at ``end`` of the one-block
+    view of ``seqs``."""
+    grid = WindowGrid() if grid is None else grid
+    return evaluate_window(make_view([(seqs, recipe)], scheme), grid, grid.index_of(end))
+
+
 class TestEvaluateWindow:
     def test_no_signal_is_chance_level(self, rng):
         seqs = toy_sequences(rng, signal_at=None)
-        score = evaluate_window(
+        score = evaluate_at(
             seqs, 0.0, lda_recipe_for(Modality.MOTION), CvScheme(k=10, repeats=3, seed=4)
         )
         assert 0.4 <= score.mean <= 0.6
@@ -258,8 +251,8 @@ class TestEvaluateWindow:
         seqs = toy_sequences(rng, signal_at=1.0, effect=3.0)
         recipe = lda_recipe_for(Modality.MOTION)
         scheme = CvScheme(k=10, repeats=3, seed=4)
-        pre = evaluate_window(seqs, 0.0, recipe, scheme)
-        post = evaluate_window(seqs, 3.0, recipe, scheme)
+        pre = evaluate_at(seqs, 0.0, recipe, scheme)
+        post = evaluate_at(seqs, 3.0, recipe, scheme)
         assert 0.4 <= pre.mean <= 0.6
         assert post.mean >= 0.9
 
@@ -267,8 +260,8 @@ class TestEvaluateWindow:
         seqs = toy_sequences(rng, signal_at=2.0)
         recipe = lda_recipe_for(Modality.MOTION)
         scheme = CvScheme(k=5, repeats=2, seed=8)
-        a = evaluate_window(seqs, 2.5, recipe, scheme)
-        b = evaluate_window(seqs, 2.5, recipe, scheme)
+        a = evaluate_at(seqs, 2.5, recipe, scheme)
+        b = evaluate_at(seqs, 2.5, recipe, scheme)
         assert a == b
 
     def test_split_errors_are_tagged(self, rng):
@@ -276,12 +269,12 @@ class TestEvaluateWindow:
         # k too large for the positive class leaves single-class test folds
         scheme = CvScheme(k=12, repeats=1, seed=0)
         with pytest.raises(EvaluationError, match="split"):
-            evaluate_window(seqs, 0.0, lda_recipe_for(Modality.MOTION), scheme)
+            evaluate_at(seqs, 0.0, lda_recipe_for(Modality.MOTION), scheme)
 
     def test_lstm_recipe_requires_nested_scheme(self, rng):
         seqs = toy_sequences(rng, n=18, t_samples=10)
         with pytest.raises(EvaluationError, match="nested"):
-            evaluate_window(
+            evaluate_at(
                 seqs,
                 -4.0,
                 lstm_recipe_for(Modality.MOTION),
@@ -303,7 +296,7 @@ class TestEvaluateWindow:
         seqs[poisoned] = replace(bad, series=nan_series)
         recipe = replace(lstm_recipe_for(Modality.MOTION), max_epochs=3, hidden=3)
         with pytest.raises(EvaluationError, match=r"^split 1: .*non-finite at epoch 1"):
-            evaluate_window(seqs, -3.0, recipe, scheme)
+            evaluate_at(seqs, -3.0, recipe, scheme)
 
     def test_lstm_training_crash_is_a_failed_window(self, rng, monkeypatch):
         import handover_intent.evaluation as evaluation
@@ -316,8 +309,8 @@ class TestEvaluateWindow:
         scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=2, seed=2)
         recipe = lstm_recipe_for(Modality.MOTION)
         with pytest.raises(EvaluationError, match="^window: out of memory"):
-            evaluate_window(seqs, -3.0, recipe, scheme)
-        timeline = sweep(seqs, recipe, scheme, participant_id=1, tag="motion")
+            evaluate_at(seqs, -3.0, recipe, scheme)
+        timeline = sweep([(seqs, recipe)], scheme, participant_id=1, tag="motion")
         assert np.isnan(timeline.auc).all()
         assert len(timeline.errors) == timeline.window_end_times_s.shape[0]
 
@@ -338,11 +331,11 @@ class TestEvaluateWindow:
             lstm_recipe_for(Modality.MOTION), max_epochs=4, hidden=3, early_stop_after=None
         )
         scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=3, seed=2)
-        whole = evaluate_window(seqs, -3.0, recipe, scheme)
+        whole = evaluate_at(seqs, -3.0, recipe, scheme)
         assert stacks == [6]
         stacks.clear()
         monkeypatch.setattr(evaluation, "STACK_BYTES", 1)
-        one_by_one = evaluate_window(seqs, -3.0, recipe, scheme)
+        one_by_one = evaluate_at(seqs, -3.0, recipe, scheme)
         assert stacks == [1] * 6
         assert one_by_one == whole
 
@@ -354,7 +347,7 @@ class TestEvaluateWindow:
 
         recipe = replace(recipe, max_epochs=8, hidden=4, early_stop_after=None)
         scheme = CvScheme(k=3, repeats=1, nested=True, inner_k=3, seed=2)
-        score = evaluate_window(seqs, -3.0, recipe, scheme)
+        score = evaluate_at(seqs, -3.0, recipe, scheme)
         assert len(score.split_aucs) == 3
         assert score.mean > 0.8  # signal everywhere, easy sequences
 
@@ -364,30 +357,50 @@ class TestSweep:
         seqs = toy_sequences(rng, n=30, signal_at=1.0)
         recipe = lda_recipe_for(Modality.MOTION)
         scheme = CvScheme(k=3, repeats=1, seed=3)
-        timeline = sweep(seqs, recipe, scheme, participant_id=1, tag="motion")
+        timeline = sweep([(seqs, recipe)], scheme, participant_id=1, tag="motion")
         assert timeline.window_end_times_s.shape[0] == 44
         shuffled = list(seqs)
         rng.shuffle(shuffled)
-        timeline2 = sweep(shuffled, recipe, scheme, participant_id=1, tag="motion")
+        timeline2 = sweep([(shuffled, recipe)], scheme, participant_id=1, tag="motion")
         assert np.array_equal(timeline.auc, timeline2.auc)
 
     def test_signal_rises_only_after_injection(self, rng):
         seqs = toy_sequences(rng, n=60, signal_at=1.0, effect=4.0)
         recipe = lda_recipe_for(Modality.MOTION)
         scheme = CvScheme(k=5, repeats=2, seed=6)
-        timeline = sweep(seqs, recipe, scheme, participant_id=1, tag="motion")
+        timeline = sweep([(seqs, recipe)], scheme, participant_id=1, tag="motion")
         ends = timeline.window_end_times_s
         pre = timeline.auc[ends <= 1.0]
         post = timeline.auc[ends >= 2.0]
         assert np.all(pre < 0.75)
         assert np.all(post > 0.9)
 
+    def test_one_block_lda_sweep_equals_a_hand_loop(self, rng):
+        seqs = toy_sequences(rng, n=30, signal_at=0.0)
+        recipe = lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)  # standardize + PCA
+        scheme = CvScheme(k=3, repeats=2, seed=11)
+        grid = WindowGrid(first_end_s=-1.0, last_end_s=1.0, step_s=0.5)
+        timeline = sweep([(seqs, recipe)], scheme, grid=grid)
+        ordered = sorted(seqs, key=lambda s: s.trial_ref)
+        labels = np.array([s.label for s in ordered])
+        splits = make_splits(labels, scheme)
+        for i, end in enumerate(grid.end_times()):
+            x = np.stack([flatten(window_features(s, end, grid)) for s in ordered])
+            aucs = []
+            for split in splits:
+                train, test = split.train_idx, split.test_idx
+                clf = fit_lda_classifier(x[train], labels[train], recipe)
+                aucs.append(auc_roc(clf.predict_proba(x[test]), labels[test]))
+            assert timeline.auc[i] == np.mean(aucs)
+            assert timeline.auc_median[i] == np.percentile(aucs, 50)
+        assert (timeline.participant_id, timeline.tag, timeline.model) == (1, "motion", "lda")
+
     def test_failing_windows_marked_missing_not_fatal(self, rng):
         # sequences cover [-5, 2) only; later windows fail with coverage errors
         seqs = toy_sequences(rng, n=30, t_samples=35)
         recipe = lda_recipe_for(Modality.MOTION)
         scheme = CvScheme(k=3, repeats=1, seed=1)
-        timeline = sweep(seqs, recipe, scheme, participant_id=1, tag="motion")
+        timeline = sweep([(seqs, recipe)], scheme, participant_id=1, tag="motion")
         ends = timeline.window_end_times_s
         assert np.isfinite(timeline.auc[ends <= 1.75]).all()
         assert np.isnan(timeline.auc[ends > 2.0]).all()

@@ -1,15 +1,25 @@
 import numpy as np
 import pytest
 
+import handover_intent.evaluation as evaluation
 from handover_intent.core_data import Modality
-from handover_intent.classifiers import lda_recipe_for, fit_lda_classifier
-from handover_intent.evaluation import CvScheme, Split, auc_roc, make_splits, sweep
-from handover_intent.features import FeatureSequence, WindowGrid
+from handover_intent.classifiers import (
+    fit_flat_preprocessing,
+    fit_lda_classifier,
+    lda_recipe_for,
+    lstm_recipe_for,
+)
+from handover_intent.evaluation import (
+    CvScheme,
+    auc_roc,
+    evaluate_window,
+    make_view,
+    sweep,
+)
+from handover_intent.features import FeatureSequence, WindowGrid, flatten, window_features
 from handover_intent.fusion import (
     FusionMode,
     FusionSpec,
-    _late_split,
-    early_fuse,
     late_fuse,
     late_fusion_weights,
     run_fusion_sweep,
@@ -36,34 +46,6 @@ class TestFusionSpec:
                 modalities=(Modality.GAZE, Modality.MOTION),
                 eeg_pca_target=0.0,
             )
-
-
-class TestEarlyFuse:
-    def test_dimension_is_the_sum_of_parts(self, rng):
-        gaze = rng.normal(size=2 * 55)
-        motion = rng.normal(size=3 * 11)
-        fused = early_fuse([gaze, motion])
-        assert fused.shape[0] == 2 * 55 + 3 * 11
-        assert np.array_equal(fused[: 2 * 55], gaze)
-
-    def test_with_reduced_eeg_block(self, rng):
-        eeg_reduced = rng.normal(size=17)
-        gaze = rng.normal(size=40)
-        motion = rng.normal(size=33)
-        fused = early_fuse([eeg_reduced, gaze, motion])
-        assert fused.shape[0] == 17 + 40 + 33
-
-    def test_deterministic(self, rng):
-        parts = [rng.normal(size=5), rng.normal(size=7)]
-        assert np.array_equal(early_fuse(parts), early_fuse(parts))
-
-    def test_single_part_is_identity(self, rng):
-        x = rng.normal(size=9)
-        assert np.array_equal(early_fuse([x]), x)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            early_fuse([])
 
 
 class TestLateFuse:
@@ -124,22 +106,101 @@ def modality_sequences(rng, modality, n=36, rate=5.0, informative=True, effect=4
     return out
 
 
+def window_matrix(sequences, end, grid):
+    return np.stack([flatten(window_features(s, end, grid)) for s in sequences])
+
+
+class TestEarlyFuse:
+    """Early fusion concatenates the blocks' fold-preprocessed windows, in
+    view order, and fits one LDA on the result."""
+
+    GRID = WindowGrid(first_end_s=-3.0, last_end_s=0.0, step_s=1.0)
+    SCHEME = CvScheme(k=3, repeats=1, seed=2)
+    SAMPLES = 10  # in the first window, [-5.0, -3.0) at 5 Hz
+
+    def fit_inputs(self, monkeypatch, blocks):
+        """The view, each split's LDA training matrix and the audit records
+        of the first window."""
+        seen = []
+        fit = evaluation.lda_fit
+
+        def recording(x, y, shrinkage):
+            seen.append(x)
+            return fit(x, y, shrinkage)
+
+        monkeypatch.setattr(evaluation, "lda_fit", recording)
+        view = make_view(blocks, self.SCHEME)
+        audit = []
+        evaluate_window(view, self.GRID, 0, audit)
+        return view, seen, audit
+
+    def test_dimension_is_the_sum_of_parts(self, rng, monkeypatch):
+        blocks = [
+            (modality_sequences(rng, m), lda_recipe_for(m))
+            for m in (Modality.GAZE, Modality.MOTION)
+        ]
+        view, seen, audit = self.fit_inputs(monkeypatch, blocks)
+        assert [r["fused_dim"] for r in audit] == [(2 + 3) * self.SAMPLES] * 3
+        assert [r["split"] for r in audit] == [0, 1, 2]
+        xs = [window_matrix(seqs, -3.0, self.GRID) for seqs, _ in view.blocks]
+        for x_train, split in zip(seen, view.splits, strict=True):
+            assert np.array_equal(x_train, np.hstack([x[split.train_idx] for x in xs]))
+
+    def test_with_reduced_eeg_block(self, rng, monkeypatch):
+        blocks = [
+            (modality_sequences(rng, m), lda_recipe_for(m))
+            for m in (Modality.EEG, Modality.GAZE, Modality.MOTION)
+        ]
+        view, _, audit = self.fit_inputs(monkeypatch, blocks)
+        eeg, recipe = view.blocks[0]
+        x = window_matrix(eeg, -3.0, self.GRID)
+        for record, split in zip(audit, view.splits, strict=True):
+            k = fit_flat_preprocessing(x[split.train_idx], recipe).pca.components.shape[0]
+            assert k < x.shape[1]
+            assert record["fused_dim"] == k + (2 + 3) * self.SAMPLES
+
+    def test_deterministic(self, rng):
+        gaze = modality_sequences(rng, Modality.GAZE)
+        motion = modality_sequences(rng, Modality.MOTION)
+        view = make_view(
+            [(gaze, lda_recipe_for(Modality.GAZE)), (motion, lda_recipe_for(Modality.MOTION))],
+            self.SCHEME,
+        )
+        audits = [[], []]
+        scores = [evaluate_window(view, self.GRID, 2, audit) for audit in audits]
+        assert scores[0] == scores[1]
+        assert audits[0] == audits[1]
+
+    def test_single_part_is_identity(self, rng, monkeypatch):
+        gaze = modality_sequences(rng, Modality.GAZE)
+        view, seen, _ = self.fit_inputs(monkeypatch, [(gaze, lda_recipe_for(Modality.GAZE))])
+        x = window_matrix(view.blocks[0][0], -3.0, self.GRID)
+        for x_train, split in zip(seen, view.splits, strict=True):
+            assert np.array_equal(x_train, x[split.train_idx])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            make_view([], self.SCHEME)
+
+
 class TestLateSplitFixedPoint:
     def test_identical_members_reproduce_the_single_modality_auc(self, rng):
-        # Feed the same matrix under both modality slots; fused probabilities
-        # must match the single member's, so the AUC matches too.
-        x = rng.normal(size=(30, 10))
-        x[: 10] += 1.0
-        labels = np.array([1] * 10 + [0] * 20)
-        split = make_splits(labels, CvScheme(k=3, repeats=1, seed=0))[0]
-        spec = FusionSpec(mode=FusionMode.LATE, modalities=(Modality.GAZE, Modality.MOTION))
-        recipes = {m: lda_recipe_for(m) for m in spec.modalities}
-        matrices = {m: x for m in spec.modalities}
-        fused_auc, _ = _late_split(matrices, labels, split, spec, recipes, 0.0)
-        clf = fit_lda_classifier(x[split.train_idx], labels[split.train_idx],
-                                 lda_recipe_for(Modality.GAZE))
-        single_auc = auc_roc(clf.predict_proba(x[split.test_idx]), labels[split.test_idx])
-        assert fused_auc == pytest.approx(single_auc, abs=1e-9)
+        # The same block twice in a late view: fused probabilities must match
+        # the single member's, so the AUC matches too.
+        gaze = modality_sequences(rng, Modality.GAZE)
+        recipe = lda_recipe_for(Modality.GAZE)
+        grid = WindowGrid(first_end_s=2.0, last_end_s=2.0, step_s=1.0)
+        view = make_view(
+            [(gaze, recipe), (gaze, recipe)], CvScheme(k=3, repeats=1, seed=0), late=True
+        )
+        fused = evaluate_window(view, grid, 0)
+        x = window_matrix(view.blocks[0][0], 2.0, grid)
+        labels = view.labels
+        for fused_auc, split in zip(fused.split_aucs, view.splits, strict=True):
+            train, test = split.train_idx, split.test_idx
+            clf = fit_lda_classifier(x[train], labels[train], recipe)
+            single_auc = auc_roc(clf.predict_proba(x[test]), labels[test])
+            assert fused_auc == pytest.approx(single_auc, abs=1e-9)
 
 
 class TestFusionSweep:
@@ -152,8 +213,8 @@ class TestFusionSweep:
         fused = run_fusion_sweep(
             {Modality.GAZE: gaze, Modality.MOTION: motion}, spec, scheme, grid=grid
         )
-        g = sweep(gaze, lda_recipe_for(Modality.GAZE), scheme, grid=grid, tag="gaze")
-        m = sweep(motion, lda_recipe_for(Modality.MOTION), scheme, grid=grid, tag="motion")
+        g = sweep([(gaze, lda_recipe_for(Modality.GAZE))], scheme, grid=grid)
+        m = sweep([(motion, lda_recipe_for(Modality.MOTION))], scheme, grid=grid)
         lo = np.minimum(g.auc, m.auc)
         hi = np.maximum(g.auc, m.auc)
         # empirical on this generator/seed: fused stays within the envelope
@@ -207,3 +268,39 @@ class TestFusionSweep:
         spec = FusionSpec(mode=FusionMode.LATE, modalities=(Modality.GAZE, Modality.MOTION))
         with pytest.raises(ValueError, match="missing"):
             run_fusion_sweep({Modality.GAZE: gaze}, spec, CvScheme(k=3, repeats=1, seed=0))
+
+    def test_a_failed_window_leaves_no_audit_records(self, rng, monkeypatch):
+        # The second LDA scoring call, split 1 of the first window, fails.
+        calls = []
+        predict = evaluation.lda_predict_proba
+
+        def failing_once(model, x):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("boom")
+            return predict(model, x)
+
+        monkeypatch.setattr(evaluation, "lda_predict_proba", failing_once)
+        gaze = modality_sequences(rng, Modality.GAZE)
+        motion = modality_sequences(rng, Modality.MOTION)
+        grid = WindowGrid(first_end_s=-3.0, last_end_s=-1.0, step_s=1.0)
+        spec = FusionSpec(mode=FusionMode.EARLY, modalities=(Modality.GAZE, Modality.MOTION))
+        audit = []
+        fused = run_fusion_sweep(
+            {Modality.GAZE: gaze, Modality.MOTION: motion},
+            spec,
+            CvScheme(k=3, repeats=1, seed=2),
+            grid=grid,
+            audit_out=audit,
+        )
+        assert fused.errors == ((-3.0, "split 1: boom"),)
+        assert np.isnan(fused.auc[0]) and np.isfinite(fused.auc[1:]).all()
+        assert [r["window_end_s"] for r in audit] == [-2.0] * 3 + [-1.0] * 3
+
+    def test_lstm_blocks_are_not_fused(self, rng):
+        blocks = [
+            (modality_sequences(rng, m), lstm_recipe_for(m))
+            for m in (Modality.GAZE, Modality.MOTION)
+        ]
+        with pytest.raises(ValueError, match="only LDA"):
+            make_view(blocks, CvScheme(k=3, repeats=1, nested=True, inner_k=2, seed=0))

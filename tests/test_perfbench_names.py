@@ -1,12 +1,21 @@
-"""Every function and method the benchmark's span tracer wraps must exist.
+"""Every function and method the benchmark's span tracer wraps must exist,
+and every attribute hook must read the result its function really returns.
 
 The tracer reports a function the program no longer has as not measured, so
-renaming or deleting one of them silently blanks per-layer metrics.
+renaming or deleting one of them silently blanks per-layer metrics; a hook
+that no longer fits its function's return value breaks a traced run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from handover_intent.core_data import Modality, TimeSeries, write_trial_csv
+from handover_intent.features import FeatureCache, FeatureSequence
+from handover_intent.lda import lda_fit
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +43,45 @@ def test_every_traced_function_and_method_resolves():
                 if cls is None or not callable(vars(cls).get(m))
             ]
     assert not missing, f"perfbench traces names the program lacks: {missing}"
+
+
+def annotated_calls(tmp_path) -> dict:
+    """Traced name -> (args, kwargs, the attributes its hook must report) for
+    a real call of each function that has an ``ANNOTATE`` hook."""
+    rng = np.random.default_rng(0)
+    csv = tmp_path / "trial.csv"
+    write_trial_csv(csv, np.arange(5) * 0.04, rng.normal(size=(5, 2)), ["x", "y"])
+    cache = FeatureCache(tmp_path / "cache")
+    series = TimeSeries(0.0, 0.04, np.ones((5, 2)))
+    cache.put(FeatureSequence(Modality.GAZE, series, trial_ref=(1, 0), label=1), "key")
+    a, b = rng.normal(size=(2, 20))
+    rank_two = np.column_stack([a, b, a + b])
+    x = rng.normal(size=(20, 3))
+    y = np.array([0, 1] * 10)
+    return {
+        "core_data.read_trial_csv": ((csv,), {}, {"bytes": csv.stat().st_size}),
+        "features.FeatureCache.get": ((cache, (1, 0), Modality.GAZE, "key", 1), {}, {"hit": True}),
+        "features.pca_fit": ((rank_two, 1.0), {}, {"k": 2}),
+        "lda.lda_fit": ((x, y), {}, {"dim": 3}),
+        "lda.lda_predict_proba": ((lda_fit(x, y), x), {}, {"scored": 20, "saturated": 0}),
+        "fusion.late_fusion_weights": (([0.6, 0.8],), {}, {"fallback": False}),
+    }
+
+
+def resolve(name: str):
+    short, *attrs = name.split(".")
+    obj = importlib.import_module(f"{load_tracer().PACKAGE}.{short}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    return obj
+
+
+def test_every_annotate_hook_has_a_real_call(tmp_path):
+    assert set(load_tracer().ANNOTATE) == set(annotated_calls(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(load_tracer().ANNOTATE))
+def test_annotate_hook_reads_the_real_result(name, tmp_path):
+    args, kwargs, expected = annotated_calls(tmp_path)[name]
+    result = resolve(name)(*args, **kwargs)
+    assert load_tracer().ANNOTATE[name](args, kwargs, result) == expected
