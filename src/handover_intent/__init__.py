@@ -48,8 +48,6 @@ from .evaluation import (
     auc_roc,
     evaluate_window,
     make_splits,
-    paired_t_test,
-    roc_curve,
     sustained_level_time,
     sweep,
 )

@@ -33,16 +33,19 @@ Example::
     dir = ./out
 
 Only [dataset] root, [experiment] modalities/model/seed, and [output] dir are
-required; everything else has the defaults shown by ``default_config_text``.
+required.  Every other key defaults to the matching field of
+``ExperimentConfig`` (of ``WindowGrid`` for [windows]); [dataset] manifest
+defaults to ``manifest.txt`` under the root.  Relative paths are taken from
+the config file's directory.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .core_data import Modality
+from .core_data import parse_modalities, read_sections
 from .features import DEFAULT_EEG_CHANNELS, WindowGrid
 from .fusion import FusionMode, FusionSpec
 from .lda import DEFAULT_SHRINKAGE
@@ -50,39 +53,6 @@ from .lda import DEFAULT_SHRINKAGE
 
 class ConfigError(Exception):
     """Malformed or invalid configuration; message carries file:line."""
-
-
-_BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
-
-_KNOWN_KEYS = {
-    ("dataset", "root"),
-    ("dataset", "manifest"),
-    ("experiment", "modalities"),
-    ("experiment", "model"),
-    ("experiment", "seed"),
-    ("experiment", "min_trials"),
-    ("cv", "folds"),
-    ("cv", "repeats"),
-    ("cv", "inner_folds"),
-    ("windows", "start_s"),
-    ("windows", "first_end_s"),
-    ("windows", "last_end_s"),
-    ("windows", "step_s"),
-    ("features", "eeg_channels"),
-    ("features", "tf_freq_lo_hz"),
-    ("features", "tf_freq_hi_hz"),
-    ("features", "tf_cycles"),
-    ("features", "tf_output_step_s"),
-    ("features", "tf_log_power"),
-    ("features", "standardize_all"),
-    ("features", "eeg_pca_target"),
-    ("features", "lda_shrinkage"),
-    ("features", "cache_dir"),
-    ("fusion", "modes"),
-    ("fusion", "modalities"),
-    ("fusion", "eeg_pca_target"),
-    ("output", "dir"),
-}
 
 
 @dataclass(frozen=True)
@@ -124,52 +94,7 @@ class ExperimentConfig:
         ]
 
 
-def _parse_entries(text: str, origin: str) -> dict:
-    entries: dict = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value'")
-        if section is None:
-            raise ConfigError(f"{origin}:{lineno}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if (section, key) not in _KNOWN_KEYS:
-            raise ConfigError(f"{origin}:{lineno}: unknown key [{section}] {key}")
-        if (section, key) in entries:
-            raise ConfigError(f"{origin}:{lineno}: duplicate key [{section}] {key}")
-        entries[(section, key)] = (value.strip(), lineno)
-    return entries
-
-
-class _Reader:
-    def __init__(self, entries: dict, origin: str):
-        self.entries = entries
-        self.origin = origin
-        self.used: set = set()
-
-    def raw(self, section: str, key: str, default=None, required: bool = False):
-        self.used.add((section, key))
-        if (section, key) not in self.entries:
-            if required:
-                raise ConfigError(f"{self.origin}: missing required key [{section}] {key}")
-            return default, None
-        return self.entries[(section, key)]
-
-    def typed(self, section, key, convert, default=None, required=False):
-        value, lineno = self.raw(section, key, default=None, required=required)
-        if value is None:
-            return default
-        try:
-            return convert(value)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{self.origin}:{lineno}: [{section}] {key}: {exc}") from exc
+_BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
 def _to_bool(value: str) -> bool:
@@ -178,88 +103,76 @@ def _to_bool(value: str) -> bool:
     return _BOOL[value.lower()]
 
 
-def _to_modalities(value: str) -> tuple:
-    items = [v.strip().lower() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ValueError("empty modality list")
-    return tuple(Modality(v) for v in items)
+def _to_model(value: str) -> str:
+    if value not in ("lda", "lstm"):
+        raise ValueError("must be lda or lstm")
+    return value
 
 
-def _to_modes(value: str) -> tuple:
-    items = [v.strip().lower() for v in value.split(",") if v.strip()]
-    return tuple(FusionMode(v) for v in items)
+def _items(value: str) -> "list[str]":
+    return [v.strip() for v in value.split(",") if v.strip()]
 
 
-def parse_config_text(text: str, origin: str = "<config>", base_dir: "Path | None" = None) -> ExperimentConfig:
-    entries = _parse_entries(text, origin)
-    r = _Reader(entries, origin)
+# (section, key) -> (ExperimentConfig or WindowGrid field, conversion)
+_KEYS = {
+    ("dataset", "root"): ("dataset_root", Path),
+    ("dataset", "manifest"): ("manifest_path", Path),
+    ("experiment", "modalities"): ("modalities", parse_modalities),
+    ("experiment", "model"): ("model", _to_model),
+    ("experiment", "seed"): ("seed", int),
+    ("experiment", "min_trials"): ("min_trials", int),
+    ("cv", "folds"): ("cv_folds", int),
+    ("cv", "repeats"): ("cv_repeats", int),
+    ("cv", "inner_folds"): ("cv_inner_folds", int),
+    ("windows", "start_s"): ("start_s", float),
+    ("windows", "first_end_s"): ("first_end_s", float),
+    ("windows", "last_end_s"): ("last_end_s", float),
+    ("windows", "step_s"): ("step_s", float),
+    ("features", "eeg_channels"): ("eeg_channels", lambda v: tuple(_items(v))),
+    ("features", "tf_freq_lo_hz"): ("tf_freq_lo_hz", int),
+    ("features", "tf_freq_hi_hz"): ("tf_freq_hi_hz", int),
+    ("features", "tf_cycles"): ("tf_cycles", float),
+    ("features", "tf_output_step_s"): ("tf_output_step_s", float),
+    ("features", "tf_log_power"): ("tf_log_power", _to_bool),
+    ("features", "standardize_all"): ("standardize_all", _to_bool),
+    ("features", "eeg_pca_target"): ("eeg_pca_target", float),
+    ("features", "lda_shrinkage"): ("lda_shrinkage", float),
+    ("features", "cache_dir"): ("cache_dir", Path),
+    ("fusion", "modes"): ("fusion_modes", lambda v: tuple(map(FusionMode, _items(v.lower())))),
+    ("fusion", "modalities"): ("fusion_modalities", parse_modalities),
+    ("fusion", "eeg_pca_target"): ("fusion_eeg_pca_target", float),
+    ("output", "dir"): ("out_dir", Path),
+}
+_REQUIRED = (
+    ("dataset", "root"),
+    ("experiment", "modalities"),
+    ("experiment", "model"),
+    ("experiment", "seed"),
+    ("output", "dir"),
+)
+_PATHS = ("dataset_root", "manifest_path", "out_dir", "cache_dir")  # relative to base_dir
+
+
+def parse_config_text(
+    text: str, origin: str = "<config>", base_dir: "Path | None" = None
+) -> ExperimentConfig:
+    values = read_sections(text, origin, _KEYS, ConfigError)
+    for section, key in _REQUIRED:
+        if _KEYS[(section, key)][0] not in values:
+            raise ConfigError(f"{origin}: missing required key [{section}] {key}")
     base = Path(".") if base_dir is None else Path(base_dir)
-
-    def to_path(value: str) -> Path:
-        p = Path(value)
-        return p if p.is_absolute() else base / p
-
-    root = r.typed("dataset", "root", to_path, required=True)
-    manifest = r.typed("dataset", "manifest", to_path, default=root / "manifest.txt")
-    modalities = r.typed("experiment", "modalities", _to_modalities, required=True)
-    model = r.typed("experiment", "model", str, required=True)
-    if model not in ("lda", "lstm"):
-        _, lineno = entries[("experiment", "model")]
-        raise ConfigError(f"{origin}:{lineno}: [experiment] model must be lda or lstm")
-    seed = r.typed("experiment", "seed", int, required=True)
-    out_dir = r.typed("output", "dir", to_path, required=True)
-
+    for name in _PATHS:
+        if name in values:
+            values[name] = base / values[name]  # an absolute path replaces base
+    values.setdefault("manifest_path", values["dataset_root"] / "manifest.txt")
+    window = {f.name: values.pop(f.name) for f in fields(WindowGrid) if f.name in values}
     try:
-        grid = WindowGrid(
-            start_s=r.typed("windows", "start_s", float, default=-5.0),
-            first_end_s=r.typed("windows", "first_end_s", float, default=-4.75),
-            last_end_s=r.typed("windows", "last_end_s", float, default=6.0),
-            step_s=r.typed("windows", "step_s", float, default=0.25),
-        )
+        values["grid"] = WindowGrid(**window)
     except ValueError as exc:
         raise ConfigError(f"{origin}: [windows] {exc}") from exc
-
-    fusion_modes = r.typed("fusion", "modes", _to_modes, default=())
-    fusion_modalities = r.typed("fusion", "modalities", _to_modalities, default=())
-    if fusion_modes and len(fusion_modalities) < 2:
-        raise ConfigError(
-            f"{origin}: [fusion] modalities must list at least two modalities"
-        )
-
-    cache_raw = r.typed("features", "cache_dir", to_path, default=None)
-    cfg = ExperimentConfig(
-        dataset_root=root,
-        manifest_path=manifest,
-        modalities=modalities,
-        model=model,
-        seed=seed,
-        out_dir=out_dir,
-        min_trials=r.typed("experiment", "min_trials", int, default=60),
-        cv_folds=r.typed("cv", "folds", int, default=10),
-        cv_repeats=r.typed("cv", "repeats", int, default=3),
-        cv_inner_folds=r.typed("cv", "inner_folds", int, default=10),
-        grid=grid,
-        eeg_channels=tuple(
-            r.typed(
-                "features",
-                "eeg_channels",
-                lambda v: [c.strip() for c in v.split(",") if c.strip()],
-                default=list(DEFAULT_EEG_CHANNELS),
-            )
-        ),
-        tf_freq_lo_hz=r.typed("features", "tf_freq_lo_hz", int, default=5),
-        tf_freq_hi_hz=r.typed("features", "tf_freq_hi_hz", int, default=40),
-        tf_cycles=r.typed("features", "tf_cycles", float, default=3.0),
-        tf_output_step_s=r.typed("features", "tf_output_step_s", float, default=0.05),
-        tf_log_power=r.typed("features", "tf_log_power", _to_bool, default=False),
-        standardize_all=r.typed("features", "standardize_all", _to_bool, default=False),
-        eeg_pca_target=r.typed("features", "eeg_pca_target", float, default=0.99),
-        lda_shrinkage=r.typed("features", "lda_shrinkage", float, default=DEFAULT_SHRINKAGE),
-        cache_dir=cache_raw,
-        fusion_modes=fusion_modes,
-        fusion_modalities=fusion_modalities,
-        fusion_eeg_pca_target=r.typed("fusion", "eeg_pca_target", float, default=None),
-    )
+    if values.get("fusion_modes") and len(values.get("fusion_modalities", ())) < 2:
+        raise ConfigError(f"{origin}: [fusion] modalities must list at least two modalities")
+    cfg = ExperimentConfig(**values)
     _check_values(cfg, origin)
     return cfg
 

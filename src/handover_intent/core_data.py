@@ -73,6 +73,14 @@ class Modality(Enum):
     MOTION = "motion"
 
 
+def parse_modalities(text: str) -> tuple:
+    """Modalities from a comma-separated list such as ``gaze, motion``."""
+    items = [v.strip().lower() for v in text.split(",") if v.strip()]
+    if not items:
+        raise ValueError("empty modality list")
+    return tuple(Modality(v) for v in items)
+
+
 def label_for(condition: Condition) -> int:
     """Binary class: handover is the positive class, solo/joint the negative."""
     return 1 if condition is Condition.HANDOVER else 0
@@ -331,8 +339,45 @@ def complete_trials(
 
 
 # ---------------------------------------------------------------------------
-# Manifest parsing / writing
+# Sectioned key = value text (run configs, synth profiles); manifest files
 # ---------------------------------------------------------------------------
+
+
+def read_sections(text: str, origin: str, keys: dict, error=ValueError) -> dict:
+    """Read ``[section]`` blocks of ``key = value`` lines into {field: value}.
+
+    ``keys`` maps each allowed (section, key) to (field, convert), one field
+    per key.  Blank lines and ``#`` comments are skipped.  A line that is not
+    ``key = value``, a key outside any section, an unknown or repeated key and
+    a failed conversion raise ``error("origin:line: ...")``.
+    """
+    values: dict = {}
+    section = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            continue
+        where = f"{origin}:{lineno}"
+        if "=" not in line:
+            raise error(f"{where}: expected 'key = value'")
+        if section is None:
+            raise error(f"{where}: key outside any [section]")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if (section, key) not in keys:
+            raise error(f"{where}: unknown key [{section}] {key}")
+        name, convert = keys[(section, key)]
+        if name in values:
+            raise error(f"{where}: duplicate key [{section}] {key}")
+        try:
+            values[name] = convert(value.strip())
+        except (ValueError, KeyError) as exc:
+            raise error(f"{where}: [{section}] {key}: {exc}") from exc
+    return values
+
 
 _TRIAL_HEADER = ["participant", "trial", "condition", "onset_s", "eeg", "gaze", "motion"]
 

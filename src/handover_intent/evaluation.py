@@ -38,13 +38,6 @@ class EvaluationError(RuntimeError):
     """A fit/score failure, tagged with the split it occurred in."""
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    fpr: float
-    tpr: float
-    threshold: float
-
-
 def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
@@ -54,27 +47,6 @@ def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     if not np.array_equal(present, [0, 1]):
         raise ValueError(f"need both classes 0 and 1, got labels {present.tolist()}")
     return scores, labels
-
-
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> "list[RocPoint]":
-    """One point per distinct threshold, descending, from (0,0) to (1,1)."""
-    scores, labels = _check_scored(scores, labels)
-    n_pos = int(np.sum(labels == 1))
-    n_neg = labels.shape[0] - n_pos
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_pos = (labels[order] == 1).astype(int)
-    distinct = np.nonzero(np.diff(sorted_scores))[0]
-    boundaries = np.concatenate([distinct, [scores.shape[0] - 1]])
-    cum_pos = np.cumsum(sorted_pos)
-    points = [RocPoint(fpr=0.0, tpr=0.0, threshold=np.inf)]
-    for b in boundaries:
-        tp = int(cum_pos[b])
-        fp = int(b + 1 - tp)
-        points.append(
-            RocPoint(fpr=fp / n_neg, tpr=tp / n_pos, threshold=float(sorted_scores[b]))
-        )
-    return points
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -236,6 +208,21 @@ def _score_stats(end_time_s: float, aucs: "list[float]") -> WindowScore:
     )
 
 
+def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
+    """Weights proportional to training performance; equal-weight fallback
+    (flagged) when every performance is zero.  Weights late-fusion members by
+    training-fold AUC and LSTM ensemble members by validation AUC."""
+    perf = np.asarray(member_train_perf, dtype=float)
+    if perf.ndim != 1 or perf.shape[0] < 2:
+        raise ValueError("need >= 2 member performances")
+    if (perf < 0).any() or (perf > 1).any():
+        raise ValueError("training performances must lie in [0, 1]")
+    total = perf.sum()
+    if total <= 0.0:
+        return np.full_like(perf, 1.0 / perf.shape[0]), True
+    return perf / total, False
+
+
 def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]":
     """Train ensemble members as one stack; each member is (seed, x_fit,
     y_fit, x_val, y_val).  Returns each member's model and validation AUC (0
@@ -243,10 +230,7 @@ def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]
     member's index in ``.member``."""
     seeds, x_fits, y_fits, x_vals, y_vals = zip(*members)
     models = lstm_train_members(
-        spec,
-        seeds,
-        [list(zip(xs, ys)) for xs, ys in zip(x_fits, y_fits)],
-        [list(zip(xs, ys)) for xs, ys in zip(x_vals, y_vals)],
+        spec, seeds, list(zip(x_fits, y_fits)), list(zip(x_vals, y_vals))
     )
     trained = []
     for model, x_val, y_val in zip(models, x_vals, y_vals):
@@ -325,12 +309,7 @@ def _lstm_ensembles(
 
 
 def _weighted_ensemble(prep, trained) -> TrainedClassifier:
-    weights = np.asarray([auc for _, auc in trained], dtype=float)
-    fallback = bool(weights.sum() <= 0.0)
-    if fallback:
-        weights = np.full_like(weights, 1.0 / len(trained))
-    else:
-        weights = weights / weights.sum()
+    weights, fallback = late_fusion_weights([auc for _, auc in trained])
     return TrainedClassifier(
         kind="lstm_ensemble",
         preprocessing=prep,
@@ -403,8 +382,6 @@ def evaluate_window(
             if lstm:
                 scores = next(ensembles).predict_proba(xs[0][test])
             elif view.late:
-                from .fusion import late_fusion_weights  # fusion imports this module
-
                 perfs, member_scores = [], []
                 for x, (_, r) in zip(xs, view.blocks):
                     clf = fit_lda_classifier(x[train], labels[train], r)
@@ -599,24 +576,6 @@ def median_timeline(timelines) -> AucTimeline:
 # ---------------------------------------------------------------------------
 # Group statistics
 # ---------------------------------------------------------------------------
-
-
-def paired_t_test(a, b) -> tuple[float, float]:
-    """Two-sided paired t-test; p from the Student t CDF with n-1 dof."""
-    from scipy import stats as sstats
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.shape[0] < 2:
-        raise ValueError("need two aligned vectors of length >= 2")
-    diff = a - b
-    sd = diff.std(ddof=1)
-    if sd == 0.0:
-        raise ValueError("difference variance is zero; t statistic undefined")
-    n = diff.shape[0]
-    t = diff.mean() / (sd / np.sqrt(n))
-    p = 2.0 * sstats.t.sf(abs(t), df=n - 1)
-    return float(t), float(p)
 
 
 def anova_oneway(groups) -> tuple[float, float]:

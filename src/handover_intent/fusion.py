@@ -13,7 +13,7 @@ import numpy as np
 
 from .classifiers import lda_recipe_for
 from .core_data import Modality
-from .evaluation import AucTimeline, CvScheme, sweep
+from .evaluation import AucTimeline, CvScheme, late_fusion_weights, sweep
 from .features import WindowGrid
 
 # Fixed concatenation / reporting order.
@@ -41,20 +41,6 @@ class FusionSpec:
 
     def tag(self) -> str:
         return f"{self.mode.value}:" + "+".join(m.value for m in self.modalities)
-
-
-def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
-    """Weights proportional to training performance; equal-weight fallback
-    (flagged) when every performance is zero."""
-    perf = np.asarray(member_train_perf, dtype=float)
-    if perf.ndim != 1 or perf.shape[0] < 2:
-        raise ValueError("need >= 2 member performances")
-    if (perf < 0).any() or (perf > 1).any():
-        raise ValueError("training performances must lie in [0, 1]")
-    total = perf.sum()
-    if total <= 0.0:
-        return np.full_like(perf, 1.0 / perf.shape[0]), True
-    return perf / total, False
 
 
 def late_fuse(member_probs, member_train_perf) -> float:

@@ -298,10 +298,12 @@ def _stack(dataset) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _member_data(train, val):
-    if not train or not val:
+    (x_train, y_train), (x_val, y_val) = (
+        (np.ascontiguousarray(x, dtype=float), np.asarray(y, dtype=float))
+        for x, y in (train, val)
+    )
+    if y_train.size == 0 or y_val.size == 0:
         raise ValueError("train and val sets must be nonempty")
-    x_train, y_train = _stack(train)
-    x_val, y_val = _stack(val)
     if len(set(y_train.tolist())) < 2:
         raise ValueError("training labels contain a single class")
     if x_train.shape[1:] != x_val.shape[1:]:
@@ -337,12 +339,14 @@ def lstm_train(
     per-epoch validation losses.  This is ``lstm_train_members`` on a stack
     of one.
     """
+    if not train or not val:
+        raise ValueError("train and val sets must be nonempty")
     histories = None if history is None else [history]
     return lstm_train_members(
         spec,
         [spec.seed],
-        [train],
-        [val],
+        [_stack(train)],
+        [_stack(val)],
         learning_rate,
         clip_norm,
         early_stop_start,
@@ -354,14 +358,14 @@ def member_bytes(spec: LstmSpec, n_steps: int, n_fit: int, n_val: int) -> int:
     """Approximate working memory of one member in a training stack; callers
     fill a stack up to ``STACK_BYTES``.
 
-    A member holds its n_fit + n_val sequences twice (the caller's copy and
-    the stacked one), and a forward-backward pass over a batch or the val set
-    keeps about 12 hidden-wide float64 arrays per layer, step and row.  About
+    A member holds its n_fit + n_val sequences once (the caller's arrays),
+    and a forward-backward pass over a batch or the val set keeps about 12
+    hidden-wide float64 arrays per layer, step and row.  About
     ten parameter-sized vectors come on top: parameters, Adam moments, best
     snapshot, gradient and update temporaries, and the trained model.
     """
     rows = max(min(spec.batch_size, n_fit), n_val)
-    per_step = 2 * (n_fit + n_val) * spec.input_dim
+    per_step = (n_fit + n_val) * spec.input_dim
     per_step += 12 * spec.layers * spec.hidden * rows
     return 8 * (n_steps * per_step + 10 * param_count(spec))
 
@@ -377,7 +381,8 @@ def lstm_train_members(
     histories: "list | None" = None,
 ) -> "list[LstmModel]":
     """Train member g, ``spec`` with seed ``seeds[g]``, on (trains[g],
-    vals[g]); all members in one stack.
+    vals[g]); all members in one stack.  Each train or val set is an ``(x,
+    y)`` pair of arrays: sequences (N, T, D) and their labels (N,).
 
     Each member's model is bit-identical to ``lstm_train`` on it alone: it
     keeps its own batch order, Adam steps, gradient clip, best snapshot and

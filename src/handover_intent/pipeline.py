@@ -52,6 +52,7 @@ DECISION_FLAGS = {
     "tf_output_step": "snapped to the nearest integer multiple of the input step",
     "missing_windows": "fail the sustained-level condition; a nan window breaks a run",
     "eeg_lda_preprocessing": "standardize then PCA, fitted on training folds only",
+    "fusion_model": "fusion views always use LDA, whatever [experiment] model is",
 }
 
 
@@ -125,11 +126,13 @@ def _recipe(cfg: ExperimentConfig, modality: Modality):
     return lstm_recipe_for(modality, standardize_all=cfg.standardize_all)
 
 
-def _scheme(cfg: ExperimentConfig, *seed_labels) -> CvScheme:
+def _scheme(cfg: ExperimentConfig, nested: bool, *seed_labels) -> CvScheme:
+    """Only an LSTM sweep draws inner folds; the outer folds do not depend on
+    them, since each comes from its own seed substream."""
     return CvScheme(
         k=cfg.cv_folds,
         repeats=cfg.cv_repeats,
-        nested=cfg.model == "lstm",
+        nested=nested,
         inner_k=cfg.cv_inner_folds,
         seed=derive_seed(cfg.seed, "cv", *seed_labels),
     )
@@ -195,7 +198,7 @@ def run_participant(task) -> ParticipantOutcome:
         if spec is None:
             outcome.timelines[tag] = sweep(
                 [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
-                _scheme(cfg, tag, pid),
+                _scheme(cfg, cfg.model == "lstm", tag, pid),
                 grid=cfg.grid,
                 participant_id=pid,
                 tag=tag,
@@ -205,7 +208,7 @@ def run_participant(task) -> ParticipantOutcome:
         outcome.timelines[tag] = run_fusion_sweep(
             by_modality,
             spec,
-            _scheme(cfg, tag, pid),
+            _scheme(cfg, False, tag, pid),  # fusion views are LDA
             grid=cfg.grid,
             standardize_all=cfg.standardize_all,
             shrinkage=cfg.lda_shrinkage,

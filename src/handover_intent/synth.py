@@ -21,6 +21,8 @@ from .core_data import (
     ManifestEntry,
     Modality,
     MOTION_COLUMNS,
+    parse_modalities,
+    read_sections,
     write_manifest,
     write_trial_csv,
 )
@@ -74,10 +76,7 @@ class SynthProfile:
 _PROFILE_KEYS = {
     ("synth", "participants"): ("participants", int),
     ("synth", "trials_per_condition"): ("trials_per_condition", int),
-    ("synth", "modalities"): (
-        "modalities",
-        lambda v: tuple(Modality(x.strip().lower()) for x in v.split(",") if x.strip()),
-    ),
+    ("synth", "modalities"): ("modalities", parse_modalities),
     ("synth", "seed"): ("seed", int),
     ("synth", "name"): ("name", str),
     ("gaze", "injection_time_s"): ("gaze_injection_time_s", float),
@@ -96,27 +95,8 @@ _PROFILE_KEYS = {
 def parse_profile(path: "Path | str") -> SynthProfile:
     """Profile file: [synth]/[gaze]/[motion]/[eeg] sections of key = value."""
     path = Path(path)
-    values = {}
-    section = None
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        if "=" not in line or section is None:
-            raise ValueError(f"{path}:{lineno}: expected '[section]' or 'key = value'")
-        key, _, value = line.partition("=")
-        spec = _PROFILE_KEYS.get((section, key.strip()))
-        if spec is None:
-            raise ValueError(f"{path}:{lineno}: unknown key [{section}] {key.strip()}")
-        name, convert = spec
-        try:
-            values[name] = convert(value.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return SynthProfile(**values)
+    text = path.read_text(encoding="utf-8")
+    return SynthProfile(**read_sections(text, str(path), _PROFILE_KEYS))
 
 
 def _grid(rate_hz: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from handover_intent import config
 from handover_intent.cli import main
 from handover_intent.config import (
     ConfigError,
@@ -29,6 +30,64 @@ seed = 7
 dir = ./out
 """
 
+# Every key set to the default the dataclasses define, except the keys whose
+# default is "not set", which no value can write.
+EVERY_KEY_AT_ITS_DEFAULT = """
+[dataset]
+root = ./data
+manifest = ./data/manifest.txt
+
+[experiment]
+modalities = gaze
+model = lda
+seed = 7
+min_trials = 60
+
+[cv]
+folds = 10
+repeats = 3
+inner_folds = 10
+
+[windows]
+start_s = -5.0
+first_end_s = -4.75
+last_end_s = 6.0
+step_s = 0.25
+
+[features]
+eeg_channels = Cz,C3,C4,FC1,FC2,FC5,FC6,CP1,CP2,F3,F4,Fz
+tf_freq_lo_hz = 5
+tf_freq_hi_hz = 40
+tf_cycles = 3.0
+tf_output_step_s = 0.05
+tf_log_power = false
+standardize_all = false
+eeg_pca_target = 0.99
+lda_shrinkage = 1e-4
+
+[fusion]
+modes =
+
+[output]
+dir = ./out
+"""
+UNSET_BY_DEFAULT = {
+    ("features", "cache_dir"),
+    ("fusion", "modalities"),
+    ("fusion", "eeg_pca_target"),
+}
+
+
+def written_keys(text):
+    keys, section = set(), None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            keys.add((section, line.partition("=")[0].strip()))
+    return keys
+
 
 class TestConfigParsing:
     def test_minimal_config_and_defaults(self, tmp_path):
@@ -41,6 +100,11 @@ class TestConfigParsing:
         assert cfg.grid.end_times().shape[0] == 44
         assert cfg.dataset_root == tmp_path / "data"
         assert cfg.fusion_modes == ()
+
+    def test_every_key_at_its_default_equals_the_minimal_config(self, tmp_path):
+        assert written_keys(EVERY_KEY_AT_ITS_DEFAULT) | UNSET_BY_DEFAULT == set(config._KEYS)
+        full = parse_config_text(EVERY_KEY_AT_ITS_DEFAULT, base_dir=tmp_path)
+        assert full == parse_config_text(MINIMAL_CONFIG, base_dir=tmp_path)
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
@@ -116,6 +180,12 @@ class TestSynth:
         path = tmp_path / "profile.txt"
         path.write_text("[synth]\nwat = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
+            parse_profile(path)
+
+    def test_duplicate_profile_key_names_its_line(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("[synth]\nseed = 1\n\n[synth]\nseed = 2\n")
+        with pytest.raises(ValueError, match=r"profile\.txt:5: duplicate key \[synth\] seed"):
             parse_profile(path)
 
     def test_generated_dataset_is_loadable_and_gated(self, tmp_path):

@@ -23,6 +23,7 @@ from handover_intent.core_data import (
     labeled,
     load_dataset,
     parse_manifest,
+    read_sections,
     read_trial_csv,
     write_manifest,
     write_trial_csv,
@@ -362,6 +363,37 @@ class TestLoadDataset:
         path.write_text("time_s,hand_x,hand_y,hand_z\n0.0,1,1,1\n0.2,1,1,1\n0.5,1,1,1\n")
         with pytest.raises(DatasetError, match="uniform"):
             read_trial_csv(path)
+
+
+class TestReadSections:
+    KEYS = {("a", "n"): ("n", int), ("a", "s"): ("s", str), ("b", "n"): ("b_n", int)}
+
+    def test_reads_fields_and_skips_blanks_and_comments(self):
+        text = "# comment\n[a]\nn = 3\n\ns = x = y\n[ b ]\nn=4\n"
+        assert read_sections(text, "t", self.KEYS) == {"n": 3, "s": "x = y", "b_n": 4}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[a]\nn 3\n", "t:2: expected 'key = value'"),
+            ("n = 3\n", "t:1: key outside any [section]"),
+            ("[a]\nm = 3\n", "t:2: unknown key [a] m"),
+            ("[a]\nn = 3\n[b]\nn = 1\n[a]\nn = 4\n", "t:6: duplicate key [a] n"),
+            ("[a]\nn = x\n", "t:2: [a] n: invalid literal"),
+            ("[a]\nn = x\nm = 1\n", "t:2: [a] n: "),  # the first bad line wins
+        ],
+    )
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            read_sections(text, "t", self.KEYS)
+        assert str(info.value).startswith(message)
+
+    def test_raises_the_callers_error_class(self):
+        class Custom(Exception):
+            pass
+
+        with pytest.raises(Custom, match="unknown key"):
+            read_sections("[a]\nm = 1\n", "t", self.KEYS, Custom)
 
 
 class TestManifestFormat:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
 
 from handover_intent.classifiers import fit_lda_classifier, lda_recipe_for, lstm_recipe_for
 from handover_intent.core_data import Modality
@@ -18,9 +17,7 @@ from handover_intent.evaluation import (
     make_splits,
     make_view,
     median_timeline,
-    paired_t_test,
     read_timelines_csv,
-    roc_curve,
     sustained_level_time,
     sweep,
     write_latency_csv,
@@ -45,62 +42,6 @@ def pairwise_auc_oracle(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
-
-
-def roc_points_oracle(scores, labels):
-    """Brute force: sweep every distinct threshold, count the confusion."""
-    points = [(0.0, 0.0)]
-    for threshold in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, l in zip(scores, labels) if l == 1 and s >= threshold)
-        fp = sum(1 for s, l in zip(scores, labels) if l == 0 and s >= threshold)
-        points.append((fp / labels.count(0), tp / labels.count(1)))
-    return points
-
-
-def t_sf_oracle(t, df):
-    """Two-sided p via the regularized incomplete beta function."""
-    return special.betainc(df / 2.0, 0.5, df / (df + t * t))
-
-
-class TestConfusionAndRoc:
-    def test_perfect_separation_passes_through_0_1(self):
-        points = roc_curve(np.array([0.9, 0.8, 0.2, 0.1]), np.array([1, 1, 0, 0]))
-        assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in points)
-        assert (points[0].fpr, points[0].tpr) == (0.0, 0.0)
-        assert (points[-1].fpr, points[-1].tpr) == (1.0, 1.0)
-
-    def test_constant_scores_collapse_to_two_points(self):
-        points = roc_curve(np.full(6, 0.5), np.array([0, 1, 0, 1, 0, 1]))
-        assert [(p.fpr, p.tpr) for p in points] == [(0.0, 0.0), (1.0, 1.0)]
-
-    def test_matches_threshold_enumeration_oracle(self):
-        scores = [0.1, 0.4, 0.35, 0.8]
-        labels = [0, 0, 1, 1]
-        points = roc_curve(np.array(scores), np.array(labels))
-        assert [(p.fpr, p.tpr) for p in points] == roc_points_oracle(scores, labels)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_and_oracle_equal_on_random_instances(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 20))
-        labels = np.zeros(n, dtype=int)
-        labels[: max(1, n // 3)] = 1
-        rng.shuffle(labels)
-        if labels.sum() in (0, n):
-            labels[0] = 1 - labels[0]
-        scores = np.round(rng.random(n), 1)  # plenty of ties
-        points = roc_curve(scores, labels)
-        fprs = [p.fpr for p in points]
-        tprs = [p.tpr for p in points]
-        assert fprs == sorted(fprs) and tprs == sorted(tprs)
-        assert [(p.fpr, p.tpr) for p in points] == roc_points_oracle(
-            scores.tolist(), labels.tolist()
-        )
-
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError, match="both classes"):
-            roc_curve(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
 class TestAuc:
@@ -147,6 +88,10 @@ class TestAuc:
 
     def test_nan_score_gives_nan(self):
         assert np.isnan(auc_roc(np.array([0.1, np.nan, 0.3]), np.array([0, 1, 1])))
+
+    def test_single_class_rejected(self):
+        with pytest.raises(ValueError, match="both classes"):
+            auc_roc(np.array([0.1, 0.2]), np.array([1, 1]))
 
 
 class TestSplits:
@@ -501,49 +446,6 @@ class TestAggregation:
         tls = [timeline_from([0.4, 0.8]), timeline_from([0.6, 0.9], participant_id=2)]
         med = median_timeline(tls)
         assert med.auc.tolist() == [0.5, pytest.approx(0.85)]
-
-
-class TestPairedT:
-    def test_constant_shift_is_detected(self, rng):
-        b = rng.normal(size=25)
-        a = b + 1.0 + rng.normal(scale=0.05, size=25)
-        t, p = paired_t_test(a, b)
-        assert p < 0.05 and t > 0
-
-    def test_null_case_is_usually_insignificant(self):
-        rng = np.random.default_rng(42)
-        b = rng.normal(size=200)
-        a = b + rng.normal(scale=1.0, size=200)
-        _, p = paired_t_test(a, b)
-        assert p > 0.05
-
-    def test_swap_flips_the_sign(self, rng):
-        a = rng.normal(size=12)
-        b = rng.normal(size=12)
-        t_ab, p_ab = paired_t_test(a, b)
-        t_ba, p_ba = paired_t_test(b, a)
-        assert t_ab == pytest.approx(-t_ba)
-        assert p_ab == pytest.approx(p_ba)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError, match="variance"):
-            paired_t_test([1.0, 2.0, 3.0], [0.0, 1.0, 2.0])
-
-    def test_p_matches_incomplete_beta_oracle(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(3, 30))
-            a = rng.normal(size=n)
-            b = rng.normal(size=n)
-            t, p = paired_t_test(a, b)
-            assert p == pytest.approx(t_sf_oracle(t, n - 1), abs=1e-10)
-
-    def test_statistic_matches_hand_formula(self):
-        a = np.array([2.0, 4.0, 6.0, 9.0])
-        b = np.array([1.0, 3.0, 7.0, 5.0])
-        diff = a - b
-        expected = diff.mean() / (diff.std(ddof=1) / np.sqrt(4))
-        t, _ = paired_t_test(a, b)
-        assert t == pytest.approx(expected)
 
 
 class TestAnova:

@@ -27,9 +27,17 @@ def member_data(rng, n_fit, n_val, steps, dim):
     return fit, val
 
 
+def arrays(pairs):
+    """A member's (sequence, label) pairs as the (x, y) arrays that
+    ``lstm_train_members`` takes."""
+    return np.stack([s for s, _ in pairs]), np.array([lbl for _, lbl in pairs])
+
+
 def assert_matches_oracle(spec, seeds, trains, vals, **kw):
     histories = [[] for _ in seeds]
-    models = lstm_train_members(spec, seeds, trains, vals, histories=histories, **kw)
+    models = lstm_train_members(
+        spec, seeds, list(map(arrays, trains)), list(map(arrays, vals)), histories=histories, **kw
+    )
     for seed, train, val, model, history in zip(seeds, trains, vals, models, histories):
         member_spec = replace(spec, seed=seed)
         expected_history = []
@@ -128,8 +136,8 @@ def test_nan_member_raises_at_epoch_1_with_its_index():
         lstm_train_members(
             spec,
             [0, 1, 2],
-            [f for f, _ in data],
-            [v for _, v in data],
+            [arrays(f) for f, _ in data],
+            [arrays(v) for _, v in data],
             histories=histories,
         )
     assert info.value.member == 1
@@ -147,7 +155,11 @@ def test_first_member_diverging_stops_the_stack_at_once():
     histories = [[], []]
     with pytest.raises(TrainingDivergedError) as info:
         lstm_train_members(
-            spec, [0, 1], [f for f, _ in data], [v for _, v in data], histories=histories
+            spec,
+            [0, 1],
+            [arrays(f) for f, _ in data],
+            [arrays(v) for _, v in data],
+            histories=histories,
         )
     assert info.value.member == 0
     assert histories == [[], []]
@@ -163,8 +175,8 @@ def test_invalid_member_input_names_the_member():
         lstm_train_members(
             spec,
             [0, 1, 2],
-            [good[0], one_class, good[0]],
-            [good[1]] * 3,
+            [arrays(good[0]), arrays(one_class), arrays(good[0])],
+            [arrays(good[1])] * 3,
             histories=histories,
         )
     assert info.value.member == 1
@@ -180,10 +192,10 @@ def test_member_bytes_tracks_the_measured_peak(layers, hidden, batch_size, n_val
     stacks = {}
     for n_members in (1, 3):
         data = [member_data(rng, 40, n_val, 60, 8) for _ in range(n_members)]
+        trains = [arrays(f) for f, _ in data]
+        vals = [arrays(v) for _, v in data]
         tracemalloc.start()
-        lstm_train_members(
-            spec, list(range(n_members)), [f for f, _ in data], [v for _, v in data]
-        )
+        lstm_train_members(spec, list(range(n_members)), trains, vals)
         stacks[n_members] = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     caller_copy = 8 * 60 * (40 + n_val) * 8
