@@ -10,7 +10,7 @@ from .core_data import Modality
 from .dsp import Standardization, standardize
 from .features import PcaModel, pca_apply, pca_fit
 from .lda import DEFAULT_SHRINKAGE, LdaModel, lda_fit, lda_predict_proba
-from .lstm import LstmSpec, ensemble_predict
+from .lstm import LstmSpec, predict_proba_batch
 
 
 @dataclass(frozen=True)
@@ -146,8 +146,10 @@ class TrainedClassifier:
         x = np.asarray(x, dtype=float)
         if self.kind == "lda":
             return lda_predict_proba(self.lda, self.preprocessing.apply_flat(x))
+        # Each member scores the whole fold; the weighted sum runs in member
+        # order, as ``ensemble_predict`` sums one sequence.
         seqs = self.preprocessing.apply_sequences(x)
-        return np.array([ensemble_predict(self.members, s) for s in seqs])
+        return sum(w * predict_proba_batch(model, seqs) for model, w in self.members)
 
 
 def fit_lda_classifier(

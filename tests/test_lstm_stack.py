@@ -1,6 +1,11 @@
-"""Stacked training must reproduce serial training bit for bit.
+"""Stacked training must reproduce serial training up to float rounding.
 
-The oracle is the one-model implementation frozen in ``lstm_oracle.py``.
+The oracle is the one-model implementation frozen in ``lstm_oracle.py``.  The
+stacked kernel hoists the input projection and the weight-gradient products
+out of the time loop and zero-pads ragged batches, so its sums run in another
+order: parameters and validation losses must agree to ``TOLERANCE``, relative
+to the largest parameter and to the loss, and every member must train for the
+oracle's number of epochs.
 """
 
 from dataclasses import replace
@@ -11,13 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lstm_oracle
+from handover_intent import lstm
 from handover_intent.lstm import (
     LstmSpec,
     TrainingDivergedError,
+    _loss_and_grad,
     lstm_train,
     lstm_train_members,
     member_bytes,
+    param_count,
 )
+
+TOLERANCE = 1e-10
 
 
 def member_data(rng, n_fit, n_val, steps, dim):
@@ -33,6 +43,13 @@ def arrays(pairs):
     return np.stack([s for s, _ in pairs]), np.array([lbl for _, lbl in pairs])
 
 
+def assert_close_to_oracle(model, history, expected, expected_history):
+    scale = np.abs(expected.parameters).max()
+    assert np.abs(model.parameters - expected.parameters).max() <= TOLERANCE * scale
+    assert len(history) == len(expected_history)
+    np.testing.assert_allclose(history, expected_history, rtol=TOLERANCE, atol=0.0)
+
+
 def assert_matches_oracle(spec, seeds, trains, vals, **kw):
     histories = [[] for _ in seeds]
     models = lstm_train_members(
@@ -44,9 +61,8 @@ def assert_matches_oracle(spec, seeds, trains, vals, **kw):
         expected = lstm_oracle.train(
             member_spec, train, val, history=expected_history, **kw
         )
-        assert np.array_equal(model.parameters, expected.parameters)
+        assert_close_to_oracle(model, history, expected, expected_history)
         assert model.spec == member_spec
-        assert history == expected_history
     return histories
 
 
@@ -117,8 +133,80 @@ def test_lstm_train_is_the_stack_of_one():
     model = lstm_train(spec, fit, val, history=history)
     expected_history = []
     expected = lstm_oracle.train(spec, fit, val, history=expected_history)
-    assert np.array_equal(model.parameters, expected.parameters)
-    assert history == expected_history
+    assert_close_to_oracle(model, history, expected, expected_history)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    hidden=st.integers(1, 5),
+    dim=st.integers(1, 3),
+    steps=st.integers(1, 6),
+    batch=st.integers(1, 6),
+    padding=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_one_gradient_matches_the_oracle(layers, hidden, dim, steps, batch, padding, seed):
+    rng = np.random.default_rng(seed)
+    spec = LstmSpec(layers, hidden, dim, batch_size=batch, max_epochs=1)
+    params = rng.normal(size=param_count(spec))
+    x = rng.normal(size=(batch, steps, dim))
+    y = rng.integers(0, 2, size=batch).astype(float)
+    expected_loss, expected = lstm_oracle.loss_and_grad(spec, params, x, y)
+    # The same batch padded with zero rows, which must count for nothing.
+    padded_x = np.concatenate([x, np.zeros((padding, steps, dim))])
+    padded_y = np.concatenate([y, np.ones(padding)])
+    (loss,), (grad,) = _loss_and_grad(
+        spec, params[None], padded_x[None], padded_y[None], np.array([batch])
+    )
+    assert abs(loss - expected_loss) <= 1e-13 * abs(expected_loss)
+    assert np.abs(grad - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_a_ragged_stack_takes_one_gradient_call_per_batch_step(monkeypatch):
+    # Shaped like the motion-lstm workload: fit sets of 7 and 8 rows at batch
+    # size 5, val sets of 8 and 7 rows.
+    calls = {"_loss_and_grad": 0, "_forward": 0}
+    for name in calls:
+        original = getattr(lstm, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(lstm, name, counted)
+    rng = np.random.default_rng(11)
+    epochs = 4
+    spec = LstmSpec(2, 10, 3, batch_size=5, max_epochs=epochs)
+    data = [member_data(rng, 7, 8, 5, 3), member_data(rng, 8, 7, 5, 3)]
+    lstm_train_members(spec, [1, 2], [arrays(f) for f, _ in data], [arrays(v) for _, v in data])
+    # Two batch steps per epoch (5 rows, then 2 or 3); one val pass per epoch
+    # and one before training.
+    assert calls["_loss_and_grad"] == 2 * epochs
+    assert calls["_forward"] == calls["_loss_and_grad"] + epochs + 1
+
+
+def test_a_member_does_not_depend_on_its_stack_mates():
+    rng = np.random.default_rng(12)
+    spec = LstmSpec(2, 4, 2, batch_size=4, max_epochs=30, early_stop_after=3)
+    member = member_data(rng, 6, 3, 4, 2)
+    small = member_data(rng, 5, 2, 4, 2)
+    large = member_data(rng, 11, 7, 4, 2)  # pads member's batches and val set
+    models, histories = {}, {}
+    for name, mate in (("small", small), ("large", large)):
+        histories[name] = [[], []]
+        models[name] = lstm_train_members(
+            spec,
+            [7, 8],
+            [arrays(member[0]), arrays(mate[0])],
+            [arrays(member[1]), arrays(mate[1])],
+            learning_rate=0.05,
+            early_stop_start=3,
+            histories=histories[name],
+        )[0]
+    assert_close_to_oracle(
+        models["large"], histories["large"][0], models["small"], histories["small"][0]
+    )
 
 
 def poison(member):
