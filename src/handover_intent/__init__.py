@@ -13,63 +13,3 @@ for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"
-
-from .core_data import (
-    Condition,
-    LabeledTrial,
-    Modality,
-    RawEeg,
-    RawGaze,
-    RawMotion,
-    TimeSeries,
-    TrialRecording,
-    epoch,
-    gate_participants,
-    label_for,
-    labeled,
-    load_dataset,
-)
-from .dsp import (
-    FilterSpec,
-    Standardization,
-    TfFeature,
-    TfSpec,
-    apply_filter,
-    average_channels,
-    interpolate_gaps,
-    morlet_tf,
-    standardize,
-)
-from .evaluation import (
-    AucTimeline,
-    CvScheme,
-    aggregate_participants,
-    anova_oneway,
-    auc_roc,
-    evaluate_window,
-    make_splits,
-    sustained_level_time,
-    sweep,
-)
-from .features import (
-    FeatureSequence,
-    PcaModel,
-    WindowGrid,
-    build_eeg_features,
-    build_gaze_features,
-    build_motion_features,
-    flatten,
-    pca_apply,
-    pca_fit,
-    window_features,
-)
-from .fusion import FusionMode, FusionSpec, late_fuse, run_fusion_sweep
-from .lda import LdaModel, lda_fit, lda_predict_proba
-from .lstm import (
-    LstmModel,
-    LstmSpec,
-    ensemble_predict,
-    gradient_check,
-    lstm_forward,
-    lstm_train,
-)

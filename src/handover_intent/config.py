@@ -36,7 +36,8 @@ Only [dataset] root, [experiment] modalities/model/seed, and [output] dir are
 required.  Every other key defaults to the matching field of
 ``ExperimentConfig`` (of ``WindowGrid`` for [windows]); [dataset] manifest
 defaults to ``manifest.txt`` under the root.  Relative paths are taken from
-the config file's directory.
+the config file's directory.  [features] eeg_pca_target is the one PCA
+variance target of the EEG block, in the eeg view and in every fusion view.
 """
 
 from __future__ import annotations
@@ -80,18 +81,9 @@ class ExperimentConfig:
     cache_dir: Path | None = None
     fusion_modes: tuple = ()  # FusionMode members; empty = no fusion pass
     fusion_modalities: tuple = ()
-    fusion_eeg_pca_target: float | None = None
 
     def fusion_specs(self) -> "list[FusionSpec]":
-        target = (
-            self.eeg_pca_target
-            if self.fusion_eeg_pca_target is None
-            else self.fusion_eeg_pca_target
-        )
-        return [
-            FusionSpec(mode=mode, modalities=self.fusion_modalities, eeg_pca_target=target)
-            for mode in self.fusion_modes
-        ]
+        return [FusionSpec(mode, self.fusion_modalities) for mode in self.fusion_modes]
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -140,7 +132,6 @@ _KEYS = {
     ("features", "cache_dir"): ("cache_dir", Path),
     ("fusion", "modes"): ("fusion_modes", lambda v: tuple(map(FusionMode, _items(v.lower())))),
     ("fusion", "modalities"): ("fusion_modalities", parse_modalities),
-    ("fusion", "eeg_pca_target"): ("fusion_eeg_pca_target", float),
     ("output", "dir"): ("out_dir", Path),
 }
 _REQUIRED = (

@@ -1,4 +1,6 @@
-"""Trial data model, dataset ingestion, epoching, class labels, gating.
+"""Trial data model, dataset ingestion, epoching, class labels, and the
+corruption rule that picks each view's complete trials (the pipeline gates a
+participant on how many there are).
 
 A dataset on disk is one manifest file plus per-trial CSV files.  Manifest
 format (UTF-8, line oriented)::
@@ -306,23 +308,6 @@ def is_uncorrupted(
         ok_values = bool(np.isfinite(stream.hand_xyz).all())
         ts = stream.to_timeseries()
     return ok_values and ts.covers(*window)
-
-
-def gate_participants(
-    trials: "list[LabeledTrial]",
-    modalities: "set[Modality]",
-    min_trials: int,
-    window: tuple[float, float] = (EPOCH_START_S, EPOCH_END_S),
-) -> "set[int]":
-    """Participants with >= ``min_trials`` trials complete in all ``modalities``."""
-    if min_trials < 1:
-        raise ValueError("min_trials must be >= 1")
-    counts: dict[int, int] = {}
-    for lt in trials:
-        t = lt.trial
-        if all(is_uncorrupted(t, m, window) for m in modalities):
-            counts[t.participant_id] = counts.get(t.participant_id, 0) + 1
-    return {pid for pid, n in counts.items() if n >= min_trials}
 
 
 def complete_trials(

@@ -1,6 +1,7 @@
 """Multimodal fusion views.  Early fusion fits one LDA on the concatenated
-per-modality blocks (the EEG block standardized and PCA-reduced first); late
-fusion averages per-modality LDA probabilities, weighted by each member's
+per-modality blocks (the EEG block standardized and PCA-reduced first, to the
+run's one variance target, as in the single-modality EEG view); late fusion
+averages per-modality LDA probabilities, weighted by each member's
 training-fold AUC.  Both run on the window-sweep engine of ``evaluation``,
 which also evaluates single modalities as one-block views."""
 
@@ -15,6 +16,7 @@ from .classifiers import lda_recipe_for
 from .core_data import Modality
 from .evaluation import AucTimeline, CvScheme, late_fusion_weights, sweep
 from .features import WindowGrid
+from .lda import DEFAULT_SHRINKAGE
 
 # Fixed concatenation / reporting order.
 MODALITY_ORDER = (Modality.EEG, Modality.GAZE, Modality.MOTION)
@@ -29,14 +31,11 @@ class FusionMode(Enum):
 class FusionSpec:
     mode: FusionMode
     modalities: tuple  # >= 2 distinct Modality members
-    eeg_pca_target: float = 0.99
 
     def __post_init__(self):
         mods = tuple(sorted(set(self.modalities), key=MODALITY_ORDER.index))
         if len(mods) < 2:
             raise ValueError("fusion needs at least two modalities")
-        if not 0.0 < self.eeg_pca_target <= 1.0:
-            raise ValueError("eeg_pca_target must be in (0, 1]")
         object.__setattr__(self, "modalities", mods)
 
     def tag(self) -> str:
@@ -58,7 +57,8 @@ def run_fusion_sweep(
     scheme: CvScheme,
     grid: WindowGrid | None = None,
     standardize_all: bool = False,
-    shrinkage: float | None = None,
+    eeg_pca_target: float = 0.99,
+    shrinkage: float = DEFAULT_SHRINKAGE,
     audit_out: "list | None" = None,
 ) -> AucTimeline:
     """Sweep the fusion view ``spec``: one LDA block per modality, in
@@ -67,7 +67,6 @@ def run_fusion_sweep(
     ``audit_out``, when given, collects per-window records (fused dimension in
     early mode, weight-fallback flags in late mode).
     """
-    recipe_kw = {} if shrinkage is None else {"shrinkage": shrinkage}
     blocks = []
     for m in spec.modalities:
         if m not in sequences_by_modality:
@@ -75,8 +74,8 @@ def run_fusion_sweep(
         recipe = lda_recipe_for(
             m,
             standardize_all=standardize_all,
-            eeg_pca_target=spec.eeg_pca_target,
-            **recipe_kw,
+            eeg_pca_target=eeg_pca_target,
+            shrinkage=shrinkage,
         )
         blocks.append((sequences_by_modality[m], recipe))
     return sweep(

@@ -17,7 +17,6 @@ from .config import ExperimentConfig, config_text_hash
 from .core_data import (
     Modality,
     complete_trials,
-    gate_participants,
     labeled,
     load_dataset,
     parse_manifest,
@@ -156,16 +155,16 @@ class ParticipantOutcome:
 
     participant_id: int
     load_error: str | None = None
-    gated: tuple = ()  # tags the participant passed gating for
+    gated: tuple = ()  # tags with >= min_trials complete trials, up to a feature error
     timelines: dict = field(default_factory=dict)  # tag -> AucTimeline
     audits: dict = field(default_factory=dict)  # fusion tag -> audit summary
     feature_error: tuple | None = None  # (tag, message); later tags not run
 
 
 def run_participant(task) -> ParticipantOutcome:
-    """Load one participant's trials, gate them for every view, build each
-    modality's features once, and run every sweep the participant is gated
-    into.  ``task`` is (config, manifest holding only that participant's
+    """Load one participant's trials and, view by view, gate them on the
+    count of complete trials, build each modality's features once, and run
+    the sweep.  ``task`` is (config, manifest holding only that participant's
     entries).  Failures come back as messages, so the parent can report them
     in the order a serial run meets them."""
     cfg, manifest = task
@@ -175,19 +174,14 @@ def run_participant(task) -> ParticipantOutcome:
     except Exception as exc:
         outcome.load_error = str(exc)
         return outcome
-    views = _views(cfg)
-    outcome.gated = tuple(
-        tag
-        for tag, mods, _ in views
-        if gate_participants(lts, set(mods), cfg.min_trials)
-    )
     cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
     built: dict = {}
     pid = outcome.participant_id
-    for tag, mods, spec in views:
-        if tag not in outcome.gated:
-            continue
+    for tag, mods, spec in _views(cfg):
         usable = complete_trials(lts, set(mods))
+        if len(usable) < cfg.min_trials:
+            continue
+        outcome.gated += (tag,)
         try:
             by_modality = {
                 m: _build_sequences(cfg, usable, m, cache, built) for m in mods
@@ -211,6 +205,7 @@ def run_participant(task) -> ParticipantOutcome:
             _scheme(cfg, False, tag, pid),  # fusion views are LDA
             grid=cfg.grid,
             standardize_all=cfg.standardize_all,
+            eeg_pca_target=cfg.eeg_pca_target,
             shrinkage=cfg.lda_shrinkage,
             audit_out=audit,
         )

@@ -13,7 +13,7 @@ from handover_intent.config import (
     validate_config,
     with_overrides,
 )
-from handover_intent.core_data import Modality, load_dataset, labeled, gate_participants
+from handover_intent.core_data import Modality, complete_trials, load_dataset, labeled
 from handover_intent.fusion import FusionMode
 from handover_intent.synth import SynthProfile, generate_dataset, parse_profile
 
@@ -74,7 +74,6 @@ dir = ./out
 UNSET_BY_DEFAULT = {
     ("features", "cache_dir"),
     ("fusion", "modalities"),
-    ("fusion", "eeg_pca_target"),
 }
 
 
@@ -114,6 +113,19 @@ class TestConfigParsing:
         text = MINIMAL_CONFIG + "\n[experiment]\nbogus = 1\n"
         with pytest.raises(ConfigError, match=r":\d+: unknown key \[experiment\] bogus"):
             parse_config_text(text)
+
+    def test_removed_fusion_pca_target_is_an_unknown_key(self):
+        # EEG PCA has one target, [features] eeg_pca_target, for every view,
+        # and it is range-checked.
+        text = MINIMAL_CONFIG + "\n[fusion]\neeg_pca_target = 0.9\n"
+        line = text.splitlines().index("eeg_pca_target = 0.9") + 1
+        with pytest.raises(
+            ConfigError, match=rf"^<config>:{line}: unknown key \[fusion\] eeg_pca_target"
+        ):
+            parse_config_text(text)
+        out_of_range = MINIMAL_CONFIG + "\n[features]\neeg_pca_target = 0.0\n"
+        with pytest.raises(ConfigError, match=r"\[features\] eeg_pca_target must be in"):
+            parse_config_text(out_of_range)
 
     def test_bad_value_reports_line_number(self):
         text = MINIMAL_CONFIG.replace("seed = 7", "seed = banana")
@@ -196,10 +208,9 @@ class TestSynth:
         manifest = generate_dataset(profile, tmp_path)
         trials = load_dataset(tmp_path, manifest)
         assert len(trials) == 2 * 12
-        gated = gate_participants(
-            labeled(trials), {Modality.GAZE, Modality.MOTION}, 12
-        )
-        assert gated == {1, 2}
+        for pid in (1, 2):
+            own = [lt for lt in labeled(trials) if lt.trial.participant_id == pid]
+            assert len(complete_trials(own, {Modality.GAZE, Modality.MOTION})) == 12
         truth = json.loads((tmp_path / "ground_truth.json").read_text())
         assert truth["injection_time_s"]["gaze"] == 1.0
         assert truth["seed"] == 3
@@ -434,3 +445,34 @@ class TestFusionPipeline:
         # gaze, early:gaze+motion and late:gaze+motion for each of 2 participants,
         # each with its own CV seed.
         assert len(seeds) == len(set(seeds)) == 2 * 3
+
+    def test_corruption_rule_runs_once_per_trial_and_view(self, tmp_path, monkeypatch):
+        import handover_intent.core_data as core_data
+
+        original = core_data.is_uncorrupted
+        calls = []
+
+        def counting(trial, modality, *args):
+            calls.append((trial.trial_id, modality))
+            return original(trial, modality, *args)
+
+        monkeypatch.setattr(core_data, "is_uncorrupted", counting)
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
+            "modalities = gaze,motion\nseed = 4\n"
+        )
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "[dataset]\nroot = ./data\n"
+            "[experiment]\nmodalities = gaze,motion\nmodel = lda\nseed = 2\nmin_trials = 10\n"
+            "[cv]\nfolds = 3\nrepeats = 1\n"
+            "[windows]\nfirst_end_s = 0.0\nlast_end_s = 1.0\nstep_s = 1.0\n"
+            "[fusion]\nmodes = early,late\nmodalities = gaze,motion\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
+        # 18 trials; views gaze, motion, early:gaze+motion and late:gaze+motion
+        # check one, one, two and two modalities per trial, once each.
+        assert len(calls) == 18 * (1 + 1 + 2 + 2)

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handover_intent.config import ConfigError, parse_config_text
 from handover_intent.core_data import (
     Condition,
     CoverageError,
@@ -15,9 +18,9 @@ from handover_intent.core_data import (
     MOTION_COLUMNS,
     TimeSeries,
     TrialRecording,
+    complete_trials,
     convert_dataset,
     epoch,
-    gate_participants,
     is_uncorrupted,
     label_for,
     labeled,
@@ -167,6 +170,17 @@ def _labeled_trials(spec_rows):
     return labeled(out)
 
 
+def complete_counts(trials, modalities):
+    """Per participant, the number of trials complete in ``modalities``."""
+    return Counter(lt.trial.participant_id for lt in complete_trials(trials, modalities))
+
+
+def gated(trials, modalities, min_trials):
+    """Participants the pipeline runs a view for: at least ``min_trials``
+    complete trials."""
+    return {pid for pid, n in complete_counts(trials, modalities).items() if n >= min_trials}
+
+
 class TestGating:
     def test_joint_completeness_excludes_partial_participants(self):
         # Mirrors the published trial counts: one participant holds 80 gaze
@@ -193,27 +207,33 @@ class TestGating:
                     lt.label,
                 )
             )
-        both = gate_participants(fixed, {Modality.GAZE, Modality.MOTION}, 60)
+        both = gated(fixed, {Modality.GAZE, Modality.MOTION}, 60)
         assert both == {3}
-        gaze_only = gate_participants(fixed, {Modality.GAZE}, 60)
+        gaze_only = gated(fixed, {Modality.GAZE}, 60)
         assert gaze_only == {2, 3}
 
     def test_59_trials_misses_a_60_trial_gate(self):
         trials = _labeled_trials([(1, 59, ("gaze",)), (5, 90, ("gaze",))])
-        assert gate_participants(trials, {Modality.GAZE}, 60) == {5}
-        assert gate_participants(trials, {Modality.GAZE}, 59) == {1, 5}
+        assert complete_counts(trials, {Modality.GAZE}) == {1: 59, 5: 90}
+        assert gated(trials, {Modality.GAZE}, 60) == {5}
+        assert gated(trials, {Modality.GAZE}, 59) == {1, 5}
 
     def test_empty_input(self):
-        assert gate_participants([], {Modality.GAZE}, 1) == set()
+        assert complete_trials([], {Modality.GAZE}) == []
 
     def test_min_trials_validation(self):
-        with pytest.raises(ValueError):
-            gate_participants([], {Modality.GAZE}, 0)
+        # The gate's threshold is checked where it is read, in the run config.
+        text = (
+            "[dataset]\nroot = d\n[experiment]\nmodalities = gaze\nmodel = lda\n"
+            "seed = 1\nmin_trials = 0\n[output]\ndir = o\n"
+        )
+        with pytest.raises(ConfigError, match=r"\[experiment\] min_trials must be >= 1"):
+            parse_config_text(text)
 
     def test_truncated_stream_counts_as_corrupted(self):
         short = make_gaze(end=2.0)  # covers [-5, 2] only
         trials = labeled([make_trial(gaze=short)])
-        assert gate_participants(trials, {Modality.GAZE}, 1) == set()
+        assert complete_trials(trials, {Modality.GAZE}) == []
         assert short.truncated is False  # loader sets the flag from coverage
 
     def test_monotone_in_min_trials_and_modalities(self):
@@ -221,12 +241,15 @@ class TestGating:
             [(1, 70, ("gaze",)), (2, 70, ("gaze", "motion")), (3, 40, ("gaze", "motion"))]
         )
         for low, high in [(1, 30), (30, 60), (60, 71)]:
-            a = gate_participants(trials, {Modality.GAZE}, low)
-            b = gate_participants(trials, {Modality.GAZE}, high)
+            a = gated(trials, {Modality.GAZE}, low)
+            b = gated(trials, {Modality.GAZE}, high)
             assert b <= a
-        single = gate_participants(trials, {Modality.GAZE}, 30)
-        joint = gate_participants(trials, {Modality.GAZE, Modality.MOTION}, 30)
-        assert joint <= single
+        single = complete_trials(trials, {Modality.GAZE})
+        joint = complete_trials(trials, {Modality.GAZE, Modality.MOTION})
+        assert all(lt in single for lt in joint)
+        assert gated(trials, {Modality.GAZE, Modality.MOTION}, 30) <= gated(
+            trials, {Modality.GAZE}, 30
+        )
 
     def test_nonfinite_motion_is_corrupted_but_gaze_gaps_are_not(self):
         xyz = np.tile([0.1, 0.2, 0.3], (56, 1))

@@ -39,14 +39,6 @@ class TestFusionSpec:
         assert spec.modalities == (Modality.GAZE, Modality.MOTION)
         assert spec.tag() == "late:gaze+motion"
 
-    def test_pca_target_validated(self):
-        with pytest.raises(ValueError):
-            FusionSpec(
-                mode=FusionMode.EARLY,
-                modalities=(Modality.GAZE, Modality.MOTION),
-                eeg_pca_target=0.0,
-            )
-
 
 class TestLateFuse:
     def test_equal_performances_average(self):

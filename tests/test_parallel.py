@@ -146,6 +146,15 @@ class TestProcessSetup:
         )
         assert python(code) == "[]"
 
+    def test_cli_import_loads_every_package_module(self):
+        # A module the CLI never imports is code no run can reach.
+        code = (
+            "import pkgutil, sys, handover_intent, handover_intent.cli\n"
+            "print(sorted(m.name for m in pkgutil.iter_modules(handover_intent.__path__)\n"
+            "             if f'handover_intent.{m.name}' not in sys.modules))"
+        )
+        assert python(code) == "[]"
+
     def test_eeg_features_load_no_scipy_signal(self):
         code = (
             "import sys\n"
