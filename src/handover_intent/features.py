@@ -198,21 +198,36 @@ class PcaModel:
 
 def pca_fit(x: np.ndarray, variance_target: float = 0.99) -> PcaModel:
     """Smallest component count whose cumulative explained variance reaches
-    the target; components from the SVD of the mean-centered data (equivalent
-    to eigen-decomposing its covariance)."""
+    the target.
+
+    The components are the principal axes of the mean-centred data C (n, D).
+    When n < D they come from ``eigh`` of the n x n Gram C C^T: its
+    eigenvalues are the squared singular values of C, and each axis is
+    C^T u / sqrt(eigenvalue) for an eigenvector u, which costs O(n^2 D)
+    instead of an n x D SVD.  Otherwise they come from the SVD of C.
+    Directions with at most 1e-12 of the largest variance are dropped before
+    thresholding; zero-variance data gets one dummy component.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError(f"need a 2-D matrix with n >= 2 rows, got shape {x.shape}")
     if not 0.0 < variance_target <= 1.0:
         raise ValueError(f"variance_target must be in (0, 1], got {variance_target}")
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
     mean = x.mean(axis=0)
     centered = x - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = svals**2
+    n, d = centered.shape
+    if n < d:
+        eigenvalues, u = np.linalg.eigh(centered @ centered.T)
+        variances, u = eigenvalues[::-1], u[:, ::-1]  # descending
+    else:
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        variances = svals**2
     total = variances.sum()
     if total <= 0.0:
         # Zero-variance data: one dummy direction carries "all" the variance.
-        components = np.zeros((1, x.shape[1]))
+        components = np.zeros((1, d))
         components[0, 0] = 1.0
         return PcaModel(mean=mean, components=components,
                         explained_variance_ratio=np.array([1.0]))
@@ -222,8 +237,12 @@ def pca_fit(x: np.ndarray, variance_target: float = 0.99) -> PcaModel:
     cumulative = np.cumsum(ratio[keep])
     k = int(np.searchsorted(cumulative, variance_target - 1e-12) + 1)
     k = min(k, int(keep.sum()))
+    if n < d:
+        components = (centered.T @ (u[:, :k] / np.sqrt(variances[:k]))).T
+    else:
+        components = vt[:k]
     return PcaModel(
-        mean=mean, components=vt[:k], explained_variance_ratio=ratio[:k]
+        mean=mean, components=components, explained_variance_ratio=ratio[:k]
     )
 
 

@@ -351,6 +351,27 @@ class TestSweep:
         assert np.isnan(timeline.auc[ends > 2.0]).all()
         assert timeline.errors and all(end > 1.75 for end, _ in timeline.errors)
 
+    @pytest.mark.parametrize(
+        "recipe",
+        [lda_recipe_for(Modality.MOTION), lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)],
+        ids=["raw", "standardize+pca"],
+    )
+    def test_nan_feature_fails_exactly_the_windows_that_contain_it(self, rng, recipe):
+        seqs = toy_sequences(rng, n=30, signal_at=0.0)
+        values = seqs[7].series.values.copy()
+        values[25, 1] = np.nan  # the sample at t = 0.0 s
+        seqs[7] = FeatureSequence(Modality.MOTION, series(-5.0, 0.2, values), (1, 7), seqs[7].label)
+        grid = WindowGrid(first_end_s=-1.0, last_end_s=1.0, step_s=0.5)
+        timeline = sweep([(seqs, recipe)], CvScheme(k=3, repeats=1, seed=2), grid=grid)
+        holds_nan = [
+            bool(np.isnan(flatten(window_features(seqs[7], end, grid))).any())
+            for end in grid.end_times()
+        ]
+        assert holds_nan == [False, False, False, True, True]
+        assert [end for end, _ in timeline.errors] == [0.5, 1.0]
+        assert all("infs or NaNs" in message for _, message in timeline.errors)
+        assert np.isfinite(timeline.auc[:3]).all() and np.isnan(timeline.auc[3:]).all()
+
 
 def timeline_from(auc_values, participant_id=1, tag="gaze", model="lda"):
     auc = np.asarray(auc_values, dtype=float)

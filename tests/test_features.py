@@ -300,6 +300,21 @@ class TestPca:
         with pytest.raises(ValueError):
             pca_apply(model, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(6, 3), (6, 40)])
+    def test_zero_variance_gets_one_dummy_component(self, shape):
+        model = pca_fit(np.full(shape, 2.5), 0.99)
+        expected = np.zeros((1, shape[1]))
+        expected[0, 0] = 1.0
+        assert np.array_equal(model.components, expected)
+        assert model.explained_variance_ratio.tolist() == [1.0]
+
+    @pytest.mark.parametrize("shape", [(10, 3), (10, 40)])
+    def test_non_finite_input_rejected(self, shape):
+        x = np.random.default_rng(0).normal(size=shape)
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            pca_fit(x, 0.99)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
     def test_smallest_k_reaching_target(self, seed):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lda_oracle
+from handover_intent.features import pca_fit
 from handover_intent.lda import lda_decision, lda_fit, lda_predict_proba
 
 
@@ -109,3 +113,106 @@ class TestPredict:
         p_mapped = lda_predict_proba(lda_fit(x_mapped, y, shrinkage=0.0), x_mapped)
         assert np.abs(p_orig - p_mapped).max() < 1e-8
         assert np.array_equal(p_orig > 0.5, p_mapped > 0.5)
+
+
+def random_problem(seed: int, n: int, d: int):
+    """Training data with unequal column scales and offsets, labels holding
+    both classes, and held-out rows."""
+    rng = np.random.default_rng(seed)
+    scales = rng.uniform(0.1, 5.0, size=d)
+    x = rng.normal(size=(n, d)) * scales + rng.normal(scale=10.0, size=d)
+    y = rng.permutation(np.arange(n) % 2)
+    x_test = rng.normal(size=(15, d)) * scales + x.mean(axis=0)
+    return x, y, x_test
+
+
+def relative_gap(decision, oracle):
+    return np.abs(decision - oracle).max() / np.abs(oracle).max()
+
+
+def matches_oracle(x, y, x_test, shrinkage) -> float:
+    got = lda_decision(lda_fit(x, y, shrinkage), x_test)
+    return relative_gap(got, lda_oracle.lda_decision(lda_oracle.lda_fit(x, y, shrinkage), x_test))
+
+
+class TestSampleSpaceSolve:
+    """``lda_fit`` solves in the smaller of feature and sample space; the
+    feature-space Cholesky oracle must give the same decisions."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(6, 40),
+        shape=st.sampled_from(["d<n", "d=n", "d>>n"]),
+        log_shrinkage=st.floats(-4.0, 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_and_pca_match_the_oracles(self, seed, n, shape, log_shrinkage):
+        d = {"d<n": max(1, n // 3), "d=n": n, "d>>n": 12 * n}[shape]
+        x, y, x_test = random_problem(seed, n, d)
+        assert matches_oracle(x, y, x_test, 10.0**log_shrinkage) <= 1e-9
+        target = np.random.default_rng(seed).uniform(0.5, 1.0)
+        model = pca_fit(x, target)
+        components, ratio = lda_oracle.pca_fit(x, target)
+        assert model.components.shape[0] == components.shape[0]
+        assert np.abs(model.explained_variance_ratio - ratio).max() <= 1e-9
+        cosines = np.linalg.svd(
+            np.linalg.qr(model.components.T)[0].T @ np.linalg.qr(components.T)[0],
+            compute_uv=False,
+        )
+        assert cosines.min() >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("shrinkage", [1e-4, 0.3, 1.0])
+    def test_both_sides_of_the_switch_match_the_oracle(self, offset, shrinkage):
+        n = 24
+        x, y, x_test = random_problem(7 + offset, n, n + offset)
+        assert matches_oracle(x, y, x_test, shrinkage) <= 1e-9
+
+    @pytest.mark.parametrize("d", [5, 200])
+    def test_full_shrinkage_is_the_scaled_identity(self, d):
+        x, y, x_test = random_problem(3, 20, d)
+        with np.errstate(all="raise"):
+            model = lda_fit(x, y, shrinkage=1.0)
+        means = model.class_means
+        centered = x - means[y]
+        tau = (centered**2).sum() / centered.size
+        expected = (x_test - means.mean(axis=0)) @ (means[1] - means[0]) / tau
+        expected += model.log_priors[1] - model.log_priors[0]
+        assert relative_gap(lda_decision(model, x_test), expected) <= 1e-12
+
+    def test_zero_shrinkage_with_more_features_than_trials_is_singular(self):
+        x, y, _ = random_problem(5, 12, 30)
+        with pytest.raises(ValueError, match="singular even after shrinkage"):
+            lda_fit(x, y, shrinkage=0.0)
+        with pytest.raises(ValueError, match="singular even after shrinkage"):
+            lda_oracle.lda_fit(x, y, shrinkage=0.0)
+
+    def test_identical_trials_within_each_class_are_singular(self):
+        # Zero pooled covariance: the identity target tau * I is zero too.
+        x = np.repeat([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], 4, axis=0)
+        y = np.repeat([0, 1], 4)
+        for shrinkage in (1e-4, 1.0):
+            with pytest.raises(ValueError, match="singular even after shrinkage"):
+                lda_fit(x, y, shrinkage)
+            with pytest.raises(ValueError, match="singular even after shrinkage"):
+                lda_fit(np.tile(x, 3), y, shrinkage)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("d", [3, 40])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_rejects(self, d, bad):
+        x, y, _ = random_problem(1, 10, d)
+        x[4, d - 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lda_fit(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_decision_and_proba_reject(self, bad):
+        x, y, x_test = random_problem(2, 10, 40)
+        model = lda_fit(x, y)
+        x_test[3, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lda_decision(model, x_test)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lda_predict_proba(model, x_test[3])

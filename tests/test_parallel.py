@@ -1,6 +1,6 @@
 """The participant process pool and the process-level setup it relies on:
-one BLAS thread per process, and no scipy import at CLI start-up or for EEG
-features."""
+one BLAS thread per process, and no scipy import at CLI start-up, for EEG
+features or for LDA fits."""
 
 import json
 import os
@@ -168,6 +168,28 @@ class TestProcessSetup:
             "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
         )
         assert python(code).splitlines() == ["(212, 36)", "[]"]
+
+    def test_lda_sweep_loads_no_scipy_linalg(self):
+        # A scipy.linalg import costs every pool worker about 0.2 s.  The
+        # windows cover both sides of D = n_train, with and without PCA.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import handover_intent.cli\n"
+            "from handover_intent.classifiers import LdaRecipe\n"
+            "from handover_intent.core_data import Modality, TimeSeries\n"
+            "from handover_intent.evaluation import CvScheme, sweep\n"
+            "from handover_intent.features import FeatureSequence, WindowGrid\n"
+            "rng = np.random.default_rng(0)\n"
+            "seqs = [FeatureSequence(Modality.EEG, TimeSeries(-1.0, 0.1, rng.normal(size=(20, 4))),\n"
+            "                        (1, i), i % 2) for i in range(12)]\n"
+            "grid = WindowGrid(start_s=-1.0, first_end_s=-0.9, last_end_s=0.1, step_s=0.5)\n"
+            "for recipe in (LdaRecipe(), LdaRecipe(standardize=True, pca_variance_target=0.99)):\n"
+            "    timeline = sweep([(seqs, recipe)], CvScheme(k=2, repeats=1, seed=0), grid=grid)\n"
+            "    print(np.isfinite(timeline.auc).all())\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+        )
+        assert python(code).splitlines() == ["True", "True", "[]"]
 
     def test_import_pins_blas_threads_to_one(self):
         code = (
