@@ -2,6 +2,13 @@
 corruption rule that picks each view's complete trials (the pipeline gates a
 participant on how many there are).
 
+A trial is a ``TrialRecording``: its ids, condition and onset plus one
+``RawStream`` per recorded modality, keyed by ``Modality``.  Every stream,
+whatever its modality, is a time-major ``TimeSeries`` (T x D) with the names
+of its D columns; ``STREAM_COLUMNS`` fixes the gaze and motion columns, and
+EEG's are its channel names.  A trial's class label is always
+``label_for(trial.condition)``.
+
 A dataset on disk is one manifest file plus per-trial CSV files.  Manifest
 format (UTF-8, line oriented)::
 
@@ -16,9 +23,10 @@ format (UTF-8, line oriented)::
     participant,trial,condition,onset_s,eeg,gaze,motion
     1,0,Handover,0.0,eeg/p01_t000.csv,gaze/p01_t000.csv,-
 
-Paths are relative to the manifest's directory; ``-`` marks an absent
-modality.  Trial CSVs have a header row and a first column of onset-relative
-time in seconds on a uniform grid:
+The header accepts only the keys above, each at most once.  Paths are
+relative to the manifest's directory; ``-`` marks an absent modality.  Trial
+CSVs have a header row and a first column of onset-relative time in seconds
+on a uniform grid:
 
 * EEG:    ``time_s,<channel>,<channel>,...`` (microvolts)
 * gaze:   ``time_s,gaze_x,gaze_y,ref_x,ref_y`` (pixels; ``nan`` = missing)
@@ -41,9 +49,6 @@ log = logging.getLogger(__name__)
 # All analysis windows live inside this onset-relative epoch.
 EPOCH_START_S = -5.0
 EPOCH_END_S = 6.0
-
-GAZE_COLUMNS = ["gaze_x", "gaze_y", "ref_x", "ref_y"]
-MOTION_COLUMNS = ["hand_x", "hand_y", "hand_z"]
 
 _GRID_TOL = 1e-6  # fraction of one step
 
@@ -81,6 +86,14 @@ def parse_modalities(text: str) -> tuple:
     if not items:
         raise ValueError("empty modality list")
     return tuple(Modality(v) for v in items)
+
+
+# The trial CSV columns after time_s of the modalities with fixed columns.
+# EEG columns are channel names, checked against the manifest's eeg_channels.
+STREAM_COLUMNS = {
+    Modality.GAZE: ["gaze_x", "gaze_y", "ref_x", "ref_y"],
+    Modality.MOTION: ["hand_x", "hand_y", "hand_z"],
+}
 
 
 def label_for(condition: Condition) -> int:
@@ -164,72 +177,19 @@ def epoch(stream: TimeSeries, window_start_s: float, window_end_s: float) -> Tim
 
 
 @dataclass(frozen=True)
-class RawEeg:
-    sample_rate_hz: float
-    channel_names: list[str]
-    samples: np.ndarray  # (channels, time), microvolts
-    start_time_s: float
-    truncated: bool = False
+class RawStream:
+    """One modality's recording of a trial: time-major samples in their
+    recorded units (gaze ``nan`` marks a missing sample) and the name of each
+    column."""
+
+    series: TimeSeries
+    columns: list[str]
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2 or s.shape[0] != len(self.channel_names):
+        if len(self.columns) != self.series.n_features:
             raise ValueError(
-                f"samples shape {s.shape} inconsistent with "
-                f"{len(self.channel_names)} channel names"
+                f"{self.series.n_features} columns but {len(self.columns)} names"
             )
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "samples", s)
-
-    def to_timeseries(self) -> TimeSeries:
-        return TimeSeries(self.start_time_s, 1.0 / self.sample_rate_hz, self.samples.T)
-
-
-@dataclass(frozen=True)
-class RawGaze:
-    sample_rate_hz: float
-    gaze_xy: np.ndarray  # (time, 2), pixels; nan marks missing samples
-    reference_xy: np.ndarray  # (time, 2), pixels
-    start_time_s: float
-    truncated: bool = False
-
-    def __post_init__(self):
-        g = np.asarray(self.gaze_xy, dtype=float)
-        r = np.asarray(self.reference_xy, dtype=float)
-        if g.shape != r.shape or g.ndim != 2 or g.shape[1] != 2:
-            raise ValueError(
-                f"gaze_xy {g.shape} and reference_xy {r.shape} must both be (T, 2)"
-            )
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "gaze_xy", g)
-        object.__setattr__(self, "reference_xy", r)
-
-    def gaze_series(self) -> TimeSeries:
-        return TimeSeries(self.start_time_s, 1.0 / self.sample_rate_hz, self.gaze_xy)
-
-    def reference_series(self) -> TimeSeries:
-        return TimeSeries(self.start_time_s, 1.0 / self.sample_rate_hz, self.reference_xy)
-
-
-@dataclass(frozen=True)
-class RawMotion:
-    sample_rate_hz: float
-    hand_xyz: np.ndarray  # (time, 3), meters, camera frame
-    start_time_s: float
-    truncated: bool = False
-
-    def __post_init__(self):
-        h = np.asarray(self.hand_xyz, dtype=float)
-        if h.ndim != 2 or h.shape[1] != 3:
-            raise ValueError(f"hand_xyz must be (T, 3), got {h.shape}")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
-        object.__setattr__(self, "hand_xyz", h)
-
-    def to_timeseries(self) -> TimeSeries:
-        return TimeSeries(self.start_time_s, 1.0 / self.sample_rate_hz, self.hand_xyz)
 
 
 @dataclass(frozen=True)
@@ -238,43 +198,17 @@ class TrialRecording:
     trial_id: int
     condition: Condition
     onset_time_s: float  # onset instant on the original recording clock
-    eeg: RawEeg | None = None
-    gaze: RawGaze | None = None
-    motion: RawMotion | None = None
+    streams: dict  # Modality -> RawStream, the modalities recorded
 
     def __post_init__(self):
         if self.participant_id < 1:
             raise ValueError("participant_id must be >= 1")
         if self.trial_id < 0:
             raise ValueError("trial_id must be >= 0")
-        if self.eeg is None and self.gaze is None and self.motion is None:
+        if not self.streams:
             raise ValueError(
                 f"trial ({self.participant_id}, {self.trial_id}) has no modality stream"
             )
-
-    def stream(self, modality: Modality):
-        return {
-            Modality.EEG: self.eeg,
-            Modality.GAZE: self.gaze,
-            Modality.MOTION: self.motion,
-        }[modality]
-
-
-@dataclass(frozen=True)
-class LabeledTrial:
-    trial: TrialRecording
-    label: int
-
-    def __post_init__(self):
-        if self.label != label_for(self.trial.condition):
-            raise ValueError(
-                f"label {self.label} inconsistent with condition "
-                f"{self.trial.condition.value}"
-            )
-
-
-def labeled(trials: "list[TrialRecording]") -> "list[LabeledTrial]":
-    return [LabeledTrial(t, label_for(t.condition)) for t in trials]
 
 
 def is_uncorrupted(
@@ -290,37 +224,22 @@ def is_uncorrupted(
     and motion arrive cleaned, so any non-finite sample marks the trial
     corrupted for that modality.
     """
-    stream = trial.stream(modality)
-    if stream is None or stream.truncated:
+    stream = trial.streams.get(modality)
+    if stream is None or not stream.series.covers(*window):
         return False
+    finite = np.isfinite(stream.series.values)
     if modality is Modality.GAZE:
-        series = np.hstack([stream.gaze_xy, stream.reference_xy])
-        if not series.shape[0]:
-            return False
-        if not np.isfinite(series).any(axis=0).all():
-            return False
-        ok_values = True
-        ts = stream.gaze_series()
-    elif modality is Modality.EEG:
-        ok_values = bool(np.isfinite(stream.samples).all())
-        ts = stream.to_timeseries()
-    else:
-        ok_values = bool(np.isfinite(stream.hand_xyz).all())
-        ts = stream.to_timeseries()
-    return ok_values and ts.covers(*window)
+        return bool(finite.any(axis=0).all())
+    return bool(finite.all())
 
 
 def complete_trials(
-    trials: "list[LabeledTrial]",
+    trials: "list[TrialRecording]",
     modalities: "set[Modality]",
     window: tuple[float, float] = (EPOCH_START_S, EPOCH_END_S),
-) -> "list[LabeledTrial]":
+) -> "list[TrialRecording]":
     """The trials that pass the corruption rule for every requested modality."""
-    return [
-        lt
-        for lt in trials
-        if all(is_uncorrupted(lt.trial, m, window) for m in modalities)
-    ]
+    return [t for t in trials if all(is_uncorrupted(t, m, window) for m in modalities)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +283,10 @@ def read_sections(text: str, origin: str, keys: dict, error=ValueError) -> dict:
     return values
 
 
-_TRIAL_HEADER = ["participant", "trial", "condition", "onset_s", "eeg", "gaze", "motion"]
+_TRIAL_HEADER = ["participant", "trial", "condition", "onset_s"] + [m.value for m in Modality]
+_HEADER_KEYS = {"format_version", "name", "eeg_channels"} | {
+    f"{m.value}_rate_hz" for m in Modality
+}
 
 
 @dataclass(frozen=True)
@@ -373,16 +295,7 @@ class ManifestEntry:
     trial_id: int
     condition: Condition
     onset_s: float
-    eeg_path: str | None
-    gaze_path: str | None
-    motion_path: str | None
-
-    def path_for(self, modality: Modality) -> str | None:
-        return {
-            Modality.EEG: self.eeg_path,
-            Modality.GAZE: self.gaze_path,
-            Modality.MOTION: self.motion_path,
-        }[modality]
+    paths: dict  # Modality -> trial CSV path relative to the manifest
 
 
 @dataclass(frozen=True)
@@ -412,7 +325,12 @@ def parse_manifest(path: "Path | str") -> Manifest:
                 if "=" not in line:
                     raise DatasetError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
-                keys[key.strip()] = value.strip()
+                key = key.strip()
+                if key not in _HEADER_KEYS:
+                    raise DatasetError(f"{path}:{lineno}: unknown key {key}")
+                if key in keys:
+                    raise DatasetError(f"{path}:{lineno}: duplicate key {key}")
+                keys[key] = value.strip()
                 continue
             fields = [f.strip() for f in line.split(",")]
             if not saw_header:
@@ -434,9 +352,7 @@ def parse_manifest(path: "Path | str") -> Manifest:
                     trial_id=int(fields[1]),
                     condition=Condition.parse(fields[2]),
                     onset_s=float(fields[3]),
-                    eeg_path=None if fields[4] == "-" else fields[4],
-                    gaze_path=None if fields[5] == "-" else fields[5],
-                    motion_path=None if fields[6] == "-" else fields[6],
+                    paths={m: f for m, f in zip(Modality, fields[4:]) if f != "-"},
                 )
             except ValueError as exc:
                 raise DatasetError(f"{path}:{lineno}: {exc}") from exc
@@ -475,19 +391,8 @@ def write_manifest(path: "Path | str", manifest: Manifest) -> None:
     lines.append("[trials]")
     lines.append(",".join(_TRIAL_HEADER))
     for e in manifest.entries:
-        lines.append(
-            ",".join(
-                [
-                    str(e.participant_id),
-                    str(e.trial_id),
-                    e.condition.value,
-                    repr(float(e.onset_s)),
-                    e.eeg_path or "-",
-                    e.gaze_path or "-",
-                    e.motion_path or "-",
-                ]
-            )
-        )
+        head = [str(e.participant_id), str(e.trial_id), e.condition.value, repr(float(e.onset_s))]
+        lines.append(",".join(head + [e.paths.get(m) or "-" for m in Modality]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -512,8 +417,9 @@ def _diagnose_bad_rows(path: Path, n_columns: int) -> str:
     return f"{path}: unreadable numeric data"
 
 
-def read_trial_csv(path: "Path | str") -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Read one trial file; returns (times, values, column names)."""
+def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[str]]:
+    """Read one trial file; returns (first time, time step, values, column
+    names), values being (T, D) with time column dropped."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -538,9 +444,7 @@ def read_trial_csv(path: "Path | str") -> tuple[np.ndarray, np.ndarray, list[str
     if step <= 0 or np.abs(steps - step).max() > 1e-4 * step:
         row = int(np.abs(steps - step).argmax()) + 2
         raise DatasetError(f"{path}:{row}: time grid is not uniform")
-    values = data[:, 1:]
-    values.flags.writeable = False
-    return times, values, columns[1:]
+    return float(times[0]), step, data[:, 1:], columns[1:]
 
 
 def write_trial_csv(
@@ -554,29 +458,9 @@ def write_trial_csv(
             fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
 
 
-def _check_rate(
-    path: Path, step: float, declared_hz: float | None, context: str
-) -> float:
-    rate = 1.0 / step
-    if declared_hz is not None and abs(rate - declared_hz) > 1e-3 * declared_hz:
-        raise DatasetError(
-            f"{path}: {context} rate {rate:.6g} Hz does not match manifest "
-            f"{declared_hz:.6g} Hz"
-        )
-    return rate
-
-
 def _load_stream(
-    root: Path,
-    entry: ManifestEntry,
-    modality: Modality,
-    manifest: Manifest,
-    window: tuple[float, float],
-):
-    rel = entry.path_for(modality)
-    if rel is None:
-        return None
-    path = root / rel
+    path: Path, entry: ManifestEntry, modality: Modality, manifest: Manifest
+) -> RawStream | None:
     if not path.exists():
         log.warning(
             "trial (%d, %d): missing %s file %s; loading without that modality",
@@ -586,32 +470,29 @@ def _load_stream(
             path,
         )
         return None
-    times, values, columns = read_trial_csv(path)
-    step = float(np.median(np.diff(times)))
-    rate = _check_rate(path, step, manifest.rates_hz.get(modality), modality.value)
-    start = float(times[0])
-    probe = TimeSeries(start, step, np.zeros((len(times), 1)))
-    truncated = not probe.covers(*window)
+    start, step, values, columns = read_trial_csv(path)
+    rate = 1.0 / step
+    declared_hz = manifest.rates_hz.get(modality)
+    if declared_hz is not None and abs(rate - declared_hz) > 1e-3 * declared_hz:
+        raise DatasetError(
+            f"{path}: {modality.value} rate {rate:.6g} Hz does not match manifest "
+            f"{declared_hz:.6g} Hz"
+        )
     if modality is Modality.EEG:
-        if manifest.eeg_channels is not None and columns != manifest.eeg_channels:
-            raise DatasetError(
-                f"{path}: channels {columns} do not match manifest "
-                f"{manifest.eeg_channels}"
-            )
-        return RawEeg(rate, columns, values.T, start, truncated)
-    if modality is Modality.GAZE:
-        if columns != GAZE_COLUMNS:
-            raise DatasetError(f"{path}: gaze columns must be {GAZE_COLUMNS}, got {columns}")
-        return RawGaze(rate, values[:, 0:2], values[:, 2:4], start, truncated)
-    if columns != MOTION_COLUMNS:
-        raise DatasetError(f"{path}: motion columns must be {MOTION_COLUMNS}, got {columns}")
-    return RawMotion(rate, values, start, truncated)
+        expected = manifest.eeg_channels
+    else:
+        expected = STREAM_COLUMNS[modality]
+    if expected is not None and columns != expected:
+        raise DatasetError(
+            f"{path}: {modality.value} columns {columns} do not match {expected}"
+        )
+    # The step is 1/rate, which can differ from ``step`` in the last bit, and
+    # the Morlet output stride can turn on that bit (see dsp.morlet_tf).
+    return RawStream(TimeSeries(start, 1.0 / rate, values), columns)
 
 
 def load_dataset(
-    root_path: "Path | str",
-    manifest: "Manifest | Path | str",
-    window: tuple[float, float] = (EPOCH_START_S, EPOCH_END_S),
+    root_path: "Path | str", manifest: "Manifest | Path | str"
 ) -> "list[TrialRecording]":
     """Load every parseable trial listed in the manifest.
 
@@ -623,10 +504,12 @@ def load_dataset(
         manifest = parse_manifest(manifest)
     trials = []
     for entry in manifest.entries:
-        eeg = _load_stream(root, entry, Modality.EEG, manifest, window)
-        gaze = _load_stream(root, entry, Modality.GAZE, manifest, window)
-        motion = _load_stream(root, entry, Modality.MOTION, manifest, window)
-        if eeg is None and gaze is None and motion is None:
+        streams = {}
+        for modality, rel in entry.paths.items():
+            stream = _load_stream(root / rel, entry, modality, manifest)
+            if stream is not None:
+                streams[modality] = stream
+        if not streams:
             raise DatasetError(
                 f"trial ({entry.participant_id}, {entry.trial_id}): "
                 "no modality stream could be loaded"
@@ -637,9 +520,7 @@ def load_dataset(
                 trial_id=entry.trial_id,
                 condition=entry.condition,
                 onset_time_s=entry.onset_s,
-                eeg=eeg,
-                gaze=gaze,
-                motion=motion,
+                streams=streams,
             )
         )
     return trials
@@ -691,24 +572,13 @@ def convert_dataset(source_root: "Path | str", out_root: "Path | str") -> Path:
         for modality in Modality:
             src = rec.get(modality)
             if src is None:
-                paths[modality] = None
                 continue
             rel = f"{modality.value}/p{pid:02d}_t{trial_id:03d}.csv"
             dest = out / rel
             dest.parent.mkdir(parents=True, exist_ok=True)
             dest.write_bytes(src.read_bytes())
             paths[modality] = rel
-        entries.append(
-            ManifestEntry(
-                participant_id=pid,
-                trial_id=trial_id,
-                condition=rec["condition"],
-                onset_s=0.0,
-                eeg_path=paths[Modality.EEG],
-                gaze_path=paths[Modality.GAZE],
-                motion_path=paths[Modality.MOTION],
-            )
-        )
+        entries.append(ManifestEntry(pid, trial_id, rec["condition"], 0.0, paths))
     manifest = Manifest(
         name=source.name, rates_hz={}, eeg_channels=None, entries=entries
     )

@@ -130,7 +130,6 @@ class Standardization:
 
     mean: np.ndarray
     std: np.ndarray
-    fit_on_train_only: bool = True
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -219,7 +218,7 @@ class TfFeature:
 
 def morlet_wavelet(freq_hz: float, n_cycles: float, step_s: float) -> np.ndarray:
     """Complex Morlet wavelet sampled at ``step_s``; sigma_t = n_cycles/(2 pi f),
-    support truncated at +-5 sigma_t.
+    support cut off at +-5 sigma_t.
 
     Normalized to unit envelope L1 norm, i.e. unit gain at the wavelet's own
     center frequency.  (Unit-energy normalization would tilt the response to

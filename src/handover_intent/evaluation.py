@@ -68,8 +68,8 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     ``scipy.stats.rankdata`` returns, without importing scipy.stats)."""
     order = np.argsort(x, kind="mergesort")
     ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.shape[0]]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.concatenate((starts[1:], [x.shape[0]]))
     ranks = np.empty(x.shape[0])
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks

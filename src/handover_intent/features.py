@@ -15,6 +15,7 @@ from .core_data import (
     EPOCH_END_S,
     EPOCH_START_S,
     Modality,
+    RawStream,
     TimeSeries,
     TrialRecording,
     epoch,
@@ -56,35 +57,42 @@ class FeatureSequence:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
-def build_gaze_features(trial: TrialRecording) -> FeatureSequence:
-    """Reference-corrected gaze: (gaze - reference) per sample, gaps repaired."""
-    if trial.gaze is None:
-        raise ModalityAbsentError(
-            f"trial {(trial.participant_id, trial.trial_id)} has no gaze stream"
-        )
-    gaze = interpolate_gaps(trial.gaze.gaze_series())
-    reference = interpolate_gaps(trial.gaze.reference_series())
-    series = TimeSeries(gaze.start_time_s, gaze.step_s, gaze.values - reference.values)
+def _sequence(
+    trial: TrialRecording, modality: Modality, series: TimeSeries
+) -> FeatureSequence:
     return FeatureSequence(
-        modality=Modality.GAZE,
+        modality=modality,
         series=series,
         trial_ref=(trial.participant_id, trial.trial_id),
         label=label_for(trial.condition),
     )
 
 
+def _stream(trial: TrialRecording, modality: Modality) -> RawStream:
+    stream = trial.streams.get(modality)
+    if stream is None:
+        raise ModalityAbsentError(
+            f"trial {(trial.participant_id, trial.trial_id)} has no "
+            f"{modality.value} stream"
+        )
+    return stream
+
+
+def build_gaze_features(trial: TrialRecording) -> FeatureSequence:
+    """Reference-corrected gaze: (gaze - reference) per sample, gaps repaired.
+
+    Gaps are filled column by column, so gaze and reference are repaired
+    independently of each other.
+    """
+    filled = interpolate_gaps(_stream(trial, Modality.GAZE).series)
+    v = filled.values
+    series = TimeSeries(filled.start_time_s, filled.step_s, v[:, 0:2] - v[:, 2:4])
+    return _sequence(trial, Modality.GAZE, series)
+
+
 def build_motion_features(trial: TrialRecording) -> FeatureSequence:
     """Hand x/y/z in the camera frame, untransformed."""
-    if trial.motion is None:
-        raise ModalityAbsentError(
-            f"trial {(trial.participant_id, trial.trial_id)} has no motion stream"
-        )
-    return FeatureSequence(
-        modality=Modality.MOTION,
-        series=trial.motion.to_timeseries(),
-        trial_ref=(trial.participant_id, trial.trial_id),
-        label=label_for(trial.condition),
-    )
+    return _sequence(trial, Modality.MOTION, _stream(trial, Modality.MOTION).series)
 
 
 def build_eeg_features(
@@ -98,32 +106,25 @@ def build_eeg_features(
     ``log_power`` switches the emitted features to log10(power + eps); the
     default is raw power.
     """
-    if trial.eeg is None:
-        raise ModalityAbsentError(
-            f"trial {(trial.participant_id, trial.trial_id)} has no EEG stream"
-        )
+    stream = _stream(trial, Modality.EEG)
     channels = DEFAULT_EEG_CHANNELS if channels is None else list(channels)
     tf = default_tf_spec() if tf is None else tf
-    available = trial.eeg.channel_names
+    available = stream.columns
     missing = [c for c in channels if c not in available]
     if missing:
         raise ValueError(
             f"channels {missing} not in the recording; available: {available}"
         )
     rows = [available.index(c) for c in channels]
-    stream = trial.eeg.to_timeseries()
-    subset = TimeSeries(stream.start_time_s, stream.step_s, stream.values[:, rows])
+    series = stream.series
+    subset = TimeSeries(series.start_time_s, series.step_s, series.values[:, rows])
     mean_tf = average_channels(morlet_tf(subset, tf))
     power = mean_tf.power
     if log_power:
         power = np.log10(power + 1e-20)
     times = mean_tf.times_s
-    series = TimeSeries(float(times[0]), float(times[1] - times[0]), power)
-    return FeatureSequence(
-        modality=Modality.EEG,
-        series=series,
-        trial_ref=(trial.participant_id, trial.trial_id),
-        label=label_for(trial.condition),
+    return _sequence(
+        trial, Modality.EEG, TimeSeries(float(times[0]), float(times[1] - times[0]), power)
     )
 
 
@@ -279,7 +280,7 @@ class FeatureCache:
         self, trial_ref: tuple, modality: Modality, param_key: str, label: int
     ) -> FeatureSequence | None:
         """The stored sequence, or None on a miss: no file, another version or
-        key, or a file that cannot be read (truncated, corrupt)."""
+        key, or a file that cannot be read (cut short, corrupt)."""
         path = self._path(trial_ref, modality, param_key)
         if not path.exists():
             return None

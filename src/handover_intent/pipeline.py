@@ -17,7 +17,7 @@ from .config import ExperimentConfig, config_text_hash
 from .core_data import (
     Modality,
     complete_trials,
-    labeled,
+    label_for,
     load_dataset,
     parse_manifest,
 )
@@ -77,8 +77,8 @@ def _tf_spec(cfg: ExperimentConfig) -> TfSpec:
 def _eeg_digest(eeg) -> str:
     """Short hash of an EEG recording's content, so that a cache entry is
     only served for the recording it was built from."""
-    h = hashlib.sha256(eeg.samples.tobytes())
-    h.update(repr((eeg.start_time_s, eeg.sample_rate_hz, eeg.channel_names)).encode())
+    h = hashlib.sha256(eeg.series.values.tobytes())
+    h.update(repr((eeg.series.start_time_s, eeg.series.step_s, eeg.columns)).encode())
     return h.hexdigest()[:16]
 
 
@@ -90,8 +90,7 @@ def _build_sequences(cfg, trials, modality, cache, built: dict):
     tf = _tf_spec(cfg)
     key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
     out = []
-    for lt in trials:
-        trial = lt.trial
+    for trial in trials:
         ref = (trial.participant_id, trial.trial_id)
         seq = built.get((modality, ref))
         if seq is None:
@@ -101,8 +100,8 @@ def _build_sequences(cfg, trials, modality, cache, built: dict):
                 seq = build_motion_features(trial)
             else:
                 if cache is not None:
-                    trial_key = f"{key}_eeg{_eeg_digest(trial.eeg)}"
-                    seq = cache.get(ref, Modality.EEG, trial_key, lt.label)
+                    trial_key = f"{key}_eeg{_eeg_digest(trial.streams[Modality.EEG])}"
+                    seq = cache.get(ref, Modality.EEG, trial_key, label_for(trial.condition))
                 if seq is None:
                     seq = build_eeg_features(
                         trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power
@@ -170,7 +169,7 @@ def run_participant(task) -> ParticipantOutcome:
     cfg, manifest = task
     outcome = ParticipantOutcome(manifest.entries[0].participant_id)
     try:
-        lts = labeled(load_dataset(cfg.dataset_root, manifest))
+        trials = load_dataset(cfg.dataset_root, manifest)
     except Exception as exc:
         outcome.load_error = str(exc)
         return outcome
@@ -178,7 +177,7 @@ def run_participant(task) -> ParticipantOutcome:
     built: dict = {}
     pid = outcome.participant_id
     for tag, mods, spec in _views(cfg):
-        usable = complete_trials(lts, set(mods))
+        usable = complete_trials(trials, set(mods))
         if len(usable) < cfg.min_trials:
             continue
         outcome.gated += (tag,)

@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .core_data import (
+    STREAM_COLUMNS,
     Condition,
-    GAZE_COLUMNS,
     Manifest,
     ManifestEntry,
     Modality,
-    MOTION_COLUMNS,
     parse_modalities,
     read_sections,
     write_manifest,
@@ -29,9 +28,7 @@ from .core_data import (
 from .features import DEFAULT_EEG_CHANNELS
 from .rng import substream
 
-GAZE_RATE_HZ = 25.0
-MOTION_RATE_HZ = 5.0
-EEG_RATE_HZ = 250.0
+RATES_HZ = {Modality.GAZE: 25.0, Modality.MOTION: 5.0, Modality.EEG: 250.0}
 
 # Post-injection drift directions; handover separates linearly from both
 # non-handover conditions.
@@ -105,7 +102,7 @@ def _grid(rate_hz: float) -> np.ndarray:
 
 
 def _gaze_trial(profile: SynthProfile, rng, base: np.ndarray, condition: Condition):
-    t = _grid(GAZE_RATE_HZ)
+    t = _grid(RATES_HZ[Modality.GAZE])
     n = t.shape[0]
     center = np.array([960.0, 540.0])
     ref = center + rng.normal(0.0, 0.5, size=(n, 2))
@@ -130,7 +127,7 @@ def _gaze_trial(profile: SynthProfile, rng, base: np.ndarray, condition: Conditi
 
 
 def _motion_trial(profile: SynthProfile, rng, base: np.ndarray, condition: Condition):
-    t = _grid(MOTION_RATE_HZ)
+    t = _grid(RATES_HZ[Modality.MOTION])
     n = t.shape[0]
     pos = base + rng.normal(0.0, profile.motion_noise_m, size=(n, 3))
     ramp = np.clip((t - profile.motion_injection_time_s) / 1.5, 0.0, 1.0)
@@ -139,7 +136,7 @@ def _motion_trial(profile: SynthProfile, rng, base: np.ndarray, condition: Condi
 
 
 def _eeg_trial(profile: SynthProfile, rng, condition: Condition, channels):
-    t = _grid(EEG_RATE_HZ)
+    t = _grid(RATES_HZ[Modality.EEG])
     n = t.shape[0]
     data = rng.normal(0.0, profile.eeg_noise_uv, size=(n, len(channels)))
     amplitude = np.full(n, profile.eeg_noise_uv)
@@ -156,53 +153,34 @@ def generate_dataset(profile: SynthProfile, out_dir: "Path | str") -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     channels = list(DEFAULT_EEG_CHANNELS)
+    columns = {**STREAM_COLUMNS, Modality.EEG: channels}
     entries = []
     conditions = [Condition.SOLO, Condition.HANDOVER, Condition.JOINT]
     for pid in range(1, profile.participants + 1):
         base_rng = substream(profile.seed, "participant", pid)
         gaze_base = np.array([960.0, 540.0]) + base_rng.uniform(-30.0, 30.0, size=2)
         motion_base = np.array([0.1, -0.3, 0.9]) + base_rng.uniform(-0.05, 0.05, size=3)
+        # In draw order: the modalities of a trial share one random stream.
+        makers = {
+            Modality.GAZE: lambda rng, c: _gaze_trial(profile, rng, gaze_base, c),
+            Modality.MOTION: lambda rng, c: _motion_trial(profile, rng, motion_base, c),
+            Modality.EEG: lambda rng, c: _eeg_trial(profile, rng, c, channels),
+        }
         n_trials = 3 * profile.trials_per_condition
         for tid in range(n_trials):
             condition = conditions[tid % 3]
             rng = substream(profile.seed, "trial", pid, tid)
             paths = {}
-            if Modality.GAZE in profile.modalities:
-                t, cols = _gaze_trial(profile, rng, gaze_base, condition)
-                rel = f"gaze/p{pid:02d}_t{tid:03d}.csv"
-                write_trial_csv(out / rel, t, cols, GAZE_COLUMNS)
-                paths[Modality.GAZE] = rel
-            if Modality.MOTION in profile.modalities:
-                t, cols = _motion_trial(profile, rng, motion_base, condition)
-                rel = f"motion/p{pid:02d}_t{tid:03d}.csv"
-                write_trial_csv(out / rel, t, cols, MOTION_COLUMNS)
-                paths[Modality.MOTION] = rel
-            if Modality.EEG in profile.modalities:
-                t, cols = _eeg_trial(profile, rng, condition, channels)
-                rel = f"eeg/p{pid:02d}_t{tid:03d}.csv"
-                write_trial_csv(out / rel, t, cols, channels)
-                paths[Modality.EEG] = rel
-            entries.append(
-                ManifestEntry(
-                    participant_id=pid,
-                    trial_id=tid,
-                    condition=condition,
-                    onset_s=0.0,
-                    eeg_path=paths.get(Modality.EEG),
-                    gaze_path=paths.get(Modality.GAZE),
-                    motion_path=paths.get(Modality.MOTION),
-                )
-            )
-    rates = {}
-    if Modality.EEG in profile.modalities:
-        rates[Modality.EEG] = EEG_RATE_HZ
-    if Modality.GAZE in profile.modalities:
-        rates[Modality.GAZE] = GAZE_RATE_HZ
-    if Modality.MOTION in profile.modalities:
-        rates[Modality.MOTION] = MOTION_RATE_HZ
+            for modality, make in makers.items():
+                if modality in profile.modalities:
+                    t, values = make(rng, condition)
+                    rel = f"{modality.value}/p{pid:02d}_t{tid:03d}.csv"
+                    write_trial_csv(out / rel, t, values, columns[modality])
+                    paths[modality] = rel
+            entries.append(ManifestEntry(pid, tid, condition, 0.0, paths))
     manifest = Manifest(
         name=profile.name,
-        rates_hz=rates,
+        rates_hz={m: RATES_HZ[m] for m in profile.modalities},
         eeg_channels=channels if Modality.EEG in profile.modalities else None,
         entries=entries,
     )

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from handover_intent.core_data import (
+    STREAM_COLUMNS,
     Condition,
-    RawEeg,
-    RawGaze,
-    RawMotion,
+    Modality,
+    RawStream,
     TimeSeries,
     TrialRecording,
 )
@@ -39,7 +39,7 @@ def make_gaze(
     end: float = 6.0,
     gaze=None,
     ref=None,
-) -> RawGaze:
+) -> RawStream:
     t = grid_times(start, rate_hz, end)
     n = t.shape[0]
     if gaze is None:
@@ -47,18 +47,19 @@ def make_gaze(
         gaze = np.array([960.0, 540.0]) + rng.normal(0, 5, size=(n, 2))
     if ref is None:
         ref = np.tile([960.0, 540.0], (n, 1))
-    return RawGaze(rate_hz, np.asarray(gaze, float), np.asarray(ref, float), start)
+    values = np.hstack([np.asarray(gaze, float), np.asarray(ref, float)])
+    return RawStream(series(start, 1.0 / rate_hz, values), STREAM_COLUMNS[Modality.GAZE])
 
 
 def make_motion(
     rng=None, rate_hz: float = 5.0, start: float = -5.0, end: float = 6.0, xyz=None
-) -> RawMotion:
+) -> RawStream:
     t = grid_times(start, rate_hz, end)
     n = t.shape[0]
     if xyz is None:
         rng = np.random.default_rng(1) if rng is None else rng
         xyz = np.array([0.1, -0.3, 0.9]) + rng.normal(0, 0.01, size=(n, 3))
-    return RawMotion(rate_hz, np.asarray(xyz, float), start)
+    return RawStream(series(start, 1.0 / rate_hz, xyz), STREAM_COLUMNS[Modality.MOTION])
 
 
 def make_eeg(
@@ -67,14 +68,15 @@ def make_eeg(
     start: float = -5.0,
     end: float = 6.0,
     channels=None,
-    samples=None,
-) -> RawEeg:
+    values=None,
+) -> RawStream:
+    """``values`` is time-major, (time, channels)."""
     channels = ["Cz", "C3", "C4", "FC1"] if channels is None else list(channels)
     t = grid_times(start, rate_hz, end)
-    if samples is None:
+    if values is None:
         rng = np.random.default_rng(2) if rng is None else rng
-        samples = rng.normal(0, 10, size=(len(channels), t.shape[0]))
-    return RawEeg(rate_hz, channels, np.asarray(samples, float), start)
+        values = rng.normal(0, 10, size=(len(channels), t.shape[0])).T
+    return RawStream(series(start, 1.0 / rate_hz, values), channels)
 
 
 def make_trial(
@@ -85,14 +87,13 @@ def make_trial(
     gaze=None,
     motion=None,
 ) -> TrialRecording:
+    streams = {Modality.EEG: eeg, Modality.GAZE: gaze, Modality.MOTION: motion}
     return TrialRecording(
         participant_id=participant_id,
         trial_id=trial_id,
         condition=condition,
         onset_time_s=0.0,
-        eeg=eeg,
-        gaze=gaze,
-        motion=motion,
+        streams={m: s for m, s in streams.items() if s is not None},
     )
 
 

@@ -13,7 +13,7 @@ from handover_intent.config import (
     validate_config,
     with_overrides,
 )
-from handover_intent.core_data import Modality, complete_trials, load_dataset, labeled
+from handover_intent.core_data import Modality, complete_trials, load_dataset
 from handover_intent.fusion import FusionMode
 from handover_intent.synth import SynthProfile, generate_dataset, parse_profile
 
@@ -209,7 +209,7 @@ class TestSynth:
         trials = load_dataset(tmp_path, manifest)
         assert len(trials) == 2 * 12
         for pid in (1, 2):
-            own = [lt for lt in labeled(trials) if lt.trial.participant_id == pid]
+            own = [t for t in trials if t.participant_id == pid]
             assert len(complete_trials(own, {Modality.GAZE, Modality.MOTION})) == 12
         truth = json.loads((tmp_path / "ground_truth.json").read_text())
         assert truth["injection_time_s"]["gaze"] == 1.0
@@ -221,9 +221,9 @@ class TestSynth:
         )
         manifest = generate_dataset(profile, tmp_path)
         trials = load_dataset(tmp_path, manifest)
-        assert trials[0].eeg is not None
-        assert trials[0].eeg.sample_rate_hz == pytest.approx(250.0)
-        assert len(trials[0].eeg.channel_names) == 12
+        eeg = trials[0].streams[Modality.EEG]
+        assert 1.0 / eeg.series.step_s == pytest.approx(250.0)
+        assert len(eeg.columns) == 12
 
     def test_two_seeds_differ(self, tmp_path):
         a = generate_dataset(SynthProfile(participants=1, trials_per_condition=1, seed=1),
@@ -320,12 +320,12 @@ class TestCli:
     def test_convert_dataset_subcommand(self, tmp_path, capsys):
         src = tmp_path / "src/sub-1"
         src.mkdir(parents=True)
-        from handover_intent.core_data import MOTION_COLUMNS, write_trial_csv
+        from handover_intent.core_data import STREAM_COLUMNS, write_trial_csv
         from conftest import grid_times
 
         t = grid_times(-5.0, 2.0, 6.0)
         write_trial_csv(src / "trial-0_Handover.motion.csv", t,
-                        np.ones((t.shape[0], 3)), MOTION_COLUMNS)
+                        np.ones((t.shape[0], 3)), STREAM_COLUMNS[Modality.MOTION])
         assert main(["convert-dataset", "--source", str(tmp_path / "src"),
                      "--out", str(tmp_path / "converted")]) == 0
         assert (tmp_path / "converted/manifest.txt").is_file()

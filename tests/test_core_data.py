@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover_intent.config import ConfigError, parse_config_text
+from handover_intent.synth import SynthProfile, generate_dataset
 from handover_intent.core_data import (
     Condition,
     CoverageError,
+    STREAM_COLUMNS,
     DatasetError,
-    GAZE_COLUMNS,
-    LabeledTrial,
     Manifest,
     ManifestEntry,
     Modality,
-    MOTION_COLUMNS,
     TimeSeries,
     TrialRecording,
     complete_trials,
@@ -23,7 +22,6 @@ from handover_intent.core_data import (
     epoch,
     is_uncorrupted,
     label_for,
-    labeled,
     load_dataset,
     parse_manifest,
     read_sections,
@@ -46,12 +44,6 @@ class TestLabels:
         assert label_for(Condition.HANDOVER) == 1
         assert label_for(Condition.SOLO) == 0
         assert label_for(Condition.JOINT) == 0
-
-    def test_labeled_trial_rejects_mismatch(self):
-        trial = make_trial(condition=Condition.SOLO, gaze=make_gaze())
-        with pytest.raises(ValueError):
-            LabeledTrial(trial, 1)
-        assert LabeledTrial(trial, 0).label == 0
 
     def test_condition_parse(self):
         assert Condition.parse("handover") is Condition.HANDOVER
@@ -152,7 +144,7 @@ class TestTrialRecording:
             make_trial(trial_id=-1, gaze=make_gaze())
 
 
-def _labeled_trials(spec_rows):
+def _trials(spec_rows):
     """spec_rows: (participant, n_trials, modalities per trial) tuples."""
     out = []
     for pid, count, mods in spec_rows:
@@ -167,12 +159,12 @@ def _labeled_trials(spec_rows):
                     motion=make_motion() if "motion" in mods else None,
                 )
             )
-    return labeled(out)
+    return out
 
 
 def complete_counts(trials, modalities):
     """Per participant, the number of trials complete in ``modalities``."""
-    return Counter(lt.trial.participant_id for lt in complete_trials(trials, modalities))
+    return Counter(t.participant_id for t in complete_trials(trials, modalities))
 
 
 def gated(trials, modalities, min_trials):
@@ -185,27 +177,17 @@ class TestGating:
     def test_joint_completeness_excludes_partial_participants(self):
         # Mirrors the published trial counts: one participant holds 80 gaze
         # trials but only 29 of them also carry motion.
-        trials = _labeled_trials(
+        trials = _trials(
             [(2, 29, ("gaze", "motion")), (2, 51, ("gaze",)), (3, 90, ("gaze", "motion"))]
         )
         # re-id the 51 gaze-only trials to avoid duplicate ids
         fixed = []
         seen = {}
-        for lt in trials:
-            pid = lt.trial.participant_id
+        for t in trials:
+            pid = t.participant_id
             seen[pid] = seen.get(pid, -1) + 1
             fixed.append(
-                LabeledTrial(
-                    TrialRecording(
-                        participant_id=pid,
-                        trial_id=seen[pid],
-                        condition=lt.trial.condition,
-                        onset_time_s=0.0,
-                        gaze=lt.trial.gaze,
-                        motion=lt.trial.motion,
-                    ),
-                    lt.label,
-                )
+                TrialRecording(pid, seen[pid], t.condition, 0.0, t.streams)
             )
         both = gated(fixed, {Modality.GAZE, Modality.MOTION}, 60)
         assert both == {3}
@@ -213,7 +195,7 @@ class TestGating:
         assert gaze_only == {2, 3}
 
     def test_59_trials_misses_a_60_trial_gate(self):
-        trials = _labeled_trials([(1, 59, ("gaze",)), (5, 90, ("gaze",))])
+        trials = _trials([(1, 59, ("gaze",)), (5, 90, ("gaze",))])
         assert complete_counts(trials, {Modality.GAZE}) == {1: 59, 5: 90}
         assert gated(trials, {Modality.GAZE}, 60) == {5}
         assert gated(trials, {Modality.GAZE}, 59) == {1, 5}
@@ -232,12 +214,10 @@ class TestGating:
 
     def test_truncated_stream_counts_as_corrupted(self):
         short = make_gaze(end=2.0)  # covers [-5, 2] only
-        trials = labeled([make_trial(gaze=short)])
-        assert complete_trials(trials, {Modality.GAZE}) == []
-        assert short.truncated is False  # loader sets the flag from coverage
+        assert complete_trials([make_trial(gaze=short)], {Modality.GAZE}) == []
 
     def test_monotone_in_min_trials_and_modalities(self):
-        trials = _labeled_trials(
+        trials = _trials(
             [(1, 70, ("gaze",)), (2, 70, ("gaze", "motion")), (3, 40, ("gaze", "motion"))]
         )
         for low, high in [(1, 30), (30, 60), (60, 71)]:
@@ -267,6 +247,7 @@ class TestGating:
         assert not is_uncorrupted(
             make_trial(gaze=make_gaze(gaze=all_gone)), Modality.GAZE
         )
+        assert not is_uncorrupted(make_trial(gaze=make_gaze(ref=all_gone)), Modality.GAZE)
 
 
 def _write_dataset(root, entries_spec, rates=True):
@@ -283,24 +264,16 @@ def _write_dataset(root, entries_spec, rates=True):
                     np.tile([900.0, 500.0], (t.shape[0], 1)),
                 ]
             )
-            write_trial_csv(root / rel, t, vals, GAZE_COLUMNS)
-            paths["gaze"] = rel
+            write_trial_csv(root / rel, t, vals, STREAM_COLUMNS[Modality.GAZE])
+            paths[Modality.GAZE] = rel
         if "motion" in mods:
             rel = f"motion/p{pid}_t{tid}.csv"
             t = grid_times(-5.0, 2.0, 6.0)
-            write_trial_csv(root / rel, t, np.ones((t.shape[0], 3)), MOTION_COLUMNS)
-            paths["motion"] = rel
-        entries.append(
-            ManifestEntry(
-                participant_id=pid,
-                trial_id=tid,
-                condition=Condition.parse(condition),
-                onset_s=0.0,
-                eeg_path=None,
-                gaze_path=paths.get("gaze"),
-                motion_path=paths.get("motion"),
+            write_trial_csv(
+                root / rel, t, np.ones((t.shape[0], 3)), STREAM_COLUMNS[Modality.MOTION]
             )
-        )
+            paths[Modality.MOTION] = rel
+        entries.append(ManifestEntry(pid, tid, Condition.parse(condition), 0.0, paths))
     manifest = Manifest(
         name="t",
         rates_hz={Modality.GAZE: 5.0, Modality.MOTION: 2.0} if rates else {},
@@ -321,13 +294,12 @@ class TestLoadDataset:
         trials = load_dataset(tmp_path, manifest)
         assert len(trials) == 90
         assert all(t.participant_id == 3 for t in trials)
-        assert all(t.gaze is not None and t.motion is not None for t in trials)
+        assert all(set(t.streams) == {Modality.GAZE, Modality.MOTION} for t in trials)
 
     def test_manifest_absent_modality_loads_as_none(self, tmp_path):
         manifest = _write_dataset(tmp_path, [(14, 0, "Handover", ("gaze",))])
         trials = load_dataset(tmp_path, manifest)
-        assert trials[0].motion is None
-        assert trials[0].gaze is not None
+        assert set(trials[0].streams) == {Modality.GAZE}
 
     def test_missing_file_degrades_to_absent_stream(self, tmp_path):
         manifest_path = _write_dataset(
@@ -335,7 +307,7 @@ class TestLoadDataset:
         )
         (tmp_path / "motion/p1_t0.csv").unlink()
         trials = load_dataset(tmp_path, manifest_path)
-        assert trials[0].motion is None and trials[0].gaze is not None
+        assert set(trials[0].streams) == {Modality.GAZE}
 
     def test_empty_manifest_gives_empty_list(self, tmp_path):
         manifest = _write_dataset(tmp_path, [])
@@ -367,13 +339,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="duplicate"):
             parse_manifest(manifest)
 
-    def test_truncated_column_flagged(self, tmp_path):
-        manifest = _write_dataset(tmp_path, [(1, 0, "Solo", ("gaze",))])
+    def test_file_ending_before_the_epoch_fails_gating(self, tmp_path):
+        manifest = _write_dataset(tmp_path, [(1, 0, "Solo", ("gaze",)), (1, 1, "Solo", ("gaze",))])
         path = tmp_path / "gaze/p1_t0.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:20]) + "\n")  # ends around -1.2 s
         trials = load_dataset(tmp_path, manifest)
-        assert trials[0].gaze.truncated
+        assert trials[0].streams[Modality.GAZE].series.end_time_s < 0.0
+        assert complete_trials(trials, {Modality.GAZE}) == [trials[1]]
 
     def test_header_must_name_time_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -426,13 +399,39 @@ class TestManifestFormat:
             rates_hz={Modality.GAZE: 25.0},
             eeg_channels=["Cz", "C3"],
             entries=[
-                ManifestEntry(1, 0, Condition.HANDOVER, 0.0, None, "g.csv", None),
-                ManifestEntry(1, 1, Condition.JOINT, 1.5, "e.csv", None, "m.csv"),
+                ManifestEntry(1, 0, Condition.HANDOVER, 0.0, {Modality.GAZE: "g.csv"}),
+                ManifestEntry(
+                    1, 1, Condition.JOINT, 1.5, {Modality.EEG: "e.csv", Modality.MOTION: "m.csv"}
+                ),
             ],
         )
         write_manifest(tmp_path / "m.txt", manifest)
         back = parse_manifest(tmp_path / "m.txt")
         assert back == manifest
+
+    def test_synth_manifest_round_trips_byte_for_byte(self, tmp_path):
+        profile = SynthProfile(
+            participants=2, trials_per_condition=2, seed=5,
+            modalities=(Modality.MOTION, Modality.EEG, Modality.GAZE),
+        )
+        path = generate_dataset(profile, tmp_path / "data")
+        write_manifest(tmp_path / "again.txt", parse_manifest(path))
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("gaze_rate = 25.0", r"m\.txt:3: unknown key gaze_rate"),
+            ("gaze_rate_hz = 5.0", r"m\.txt:3: duplicate key gaze_rate_hz"),
+        ],
+    )
+    def test_unknown_or_repeated_header_key_names_its_line(self, tmp_path, header, message):
+        (tmp_path / "m.txt").write_text(
+            f"format_version = 1\ngaze_rate_hz = 25.0\n{header}\n[trials]\n"
+            "participant,trial,condition,onset_s,eeg,gaze,motion\n"
+        )
+        with pytest.raises(DatasetError, match=message):
+            parse_manifest(tmp_path / "m.txt")
 
     def test_version_required(self, tmp_path):
         (tmp_path / "m.txt").write_text("name = x\n[trials]\n")
@@ -461,7 +460,7 @@ class TestConverter:
                     d / f"trial-{tid}_{condition}.motion.csv",
                     t,
                     np.ones((t.shape[0], 3)),
-                    MOTION_COLUMNS,
+                    STREAM_COLUMNS[Modality.MOTION],
                 )
         out = tmp_path / "out"
         manifest_path = convert_dataset(src, out)

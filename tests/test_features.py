@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from handover_intent.cli import main
 from handover_intent.core_data import Condition, Modality
-from handover_intent.dsp import TfSpec
+from handover_intent.dsp import TfSpec, interpolate_gaps
 from handover_intent.features import (
     DEFAULT_EEG_CHANNELS,
     FeatureCache,
@@ -54,6 +54,24 @@ class TestGazeFeatures:
         seq = build_gaze_features(make_trial(gaze=make_gaze(gaze=gaze, ref=ref)))
         assert seq.series.values[11].tolist() == [60.0, 40.0]
 
+    def test_gaps_in_different_rows_match_separate_repair(self, rng):
+        # Gaze and reference lose different samples, including a leading and
+        # a trailing run; filling the four columns at once must equal filling
+        # each pair on its own, bit for bit.
+        n = 276
+        gaze = np.array([960.0, 540.0]) + rng.normal(0, 5, size=(n, 2))
+        ref = np.array([900.0, 500.0]) + rng.normal(0, 1, size=(n, 2))
+        gaze[0:3] = np.nan
+        gaze[40:44, 0] = np.nan
+        gaze[100, 1] = np.nan
+        ref[70:75] = np.nan
+        ref[200, 0] = np.nan
+        ref[n - 2 :, 1] = np.nan
+        seq = build_gaze_features(make_trial(gaze=make_gaze(gaze=gaze, ref=ref)))
+        gaze_filled = interpolate_gaps(series(-5.0, 0.04, gaze)).values
+        ref_filled = interpolate_gaps(series(-5.0, 0.04, ref)).values
+        assert np.array_equal(seq.series.values, gaze_filled - ref_filled)
+
     def test_absent_gaze_raises(self):
         with pytest.raises(ModalityAbsentError):
             build_gaze_features(make_trial(motion=make_motion()))
@@ -80,10 +98,8 @@ class TestMotionFeatures:
         assert all(s.series.n_features == 3 for s in seqs)
 
     def test_single_sample_stream(self):
-        from handover_intent.core_data import RawMotion
-
         seq = build_motion_features(
-            make_trial(motion=RawMotion(5.0, np.array([[1.0, 2.0, 3.0]]), -5.0))
+            make_trial(motion=make_motion(end=-5.0, xyz=[[1.0, 2.0, 3.0]]))
         )
         assert seq.series.n_samples == 1
 
@@ -110,7 +126,7 @@ class TestEegFeatures:
     def test_zero_input_gives_zero_features(self):
         channels = ["Cz", "C3"]
         t = grid_times(-5.0, 100.0, 6.0)
-        eeg = make_eeg(channels=channels, samples=np.zeros((2, t.shape[0])))
+        eeg = make_eeg(channels=channels, values=np.zeros((t.shape[0], 2)))
         seq = build_eeg_features(make_trial(eeg=eeg), channels=channels)
         assert np.all(seq.series.values == 0.0)
 
@@ -391,9 +407,9 @@ class TestFeatureCache:
 
 class TestDeterminism:
     def test_identical_trial_bytes_give_identical_features(self, rng):
-        samples = rng.normal(size=(2, 1101))
-        eeg_a = make_eeg(channels=["Cz", "C3"], samples=samples.copy())
-        eeg_b = make_eeg(channels=["Cz", "C3"], samples=samples.copy())
+        values = rng.normal(size=(2, 1101)).T
+        eeg_a = make_eeg(channels=["Cz", "C3"], values=values.copy())
+        eeg_b = make_eeg(channels=["Cz", "C3"], values=values.copy())
         spec = TfSpec(freqs_hz=(8.0, 12.0, 20.0), n_cycles=3.0, output_step_s=0.05)
         a = build_eeg_features(make_trial(eeg=eeg_a), channels=["Cz", "C3"], tf=spec)
         b = build_eeg_features(make_trial(eeg=eeg_b), channels=["Cz", "C3"], tf=spec)

@@ -159,11 +159,12 @@ class TestProcessSetup:
         code = (
             "import sys\n"
             "import numpy as np\n"
-            "from handover_intent.core_data import Condition, RawEeg, TrialRecording\n"
+            "from handover_intent.core_data import (\n"
+            "    Condition, Modality, RawStream, TimeSeries, TrialRecording)\n"
             "from handover_intent.features import DEFAULT_EEG_CHANNELS, build_eeg_features\n"
             "samples = np.random.default_rng(0).normal(size=(12, 2751))\n"
-            "eeg = RawEeg(250.0, DEFAULT_EEG_CHANNELS, samples, -5.5)\n"
-            "trial = TrialRecording(1, 0, Condition.HANDOVER, 0.0, eeg=eeg)\n"
+            "eeg = RawStream(TimeSeries(-5.5, 1.0 / 250.0, samples.T), DEFAULT_EEG_CHANNELS)\n"
+            "trial = TrialRecording(1, 0, Condition.HANDOVER, 0.0, {Modality.EEG: eeg})\n"
             "print(build_eeg_features(trial).series.values.shape)\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))"
         )
