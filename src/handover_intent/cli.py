@@ -32,7 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a configured experiment")
     run.add_argument("--config", type=Path, required=True)
     run.add_argument(
-        "--jobs", type=int, default=1, help="parallel participant worker processes"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for loading participants and for evaluating windows",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", type=Path, default=None, help="override the output dir")

@@ -306,6 +306,16 @@ class Manifest:
     entries: list[ManifestEntry]
 
 
+def _rate(text: str, where: str) -> float:
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = math.nan
+    if not (math.isfinite(rate) and rate > 0):
+        raise DatasetError(f"{where}: expected a positive number of Hz, got {text!r}")
+    return rate
+
+
 def parse_manifest(path: "Path | str") -> Manifest:
     path = Path(path)
     keys: dict[str, str] = {}
@@ -313,6 +323,7 @@ def parse_manifest(path: "Path | str") -> Manifest:
     in_trials = False
     saw_header = False
     seen_ids: set[tuple[int, int]] = set()
+    rates: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -331,6 +342,10 @@ def parse_manifest(path: "Path | str") -> Manifest:
                 if key in keys:
                     raise DatasetError(f"{path}:{lineno}: duplicate key {key}")
                 keys[key] = value.strip()
+                if key.endswith("_rate_hz"):
+                    rates[Modality(key.removesuffix("_rate_hz"))] = _rate(
+                        keys[key], f"{path}:{lineno}: {key}"
+                    )
                 continue
             fields = [f.strip() for f in line.split(",")]
             if not saw_header:
@@ -364,11 +379,6 @@ def parse_manifest(path: "Path | str") -> Manifest:
     version = keys.get("format_version")
     if version != "1":
         raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    rates = {}
-    for modality in Modality:
-        key = f"{modality.value}_rate_hz"
-        if key in keys:
-            rates[modality] = float(keys[key])
     channels = None
     if "eeg_channels" in keys:
         channels = [c.strip() for c in keys["eeg_channels"].split(",") if c.strip()]
@@ -417,19 +427,30 @@ def _diagnose_bad_rows(path: Path, n_columns: int) -> str:
     return f"{path}: unreadable numeric data"
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a finite 1-D array, to the bit, without its per-call
+    overhead: the mean of the middle order statistic or of the two middle
+    ones, summed from 0.0 as ``np.mean`` sums them (so -0.0 becomes 0.0)."""
+    half = x.shape[0] // 2
+    if x.shape[0] % 2:
+        return float(0.0 + np.partition(x, half)[half])
+    part = np.partition(x, (half - 1, half))
+    return float((0.0 + part[half - 1] + part[half]) / 2)
+
+
 def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[str]]:
     """Read one trial file; returns (first time, time step, values, column
     names), values being (T, D) with time column dropped."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-    columns = [c.strip() for c in header.split(",")]
-    if len(columns) < 2 or columns[0] != "time_s":
-        raise DatasetError(f"{path}:1: header must start with time_s, got {header!r}")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DatasetError(_diagnose_bad_rows(path, len(columns))) from exc
+        columns = [c.strip() for c in header.split(",")]
+        if len(columns) < 2 or columns[0] != "time_s":
+            raise DatasetError(f"{path}:1: header must start with time_s, got {header!r}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DatasetError(_diagnose_bad_rows(path, len(columns))) from exc
     if data.shape[1] != len(columns):
         raise DatasetError(
             f"{path}: {data.shape[1]} data columns but {len(columns)} header names"
@@ -440,7 +461,7 @@ def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[s
     if not np.isfinite(times).all():
         raise DatasetError(f"{path}: non-finite entries in the time column")
     steps = np.diff(times)
-    step = float(np.median(steps))
+    step = _median(steps)
     if step <= 0 or np.abs(steps - step).max() > 1e-4 * step:
         row = int(np.abs(steps - step).argmax()) + 2
         raise DatasetError(f"{path}:{row}: time grid is not uniform")

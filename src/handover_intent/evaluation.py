@@ -442,39 +442,46 @@ class AucTimeline:
             raise ValueError("AUC values must lie in [0, 1]")
 
 
-def sweep(
-    blocks,
-    scheme: CvScheme,
-    grid: WindowGrid | None = None,
+def window_result(view: View, grid: WindowGrid, window_index: int):
+    """(score, audit records, None) for one window of ``view``, or (None, [],
+    message) when it fails.  The result depends only on its arguments, so
+    windows can be evaluated in any order and in any process."""
+    audits: list = []
+    try:
+        return evaluate_window(view, grid, window_index, audits), audits, None
+    except EvaluationError as exc:
+        return None, [], str(exc)
+
+
+def assemble_timeline(
+    view: View,
+    grid: WindowGrid,
+    results,
     participant_id: int | None = None,
     tag: str | None = None,
-    late: bool = False,
     audit_out: "list | None" = None,
 ) -> AucTimeline:
-    """Evaluate one view on every window end of the grid.
-
-    ``blocks`` is a list of (sequences, recipe), one per modality; ``late``
-    and ``audit_out`` are as in ``View`` and ``evaluate_window``.  The blocks
-    are aligned and the CV splits drawn once per sweep.  A failing window is
-    recorded and marked missing (nan) instead of aborting the sweep.  The
-    participant and tag default to the first trial's participant and the
-    first block's modality.
-    """
-    grid = WindowGrid() if grid is None else grid
-    view = make_view(blocks, scheme, late)
+    """The timeline of ``view`` from its windows' ``window_result`` values,
+    in grid order.  A failing window is recorded in ``errors`` and marked
+    missing (nan).  ``audit_out``, when given, receives the audit records of
+    the windows that succeeded, in grid order.  The participant and tag
+    default to the first trial's participant and the first block's
+    modality."""
     sequences, recipe = view.blocks[0]
     end_times = grid.end_times()
+    if len(results) != end_times.shape[0]:
+        raise ValueError("one result per window of the grid is required")
     stats = ("mean", "std", "stderr", "median", "q25", "q75")
     cols = {name: np.full(end_times.shape[0], np.nan) for name in stats}
     errors = []
-    for i, end in enumerate(end_times):
-        try:
-            score = evaluate_window(view, grid, i, audit_out)
-        except EvaluationError as exc:
-            errors.append((float(end), str(exc)))
+    for i, (score, audits, message) in enumerate(results):
+        if message is not None:
+            errors.append((float(end_times[i]), message))
             continue
         for name in stats:
             cols[name][i] = getattr(score, name)
+        if audit_out is not None:
+            audit_out.extend(audits)
     return AucTimeline(
         participant_id=sequences[0].trial_ref[0] if participant_id is None else participant_id,
         tag=sequences[0].modality.value if tag is None else tag,
@@ -486,9 +493,30 @@ def sweep(
         auc_median=cols["median"],
         auc_q25=cols["q25"],
         auc_q75=cols["q75"],
-        n_splits=scheme.k * scheme.repeats,
+        n_splits=len(view.splits),
         errors=tuple(errors),
     )
+
+
+def sweep(
+    blocks,
+    scheme: CvScheme,
+    grid: WindowGrid | None = None,
+    participant_id: int | None = None,
+    tag: str | None = None,
+    late: bool = False,
+    audit_out: "list | None" = None,
+) -> AucTimeline:
+    """Evaluate one view on every window end of the grid, serially.
+
+    ``blocks`` is a list of (sequences, recipe), one per modality; ``late``
+    is as in ``View``; the other arguments are as in ``assemble_timeline``.
+    The blocks are aligned and the CV splits drawn once per sweep.
+    """
+    grid = WindowGrid() if grid is None else grid
+    view = make_view(blocks, scheme, late)
+    results = [window_result(view, grid, i) for i in range(grid.end_times().shape[0])]
+    return assemble_timeline(view, grid, results, participant_id, tag, audit_out)
 
 
 # ---------------------------------------------------------------------------

@@ -51,22 +51,15 @@ def late_fuse(member_probs, member_train_perf) -> float:
     return float(weights @ probs)
 
 
-def run_fusion_sweep(
+def fusion_blocks(
     sequences_by_modality: dict,
     spec: FusionSpec,
-    scheme: CvScheme,
-    grid: WindowGrid | None = None,
     standardize_all: bool = False,
     eeg_pca_target: float = 0.99,
     shrinkage: float = DEFAULT_SHRINKAGE,
-    audit_out: "list | None" = None,
-) -> AucTimeline:
-    """Sweep the fusion view ``spec``: one LDA block per modality, in
-    canonical order, through ``evaluation.sweep``.
-
-    ``audit_out``, when given, collects per-window records (fused dimension in
-    early mode, weight-fallback flags in late mode).
-    """
+) -> list:
+    """The (sequences, LDA recipe) blocks of the fusion view ``spec``, one
+    per modality, in canonical order."""
     blocks = []
     for m in spec.modalities:
         if m not in sequences_by_modality:
@@ -78,8 +71,27 @@ def run_fusion_sweep(
             shrinkage=shrinkage,
         )
         blocks.append((sequences_by_modality[m], recipe))
+    return blocks
+
+
+def run_fusion_sweep(
+    sequences_by_modality: dict,
+    spec: FusionSpec,
+    scheme: CvScheme,
+    grid: WindowGrid | None = None,
+    standardize_all: bool = False,
+    eeg_pca_target: float = 0.99,
+    shrinkage: float = DEFAULT_SHRINKAGE,
+    audit_out: "list | None" = None,
+) -> AucTimeline:
+    """Sweep the fusion view ``spec`` (its ``fusion_blocks``) through
+    ``evaluation.sweep``.
+
+    ``audit_out``, when given, collects per-window records (fused dimension in
+    early mode, weight-fallback flags in late mode).
+    """
     return sweep(
-        blocks,
+        fusion_blocks(sequences_by_modality, spec, standardize_all, eeg_pca_target, shrinkage),
         scheme,
         grid=grid,
         tag=spec.tag(),

@@ -26,8 +26,10 @@ from .evaluation import (
     AucTimeline,
     CvScheme,
     aggregate_participants,
+    assemble_timeline,
     detection_latency_table,
-    sweep,
+    make_view,
+    window_result,
     write_aggregate_csv,
     write_latency_csv,
     write_results_csv,
@@ -39,7 +41,7 @@ from .features import (
     build_gaze_features,
     build_motion_features,
 )
-from .fusion import run_fusion_sweep
+from .fusion import FusionMode, fusion_blocks
 from .rng import derive_seed
 
 DECISION_FLAGS = {
@@ -149,25 +151,23 @@ def _views(cfg: ExperimentConfig) -> list:
 
 
 @dataclass
-class ParticipantOutcome:
-    """What one participant's task returns to the parent process."""
+class Prepared:
+    """What one participant's prepare task returns to the parent process."""
 
     participant_id: int
     load_error: str | None = None
     gated: tuple = ()  # tags with >= min_trials complete trials, up to a feature error
-    timelines: dict = field(default_factory=dict)  # tag -> AucTimeline
-    audits: dict = field(default_factory=dict)  # fusion tag -> audit summary
-    feature_error: tuple | None = None  # (tag, message); later tags not run
+    views: dict = field(default_factory=dict)  # tag -> evaluation.View
+    feature_error: tuple | None = None  # (tag, message); later tags not prepared
 
 
-def run_participant(task) -> ParticipantOutcome:
-    """Load one participant's trials and, view by view, gate them on the
-    count of complete trials, build each modality's features once, and run
-    the sweep.  ``task`` is (config, manifest holding only that participant's
-    entries).  Failures come back as messages, so the parent can report them
-    in the order a serial run meets them."""
-    cfg, manifest = task
-    outcome = ParticipantOutcome(manifest.entries[0].participant_id)
+def prepare_participant(cfg: ExperimentConfig, manifest) -> Prepared:
+    """Load one participant's trials (``manifest`` holds only that
+    participant's entries) and, view by view, gate them on the count of
+    complete trials, build each modality's features once, and align the view
+    and draw its CV splits.  Failures come back as messages, so the parent
+    can report them in the order a serial run meets them."""
+    outcome = Prepared(manifest.entries[0].participant_id)
     try:
         trials = load_dataset(cfg.dataset_root, manifest)
     except Exception as exc:
@@ -189,27 +189,66 @@ def run_participant(task) -> ParticipantOutcome:
             outcome.feature_error = (tag, str(exc))
             break
         if spec is None:
-            outcome.timelines[tag] = sweep(
+            outcome.views[tag] = make_view(
                 [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
                 _scheme(cfg, cfg.model == "lstm", tag, pid),
-                grid=cfg.grid,
-                participant_id=pid,
-                tag=tag,
             )
             continue
-        audit: list = []
-        outcome.timelines[tag] = run_fusion_sweep(
+        blocks = fusion_blocks(
             by_modality,
             spec,
-            _scheme(cfg, False, tag, pid),  # fusion views are LDA
-            grid=cfg.grid,
             standardize_all=cfg.standardize_all,
             eeg_pca_target=cfg.eeg_pca_target,
             shrinkage=cfg.lda_shrinkage,
-            audit_out=audit,
         )
-        outcome.audits[tag] = _audit_summary(audit)
+        outcome.views[tag] = make_view(
+            blocks,
+            _scheme(cfg, False, tag, pid),  # fusion views are LDA
+            late=spec.mode is FusionMode.LATE,
+        )
     return outcome
+
+
+def _evaluate(shared, task):
+    views, grid = shared
+    view_index, window_index = task
+    return window_result(views[view_index], grid, window_index)
+
+
+# The ``shared`` argument of ``_map``, set in each pool worker by its
+# initializer; the parent process never sets it.
+_shared = None
+
+
+def _install(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _call(task):
+    fn, arg = task
+    return fn(_shared, arg)
+
+
+def _map(fn, shared, tasks: list, jobs: int):
+    """``[fn(shared, task) for task in tasks]`` and the worker count,
+    ``min(jobs, len(tasks))``.  With one worker the tasks run in this
+    process, which forks nothing.
+
+    Workers are forked, so they inherit the imported modules instead of
+    importing them again, and ``shared`` reaches them through the fork rather
+    than by pickling; only ``fn``, the tasks and the results are pickled.
+    Forking is safe because the pipeline starts no threads of its own, and a
+    pool's manager thread is joined when the pool closes.
+    """
+    workers = max(1, min(jobs, len(tasks)))
+    if workers == 1:
+        return [fn(shared, task) for task in tasks], 1
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(
+        max_workers=workers, mp_context=context, initializer=_install, initargs=(shared,)
+    ) as pool:
+        return list(pool.map(_call, [(fn, task) for task in tasks])), workers
 
 
 def run_experiment(
@@ -219,10 +258,13 @@ def run_experiment(
     aggregation, and latency tables; write CSVs and run metadata under
     ``cfg.out_dir``.  Output bytes depend only on (dataset, config, seed).
 
-    Each participant is one task.  With ``jobs`` > 1 and more than one
-    participant, a pool of worker processes runs the tasks; it is joined
-    before the outputs are written.  Errors
-    are raised in the order a serial run meets them: a load error of the
+    The run has two phases, each a list of independent tasks that ``_map``
+    spreads over up to ``jobs`` worker processes.  Preparing is one task per
+    participant: load, gate, build features, align each view.  Evaluating is
+    one task per (participant, view, window), the longest windows first,
+    since a window's cost grows with its end; the parent puts the results
+    back in grid order.  Every error of the first phase is raised before the
+    second starts, in the order a serial run meets them: a load error of the
     lowest-numbered failing participant, then per view a gating error or the
     feature error of the lowest-numbered failing participant.
     """
@@ -231,30 +273,19 @@ def run_experiment(
     except Exception as exc:
         raise PipelineError(f"dataset load: {exc}") from exc
     pids = sorted({e.participant_id for e in manifest.entries})
-    tasks = [
-        (cfg, replace(manifest, entries=[e for e in manifest.entries if e.participant_id == p]))
+    manifests = [
+        replace(manifest, entries=[e for e in manifest.entries if e.participant_id == p])
         for p in pids
     ]
-    workers = max(1, min(jobs, len(tasks)))
-    if workers == 1:
-        outcomes = [run_participant(task) for task in tasks]
-    else:
-        # Forked workers inherit the imported modules instead of importing
-        # them again.  Forking is safe because the pipeline starts no threads.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            outcomes = list(pool.map(run_participant, tasks))
-    for outcome in outcomes:
+    prepared, prepare_workers = _map(prepare_participant, cfg, manifests, jobs)
+    for outcome in prepared:
         if outcome.load_error is not None:
             raise PipelineError(f"dataset load: {outcome.load_error}")
 
-    out = Path(cfg.out_dir)
-    timeline_dir = out / "timelines"
-    timelines: list[AucTimeline] = []
+    evaluated = []  # (participant, tag, fusion spec or None, view), in output order
     participants_by_tag: dict = {}
-    fusion_audits: list = []
     for tag, _, spec in _views(cfg):
-        gated = [o for o in outcomes if tag in o.gated]
+        gated = [o for o in prepared if tag in o.gated]
         if not gated:
             what = f"{tag} trials" if spec is None else f"trials for {tag}"
             raise PipelineError(
@@ -265,11 +296,26 @@ def run_experiment(
             if o.feature_error is not None and o.feature_error[0] == tag:
                 pid = o.participant_id
                 raise PipelineError(f"participant {pid}, {tag} features: {o.feature_error[1]}")
-            timelines.append(o.timelines[tag])
-            if spec is not None:
-                audit = {"participant": o.participant_id, "tag": tag, "records": o.audits[tag]}
-                fusion_audits.append(audit)
+            evaluated.append((o.participant_id, tag, spec, o.views[tag]))
 
+    views = [view for *_, view in evaluated]
+    n_windows = cfg.grid.end_times().shape[0]
+    tasks = [(v, i) for i in reversed(range(n_windows)) for v in range(len(views))]
+    results, evaluate_workers = _map(_evaluate, (views, cfg.grid), tasks, jobs)
+    by_task = dict(zip(tasks, results))
+    timelines: list[AucTimeline] = []
+    fusion_audits: list = []
+    for v, (pid, tag, spec, view) in enumerate(evaluated):
+        in_grid_order = [by_task[(v, i)] for i in range(n_windows)]
+        audit: list = []
+        timelines.append(assemble_timeline(view, cfg.grid, in_grid_order, pid, tag, audit))
+        if spec is not None:
+            fusion_audits.append(
+                {"participant": pid, "tag": tag, "records": _audit_summary(audit)}
+            )
+
+    out = Path(cfg.out_dir)
+    timeline_dir = out / "timelines"
     for timeline in timelines:
         name = f"p{timeline.participant_id:03d}_{_safe_tag(timeline.tag)}_{timeline.model}.csv"
         write_timeline_csv(timeline_dir / name, timeline)
@@ -312,7 +358,7 @@ def run_experiment(
         "environment": {
             "cpu_count": os.cpu_count(),
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-            "workers": workers,
+            "workers": {"prepare": prepare_workers, "evaluate": evaluate_workers},
         },
     }
     with open(out / "run_metadata.json", "w", encoding="utf-8", newline="\n") as fh:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from handover_intent.config import ConfigError, parse_config_text
 from handover_intent.synth import SynthProfile, generate_dataset
 from handover_intent.core_data import (
+    _median,
     Condition,
     CoverageError,
     STREAM_COLUMNS,
@@ -360,6 +361,35 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="uniform"):
             read_trial_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("time_s,x\n0.0,1\n0.1,oops\n", "bad.csv:3: bad numeric value 'oops'"),
+            ("time_s,x\n0.0,1\n0.1,1,2\n", "bad.csv:3: expected 2 columns, got 3"),
+            ("time_s,x,y\n0.0,1\n0.1,1\n", "bad.csv: 2 data columns but 3 header names"),
+            ("time_s,x\n0.0,1\n", "bad.csv: need at least two samples"),
+            ("time_s,x\n0.0,1\nnan,1\n", "bad.csv: non-finite entries in the time column"),
+            ("time_s,x\n0.0,1\n0.1,1\n0.2,1\n0.4,1\n", "bad.csv:4: time grid is not uniform"),
+            ("time_s,x\n0.0,1\n0.0,1\n", "bad.csv:2: time grid is not uniform"),
+        ],
+    )
+    def test_malformed_file_names_file_and_row(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DatasetError) as info:
+            read_trial_csv(path)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False), min_size=1, max_size=40
+        )
+    )
+    def test_step_median_is_numpy_median_to_the_bit(self, steps):
+        steps = np.array(steps)
+        assert np.float64(_median(steps)).tobytes() == np.median(steps).tobytes()
+
 
 class TestReadSections:
     KEYS = {("a", "n"): ("n", int), ("a", "s"): ("s", str), ("b", "n"): ("b_n", int)}
@@ -432,6 +462,17 @@ class TestManifestFormat:
         )
         with pytest.raises(DatasetError, match=message):
             parse_manifest(tmp_path / "m.txt")
+
+    @pytest.mark.parametrize("rate", ["25 Hz", "nan", "inf", "0", "-25.0"])
+    def test_malformed_rate_names_its_line(self, tmp_path, rate):
+        (tmp_path / "m.txt").write_text(
+            f"format_version = 1\nname = x\nmotion_rate_hz = {rate}\n[trials]\n"
+            "participant,trial,condition,onset_s,eeg,gaze,motion\n"
+        )
+        message = f"m.txt:3: motion_rate_hz: expected a positive number of Hz, got '{rate}'"
+        with pytest.raises(DatasetError) as info:
+            parse_manifest(tmp_path / "m.txt")
+        assert str(info.value) == f"{tmp_path}/{message}"
 
     def test_version_required(self, tmp_path):
         (tmp_path / "m.txt").write_text("name = x\n[trials]\n")

@@ -1,6 +1,6 @@
-"""The participant process pool and the process-level setup it relies on:
-one BLAS thread per process, and no scipy import at CLI start-up, for EEG
-features or for LDA fits."""
+"""The process pools of a run (participants, then windows) and the
+process-level setup they rely on: one BLAS thread per process, and no scipy
+import at CLI start-up, for EEG features or for LDA fits."""
 
 import json
 import os
@@ -8,11 +8,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import handover_intent
-from handover_intent import BLAS_THREAD_VARS
+from handover_intent import BLAS_THREAD_VARS, pipeline
 from handover_intent.cli import main
+from handover_intent.config import parse_config, with_overrides
+from handover_intent.core_data import Modality, complete_trials, load_dataset
+from handover_intent.evaluation import CvScheme
+from handover_intent.features import build_gaze_features, build_motion_features
+from handover_intent.fusion import run_fusion_sweep
+from handover_intent.rng import derive_seed
 
 SRC = Path(handover_intent.__file__).resolve().parents[1]
 
@@ -84,7 +91,10 @@ class TestParticipantPool:
         assert meta[0]["fusion_audits"] == meta[1]["fusion_audits"]
         assert [a["participant"] for a in meta[0]["fusion_audits"]] == [1, 2, 3, 1, 2, 3]
         assert meta[0]["participants_by_tag"] == meta[1]["participants_by_tag"]
-        assert [m["environment"]["workers"] for m in meta] == [1, 2]
+        assert [m["environment"]["workers"] for m in meta] == [
+            {"prepare": 1, "evaluate": 1},
+            {"prepare": 2, "evaluate": 2},
+        ]
 
     def test_malformed_csv_of_one_participant_exits_1_naming_the_file(
         self, fusion_dataset, capsys
@@ -124,6 +134,119 @@ class TestParticipantPool:
         assert run(tmp_path, 2, "out") == 1
         err = capsys.readouterr().err
         assert "participant 2, eeg features: channels ['Cz'] not in the recording" in err
+
+
+LSTM_CONFIG = """[dataset]
+root = ./data
+
+[experiment]
+modalities = motion
+model = lstm
+seed = 9
+min_trials = {min_trials}
+
+[cv]
+folds = {folds}
+repeats = 1
+inner_folds = 2
+
+[windows]
+start_s = -0.5
+first_end_s = 0.0
+last_end_s = 1.0
+step_s = 0.5
+
+[output]
+dir = ./out
+"""
+
+
+def one_participant_lstm(base: Path, trials_per_condition: int, folds: int) -> Path:
+    (base / "profile.txt").write_text(
+        "[synth]\nparticipants = 1\nmodalities = motion\nseed = 4\n"
+        f"trials_per_condition = {trials_per_condition}\n"
+    )
+    (base / "config.txt").write_text(
+        LSTM_CONFIG.format(min_trials=3 * trials_per_condition, folds=folds)
+    )
+    assert main(["synth", "--profile", str(base / "profile.txt"), "--out", str(base / "data")]) == 0
+    return base
+
+
+def window_errors_and_workers(out: Path):
+    meta = json.loads((out / "run_metadata.json").read_text())
+    return meta["window_errors"], meta["environment"]["workers"]
+
+
+class TestWindowPool:
+    def test_jobs_do_not_change_a_one_participant_lstm_run(self, tmp_path):
+        base = one_participant_lstm(tmp_path, trials_per_condition=8, folds=2)
+        assert run(base, 1, "serial") == 0
+        assert run(base, 2, "pooled") == 0
+        serial = csv_bytes(base / "serial")
+        assert len(serial) == 4  # results, aggregate, latency, one timeline
+        assert serial == csv_bytes(base / "pooled")
+        errors, workers = window_errors_and_workers(base / "serial")
+        assert errors == []
+        assert workers == {"prepare": 1, "evaluate": 1}
+        errors, workers = window_errors_and_workers(base / "pooled")
+        assert errors == []
+        assert workers == {"prepare": 1, "evaluate": 2}  # one participant, three windows
+
+    def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path):
+        # 6 handover trials cannot fill 10 stratified test folds with both
+        # classes, so every window fails on a one-class test fold.
+        base = one_participant_lstm(tmp_path, trials_per_condition=6, folds=10)
+        assert run(base, 1, "serial") == 0
+        assert run(base, 2, "pooled") == 0
+        assert csv_bytes(base / "serial") == csv_bytes(base / "pooled")
+        serial, _ = window_errors_and_workers(base / "serial")
+        pooled, _ = window_errors_and_workers(base / "pooled")
+        assert pooled == serial
+        assert [e["window_end_s"] for e in serial] == [0.0, 0.5, 1.0]
+        assert all("need both classes 0 and 1" in e["message"] for e in serial)
+
+    def test_pooled_fusion_views_match_sweep(self, fusion_dataset):
+        cfg = with_overrides(
+            parse_config(fusion_dataset / "config.txt"), out_dir=fusion_dataset / "out"
+        )
+        result = pipeline.run_experiment(cfg, jobs=2)
+        pooled = {(t.participant_id, t.tag): t for t in result.timelines}
+        trials = load_dataset(cfg.dataset_root, cfg.manifest_path)
+        expected_audits = []
+        for spec in cfg.fusion_specs():
+            tag = spec.tag()
+            for pid in (1, 2, 3):
+                usable = complete_trials(
+                    [t for t in trials if t.participant_id == pid], set(spec.modalities)
+                )
+                sequences = {
+                    Modality.GAZE: [build_gaze_features(t) for t in usable],
+                    Modality.MOTION: [build_motion_features(t) for t in usable],
+                }
+                scheme = CvScheme(
+                    k=cfg.cv_folds, repeats=cfg.cv_repeats, seed=derive_seed(cfg.seed, "cv", tag, pid)
+                )
+                audit: list = []
+                swept = run_fusion_sweep(sequences, spec, scheme, grid=cfg.grid, audit_out=audit)
+                got = pooled[(pid, tag)]
+                for name in ("window_end_times_s", "auc", "auc_std", "auc_stderr",
+                             "auc_median", "auc_q25", "auc_q75"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(swept, name))
+                assert (got.model, got.n_splits, got.errors) == (
+                    swept.model, swept.n_splits, swept.errors
+                )
+                expected_audits.append(
+                    {"participant": pid, "tag": tag, "records": pipeline._audit_summary(audit)}
+                )
+        assert result.metadata["fusion_audits"] == expected_audits
+
+    def test_one_job_starts_no_process(self, fusion_dataset, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created with --jobs 1")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        assert run(fusion_dataset, 1, "out") == 0
 
 
 def python(code: str, **env_vars) -> str:
