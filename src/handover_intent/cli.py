@@ -35,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for loading participants and for evaluating windows",
+        help="worker processes for loading and featurizing trials (each "
+        "participant's trials cut into up to this many slices) and for "
+        "evaluating windows",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", type=Path, default=None, help="override the output dir")

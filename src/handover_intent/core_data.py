@@ -148,8 +148,8 @@ class TimeSeries:
         )
 
 
-def epoch(stream: TimeSeries, window_start_s: float, window_end_s: float) -> TimeSeries:
-    """Restrict ``stream`` to the half-open onset-relative window [start, end).
+def epoch_rows(stream: TimeSeries, window_start_s: float, window_end_s: float) -> slice:
+    """The rows of ``stream`` in the half-open onset-relative window [start, end).
 
     Selected rows are those whose grid time t satisfies start <= t < end,
     with a small tolerance so on-grid boundaries are classified exactly.
@@ -169,10 +169,16 @@ def epoch(stream: TimeSeries, window_start_s: float, window_end_s: float) -> Tim
             f"window [{window_start_s}, {window_end_s}) contains no samples "
             f"(step {step})"
         )
+    return slice(i_lo, i_hi)
+
+
+def epoch(stream: TimeSeries, window_start_s: float, window_end_s: float) -> TimeSeries:
+    """Restrict ``stream`` to the window [start, end); see ``epoch_rows``."""
+    rows = epoch_rows(stream, window_start_s, window_end_s)
     return TimeSeries(
-        start_time_s=stream.start_time_s + i_lo * step,
-        step_s=step,
-        values=stream.values[i_lo:i_hi],
+        start_time_s=stream.start_time_s + rows.start * stream.step_s,
+        step_s=stream.step_s,
+        values=stream.values[rows],
     )
 
 
@@ -231,15 +237,6 @@ def is_uncorrupted(
     if modality is Modality.GAZE:
         return bool(finite.any(axis=0).all())
     return bool(finite.all())
-
-
-def complete_trials(
-    trials: "list[TrialRecording]",
-    modalities: "set[Modality]",
-    window: tuple[float, float] = (EPOCH_START_S, EPOCH_END_S),
-) -> "list[TrialRecording]":
-    """The trials that pass the corruption rule for every requested modality."""
-    return [t for t in trials if all(is_uncorrupted(t, m, window) for m in modalities)]
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +460,7 @@ def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[s
     steps = np.diff(times)
     step = _median(steps)
     if step <= 0 or np.abs(steps - step).max() > 1e-4 * step:
-        row = int(np.abs(steps - step).argmax()) + 2
+        row = int(np.abs(steps - step).argmax()) + 3  # line of the later sample
         raise DatasetError(f"{path}:{row}: time grid is not uniform")
     return float(times[0]), step, data[:, 1:], columns[1:]
 

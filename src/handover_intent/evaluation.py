@@ -18,7 +18,8 @@ from .classifiers import (
     fit_lda_classifier,
     fit_sequence_preprocessing,
 )
-from .features import FeatureSequence, WindowGrid, flatten, window_features
+from .core_data import epoch_rows
+from .features import FeatureSequence, WindowGrid
 from .lda import lda_fit, lda_predict_proba
 from .lstm import (
     STACK_BYTES,
@@ -43,10 +44,14 @@ def _check_scored(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError(f"scores {scores.shape} and labels {labels.shape} must be 1-D and aligned")
+    _check_classes(labels)
+    return scores, labels
+
+
+def _check_classes(labels: np.ndarray) -> None:
     present = np.unique(labels)
     if not np.array_equal(present, [0, 1]):
         raise ValueError(f"need both classes 0 and 1, got labels {present.tolist()}")
-    return scores, labels
 
 
 def auc_roc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -174,14 +179,20 @@ class WindowScore:
     split_aucs: tuple
 
 
+def _window_values(sequences, end_time_s: float, grid: WindowGrid) -> list:
+    """Each sequence's rows in [grid.start, end_time_s), as ``window_features``
+    selects them, without building a sequence per trial."""
+    grid.index_of(end_time_s)  # raises GridError when off the grid
+    return [s.series.values[epoch_rows(s.series, grid.start_s, end_time_s)] for s in sequences]
+
+
 def _window_matrix(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
-    return np.stack([flatten(window_features(s, end_time_s, grid)) for s in sequences])
+    """(trials, time x features), time-major as in ``flatten``."""
+    return np.stack([v.reshape(-1) for v in _window_values(sequences, end_time_s, grid)])
 
 
 def _window_tensor(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
-    return np.stack(
-        [window_features(s, end_time_s, grid).series.values for s in sequences]
-    )
+    return np.stack(_window_values(sequences, end_time_s, grid))
 
 
 def _sorted_sequences(sequences) -> "list[FeatureSequence]":
@@ -255,6 +266,7 @@ def _lstm_ensembles(
     one stack's data and the models of unfinished splits are held.  Ensemble
     weights are the members' validation AUCs, normalized (equal weights when
     every AUC is zero).  Preprocessing is fitted on each outer training fold.
+    A split whose test fold holds one class fails before its members train.
     A failure raises ``EvaluationError`` naming the split that serial
     training would have failed in first.
     """
@@ -285,6 +297,7 @@ def _lstm_ensembles(
             spec = recipe.spec(input_dim=x.shape[2], seed=seed)
             prep = fit_sequence_preprocessing(x[split.train_idx], recipe)
             xp = prep.apply_sequences(x)
+            _check_classes(y[split.test_idx])  # its AUC would fail after training
         except Exception as exc:
             yield from train_pending()  # earlier splits come first
             raise EvaluationError(f"split {split_index}: {exc}") from exc

@@ -16,7 +16,7 @@ from .classifiers import lda_recipe_for, lstm_recipe_for
 from .config import ExperimentConfig, config_text_hash
 from .core_data import (
     Modality,
-    complete_trials,
+    is_uncorrupted,
     label_for,
     load_dataset,
     parse_manifest,
@@ -84,35 +84,25 @@ def _eeg_digest(eeg) -> str:
     return h.hexdigest()[:16]
 
 
-def _build_sequences(cfg, trials, modality, cache, built: dict):
-    """The feature sequences of ``trials`` for one modality.  ``built`` holds
-    every sequence made so far, keyed by (modality, trial ref), so the views
-    that share a modality share its features.  Cached EEG features are keyed
-    by the trial's EEG content as well as by the feature parameters."""
+def _build_features(cfg, trial, modality, cache):
+    """One trial's feature sequence for one modality.  Cached EEG features are
+    keyed by the trial's EEG content as well as by the feature parameters."""
+    if modality is Modality.GAZE:
+        return build_gaze_features(trial)
+    if modality is Modality.MOTION:
+        return build_motion_features(trial)
     tf = _tf_spec(cfg)
-    key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
-    out = []
-    for trial in trials:
+    if cache is not None:
+        key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
+        key += f"_eeg{_eeg_digest(trial.streams[Modality.EEG])}"
         ref = (trial.participant_id, trial.trial_id)
-        seq = built.get((modality, ref))
-        if seq is None:
-            if modality is Modality.GAZE:
-                seq = build_gaze_features(trial)
-            elif modality is Modality.MOTION:
-                seq = build_motion_features(trial)
-            else:
-                if cache is not None:
-                    trial_key = f"{key}_eeg{_eeg_digest(trial.streams[Modality.EEG])}"
-                    seq = cache.get(ref, Modality.EEG, trial_key, label_for(trial.condition))
-                if seq is None:
-                    seq = build_eeg_features(
-                        trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power
-                    )
-                    if cache is not None:
-                        cache.put(seq, trial_key)
-            built[(modality, ref)] = seq
-        out.append(seq)
-    return out
+        seq = cache.get(ref, Modality.EEG, key, label_for(trial.condition))
+        if seq is not None:
+            return seq
+    seq = build_eeg_features(trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power)
+    if cache is not None:
+        cache.put(seq, key)
+    return seq
 
 
 def _recipe(cfg: ExperimentConfig, modality: Modality):
@@ -151,62 +141,120 @@ def _views(cfg: ExperimentConfig) -> list:
 
 
 @dataclass
-class Prepared:
-    """What one participant's prepare task returns to the parent process."""
+class PreparedTrials:
+    """What one prepare task returns to the parent process, for a slice of one
+    participant's trials: each trial's (participant, trial) reference and the
+    modalities that pass the corruption rule, in manifest order; and the
+    feature sequences built and the messages of the builds that failed, both
+    keyed by (modality, trial reference).  ``load_error`` is set, and nothing
+    else, when a file of the slice could not be loaded."""
 
-    participant_id: int
     load_error: str | None = None
-    gated: tuple = ()  # tags with >= min_trials complete trials, up to a feature error
-    views: dict = field(default_factory=dict)  # tag -> evaluation.View
-    feature_error: tuple | None = None  # (tag, message); later tags not prepared
+    trials: list = field(default_factory=list)  # (ref, frozenset of Modality)
+    features: dict = field(default_factory=dict)
+    feature_errors: dict = field(default_factory=dict)
 
 
-def prepare_participant(cfg: ExperimentConfig, manifest) -> Prepared:
-    """Load one participant's trials (``manifest`` holds only that
-    participant's entries) and, view by view, gate them on the count of
-    complete trials, build each modality's features once, and align the view
-    and draw its CV splits.  Failures come back as messages, so the parent
-    can report them in the order a serial run meets them."""
-    outcome = Prepared(manifest.entries[0].participant_id)
+def prepare_trials(cfg: ExperimentConfig, manifest) -> PreparedTrials:
+    """Load the trials ``manifest`` lists (a slice of one participant's
+    entries), run the corruption rule once per trial and modality, and build
+    a modality's features for every trial that is complete for some view with
+    that modality.  Gating and aligning a view need the participant's whole
+    trial list, so the parent does them, from what this returns."""
     try:
         trials = load_dataset(cfg.dataset_root, manifest)
     except Exception as exc:
-        outcome.load_error = str(exc)
-        return outcome
+        return PreparedTrials(load_error=str(exc))
+    view_modalities = [set(mods) for _, mods, _ in _views(cfg)]
+    needed = [m for m in Modality if any(m in mods for mods in view_modalities)]
     cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
-    built: dict = {}
-    pid = outcome.participant_id
+    out = PreparedTrials()
+    for trial in trials:
+        ref = (trial.participant_id, trial.trial_id)
+        usable = frozenset(m for m in needed if is_uncorrupted(trial, m))
+        out.trials.append((ref, usable))
+        for m in needed:
+            if any(m in mods and mods <= usable for mods in view_modalities):
+                try:
+                    out.features[(m, ref)] = _build_features(cfg, trial, m, cache)
+                except Exception as exc:
+                    out.feature_errors[(m, ref)] = str(exc)
+    return out
+
+
+def _slices(entries: list, n: int) -> list:
+    """``entries`` cut into ``min(n, len(entries))`` contiguous slices (at
+    least one) whose sizes differ by at most one."""
+    n = max(1, min(n, len(entries)))
+    return [entries[i * len(entries) // n : (i + 1) * len(entries) // n] for i in range(n)]
+
+
+def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
+    """The prepare phase: load and featurize every participant's trials, in
+    slices of up to ``jobs`` per participant, then gate and align each view.
+    Returns (participant, tag, fusion spec or None, ``evaluation.View``) in
+    output order, the gated participants by tag, and the worker count.
+
+    Errors are raised in the order a serial run meets them: the first load
+    error in manifest order of the lowest-numbered failing participant, then
+    per view a gating error or, participant by participant, the first feature
+    error in the view's modality order and trial order."""
+    pids = sorted({e.participant_id for e in manifest.entries})
+    tasks = [
+        (pid, replace(manifest, entries=part))
+        for pid in pids
+        for part in _slices([e for e in manifest.entries if e.participant_id == pid], jobs)
+    ]
+    prepared, workers = _map(prepare_trials, cfg, [m for _, m in tasks], jobs)
+    participants: dict = {}  # pid -> its slices merged, in pid order
+    for (pid, _), part in zip(tasks, prepared):
+        if part.load_error is not None:
+            raise PipelineError(f"dataset load: {part.load_error}")
+        whole = participants.setdefault(pid, PreparedTrials())
+        whole.trials += part.trials
+        whole.features.update(part.features)
+        whole.feature_errors.update(part.feature_errors)
+
+    evaluated = []
+    participants_by_tag: dict = {}
     for tag, mods, spec in _views(cfg):
-        usable = complete_trials(trials, set(mods))
-        if len(usable) < cfg.min_trials:
-            continue
-        outcome.gated += (tag,)
-        try:
-            by_modality = {
-                m: _build_sequences(cfg, usable, m, cache, built) for m in mods
-            }
-        except Exception as exc:
-            outcome.feature_error = (tag, str(exc))
-            break
-        if spec is None:
-            outcome.views[tag] = make_view(
-                [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
-                _scheme(cfg, cfg.model == "lstm", tag, pid),
+        gated = []
+        for pid, whole in participants.items():
+            refs = [ref for ref, usable in whole.trials if usable.issuperset(mods)]
+            if len(refs) >= cfg.min_trials:
+                gated.append((pid, whole, refs))
+        if not gated:
+            what = f"{tag} trials" if spec is None else f"trials for {tag}"
+            raise PipelineError(
+                f"gating: no participant has >= {cfg.min_trials} complete {what}"
             )
-            continue
-        blocks = fusion_blocks(
-            by_modality,
-            spec,
-            standardize_all=cfg.standardize_all,
-            eeg_pca_target=cfg.eeg_pca_target,
-            shrinkage=cfg.lda_shrinkage,
-        )
-        outcome.views[tag] = make_view(
-            blocks,
-            _scheme(cfg, False, tag, pid),  # fusion views are LDA
-            late=spec.mode is FusionMode.LATE,
-        )
-    return outcome
+        participants_by_tag[tag] = [pid for pid, _, _ in gated]
+        for pid, whole, refs in gated:
+            errors = whole.feature_errors
+            failed = [(m, ref) for m in mods for ref in refs if (m, ref) in errors]
+            if failed:
+                raise PipelineError(f"participant {pid}, {tag} features: {errors[failed[0]]}")
+            by_modality = {m: [whole.features[(m, ref)] for ref in refs] for m in mods}
+            if spec is None:
+                view = make_view(
+                    [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
+                    _scheme(cfg, cfg.model == "lstm", tag, pid),
+                )
+            else:
+                blocks = fusion_blocks(
+                    by_modality,
+                    spec,
+                    standardize_all=cfg.standardize_all,
+                    eeg_pca_target=cfg.eeg_pca_target,
+                    shrinkage=cfg.lda_shrinkage,
+                )
+                view = make_view(
+                    blocks,
+                    _scheme(cfg, False, tag, pid),  # fusion views are LDA
+                    late=spec.mode is FusionMode.LATE,
+                )
+            evaluated.append((pid, tag, spec, view))
+    return evaluated, participants_by_tag, workers
 
 
 def _evaluate(shared, task):
@@ -259,44 +307,20 @@ def run_experiment(
     ``cfg.out_dir``.  Output bytes depend only on (dataset, config, seed).
 
     The run has two phases, each a list of independent tasks that ``_map``
-    spreads over up to ``jobs`` worker processes.  Preparing is one task per
-    participant: load, gate, build features, align each view.  Evaluating is
-    one task per (participant, view, window), the longest windows first,
-    since a window's cost grows with its end; the parent puts the results
-    back in grid order.  Every error of the first phase is raised before the
-    second starts, in the order a serial run meets them: a load error of the
-    lowest-numbered failing participant, then per view a gating error or the
-    feature error of the lowest-numbered failing participant.
+    spreads over up to ``jobs`` worker processes.  Preparing
+    (``prepare_views``) cuts each participant's trials into up to ``jobs``
+    slices, one task each: load, run the corruption rule, build features; the
+    parent then gates and aligns each view.  Evaluating is one task per
+    (participant, view, window), the longest windows first, since a window's
+    cost grows with its end; the parent puts the results back in grid order.
+    Every error of the first phase is raised before the second starts, in the
+    order a serial run meets them.
     """
     try:
         manifest = parse_manifest(cfg.manifest_path)
     except Exception as exc:
         raise PipelineError(f"dataset load: {exc}") from exc
-    pids = sorted({e.participant_id for e in manifest.entries})
-    manifests = [
-        replace(manifest, entries=[e for e in manifest.entries if e.participant_id == p])
-        for p in pids
-    ]
-    prepared, prepare_workers = _map(prepare_participant, cfg, manifests, jobs)
-    for outcome in prepared:
-        if outcome.load_error is not None:
-            raise PipelineError(f"dataset load: {outcome.load_error}")
-
-    evaluated = []  # (participant, tag, fusion spec or None, view), in output order
-    participants_by_tag: dict = {}
-    for tag, _, spec in _views(cfg):
-        gated = [o for o in prepared if tag in o.gated]
-        if not gated:
-            what = f"{tag} trials" if spec is None else f"trials for {tag}"
-            raise PipelineError(
-                f"gating: no participant has >= {cfg.min_trials} complete {what}"
-            )
-        participants_by_tag[tag] = [o.participant_id for o in gated]
-        for o in gated:
-            if o.feature_error is not None and o.feature_error[0] == tag:
-                pid = o.participant_id
-                raise PipelineError(f"participant {pid}, {tag} features: {o.feature_error[1]}")
-            evaluated.append((o.participant_id, tag, spec, o.views[tag]))
+    evaluated, participants_by_tag, prepare_workers = prepare_views(cfg, manifest, jobs)
 
     views = [view for *_, view in evaluated]
     n_windows = cfg.grid.end_times().shape[0]

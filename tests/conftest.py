@@ -17,6 +17,7 @@ from handover_intent.core_data import (
     RawStream,
     TimeSeries,
     TrialRecording,
+    is_uncorrupted,
 )
 
 
@@ -100,3 +101,9 @@ def make_trial(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def complete_trials(trials, modalities) -> list:
+    """The trials that pass the corruption rule for every modality in
+    ``modalities``: the trials a view with those modalities keeps."""
+    return [t for t in trials if all(is_uncorrupted(t, m) for m in modalities)]

@@ -13,9 +13,11 @@ from handover_intent.config import (
     validate_config,
     with_overrides,
 )
-from handover_intent.core_data import Modality, complete_trials, load_dataset
+from handover_intent.core_data import Modality, load_dataset
 from handover_intent.fusion import FusionMode
 from handover_intent.synth import SynthProfile, generate_dataset, parse_profile
+
+from conftest import complete_trials
 
 MINIMAL_CONFIG = """
 [dataset]
@@ -446,17 +448,17 @@ class TestFusionPipeline:
         # each with its own CV seed.
         assert len(seeds) == len(set(seeds)) == 2 * 3
 
-    def test_corruption_rule_runs_once_per_trial_and_view(self, tmp_path, monkeypatch):
-        import handover_intent.core_data as core_data
+    def test_corruption_rule_runs_once_per_trial_and_modality(self, tmp_path, monkeypatch):
+        from handover_intent import pipeline
 
-        original = core_data.is_uncorrupted
+        original = pipeline.is_uncorrupted
         calls = []
 
         def counting(trial, modality, *args):
             calls.append((trial.trial_id, modality))
             return original(trial, modality, *args)
 
-        monkeypatch.setattr(core_data, "is_uncorrupted", counting)
+        monkeypatch.setattr(pipeline, "is_uncorrupted", counting)
         profile = tmp_path / "profile.txt"
         profile.write_text(
             "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
@@ -473,6 +475,7 @@ class TestFusionPipeline:
         )
         assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
         assert main(["run", "--config", str(config), "--jobs", "1"]) == 0
-        # 18 trials; views gaze, motion, early:gaze+motion and late:gaze+motion
-        # check one, one, two and two modalities per trial, once each.
-        assert len(calls) == 18 * (1 + 1 + 2 + 2)
+        # 18 trials, each checked once for gaze and once for motion, which
+        # serve the views gaze, motion, early:gaze+motion and late:gaze+motion.
+        assert len(calls) == 18 * 2
+        assert set(calls) == {(t, m) for t in range(18) for m in (Modality.GAZE, Modality.MOTION)}

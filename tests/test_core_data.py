@@ -18,7 +18,6 @@ from handover_intent.core_data import (
     Modality,
     TimeSeries,
     TrialRecording,
-    complete_trials,
     convert_dataset,
     epoch,
     is_uncorrupted,
@@ -31,7 +30,7 @@ from handover_intent.core_data import (
     write_trial_csv,
 )
 
-from conftest import grid_times, make_gaze, make_motion, make_trial, series
+from conftest import complete_trials, grid_times, make_gaze, make_motion, make_trial, series
 
 
 def enumerate_window(start, step, n, a, b):
@@ -369,8 +368,8 @@ class TestLoadDataset:
             ("time_s,x,y\n0.0,1\n0.1,1\n", "bad.csv: 2 data columns but 3 header names"),
             ("time_s,x\n0.0,1\n", "bad.csv: need at least two samples"),
             ("time_s,x\n0.0,1\nnan,1\n", "bad.csv: non-finite entries in the time column"),
-            ("time_s,x\n0.0,1\n0.1,1\n0.2,1\n0.4,1\n", "bad.csv:4: time grid is not uniform"),
-            ("time_s,x\n0.0,1\n0.0,1\n", "bad.csv:2: time grid is not uniform"),
+            ("time_s,x\n0.0,1\n0.1,1\n0.2,1\n0.4,1\n", "bad.csv:5: time grid is not uniform"),
+            ("time_s,x\n0.0,1\n0.0,1\n", "bad.csv:3: time grid is not uniform"),
         ],
     )
     def test_malformed_file_names_file_and_row(self, tmp_path, text, message):

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover_intent.classifiers import fit_lda_classifier, lda_recipe_for, lstm_recipe_for
-from handover_intent.core_data import Modality
+from handover_intent.core_data import CoverageError, Modality
 from handover_intent.evaluation import (
+    _window_matrix,
+    _window_tensor,
     AucTimeline,
     CvScheme,
     EvaluationError,
@@ -24,7 +26,13 @@ from handover_intent.evaluation import (
     write_results_csv,
     write_timeline_csv,
 )
-from handover_intent.features import FeatureSequence, WindowGrid, flatten, window_features
+from handover_intent.features import (
+    FeatureSequence,
+    GridError,
+    WindowGrid,
+    flatten,
+    window_features,
+)
 
 from conftest import series
 
@@ -295,6 +303,44 @@ class TestEvaluateWindow:
         score = evaluate_at(seqs, -3.0, recipe, scheme)
         assert len(score.split_aucs) == 3
         assert score.mean > 0.8  # signal everywhere, easy sequences
+
+
+def motion_sequence(rng, start, n_samples, trial=0):
+    values = rng.normal(size=(n_samples, 3))
+    return FeatureSequence(Modality.MOTION, series(start, 0.2, values), (1, trial), trial % 2)
+
+
+class TestWindowArrays:
+    def test_slices_equal_window_features_to_the_bit(self, rng):
+        seqs = [motion_sequence(rng, start, 40, i) for i, start in enumerate((-5.0, -5.2, -5.4))]
+        grid = WindowGrid(first_end_s=-1.0, last_end_s=1.0, step_s=0.5)
+        for end in grid.end_times():
+            windows = [window_features(s, end, grid) for s in seqs]
+            tensor = np.stack([w.series.values for w in windows])
+            matrix = np.stack([flatten(w) for w in windows])
+            assert _window_tensor(seqs, end, grid).tobytes() == tensor.tobytes()
+            assert _window_matrix(seqs, end, grid).tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("build", [_window_matrix, _window_tensor])
+    def test_errors_are_those_of_window_features(self, rng, build):
+        grid = WindowGrid(first_end_s=-4.95, last_end_s=1.0, step_s=0.05)
+        full, short, off_grid = (
+            motion_sequence(rng, -5.0, 40),
+            motion_sequence(rng, -5.0, 20),  # ends at -1.2 s
+            motion_sequence(rng, -5.1, 40),  # no sample in [-5.0, -4.95)
+        )
+        cases = [
+            ([full], 0.02, GridError),
+            ([full, short], 0.0, CoverageError),
+            ([off_grid], -4.95, ValueError),
+        ]
+        for seqs, end, error in cases:
+            with pytest.raises(error) as expected:
+                for s in seqs:
+                    window_features(s, end, grid)
+            with pytest.raises(type(expected.value)) as got:
+                build(seqs, end, grid)
+            assert str(got.value) == str(expected.value)
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
-"""The process pools of a run (participants, then windows) and the
-process-level setup they rely on: one BLAS thread per process, and no scipy
-import at CLI start-up, for EEG features or for LDA fits."""
+"""The process pools of a run (slices of each participant's trials, then
+windows) and the process-level setup they rely on: one BLAS thread per
+process, and no scipy import at CLI start-up, for EEG features or for LDA
+fits."""
 
 import json
 import os
@@ -12,14 +13,16 @@ import numpy as np
 import pytest
 
 import handover_intent
-from handover_intent import BLAS_THREAD_VARS, pipeline
+from handover_intent import BLAS_THREAD_VARS, evaluation, pipeline
 from handover_intent.cli import main
 from handover_intent.config import parse_config, with_overrides
-from handover_intent.core_data import Modality, complete_trials, load_dataset
+from handover_intent.core_data import Modality, load_dataset
 from handover_intent.evaluation import CvScheme
 from handover_intent.features import build_gaze_features, build_motion_features
 from handover_intent.fusion import run_fusion_sweep
 from handover_intent.rng import derive_seed
+
+from conftest import complete_trials
 
 SRC = Path(handover_intent.__file__).resolve().parents[1]
 
@@ -70,10 +73,49 @@ def fusion_dataset(tmp_path):
     return tmp_path
 
 
+def malform(path: Path) -> Path:
+    """Corrupt one number on line 6 of a trial CSV."""
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].replace(",", ",oops", 1)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def run(base: Path, jobs: int, out: str) -> int:
     return main(
         ["run", "--config", str(base / "config.txt"), "--jobs", str(jobs), "--out", str(base / out)]
     )
+
+
+def eeg_dataset(base: Path, participants: int) -> Path:
+    """A small EEG dataset whose manifest declares no montage, so that loading
+    accepts a recording that lacks a channel, and an EEG LDA config."""
+    (base / "profile.txt").write_text(
+        f"[synth]\nparticipants = {participants}\ntrials_per_condition = 4\n"
+        "modalities = eeg\nseed = 3\n"
+    )
+    data = base / "data"
+    assert main(["synth", "--profile", str(base / "profile.txt"), "--out", str(data)]) == 0
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(x for x in lines if not x.startswith("eeg_channels")) + "\n")
+    (base / "config.txt").write_text(
+        "[dataset]\nroot = ./data\n"
+        "[experiment]\nmodalities = eeg\nmodel = lda\nseed = 1\nmin_trials = 10\n"
+        "[cv]\nfolds = 2\nrepeats = 1\n"
+        "[windows]\nfirst_end_s = 0.0\nlast_end_s = 1.0\nstep_s = 1.0\n"
+        "[features]\ntf_freq_lo_hz = 8\ntf_freq_hi_hz = 10\n"
+        "[output]\ndir = ./out\n"
+    )
+    return data
+
+
+def rename_channel(trial: Path, channel: str) -> None:
+    """Rename one channel of an EEG trial CSV, so the trial lacks it."""
+    header, body = trial.read_text().split("\n", 1)
+    names = header.split(",")
+    names[names.index(channel)] = channel + "x"
+    trial.write_text(",".join(names) + "\n" + body)
 
 
 class TestParticipantPool:
@@ -100,40 +142,50 @@ class TestParticipantPool:
         self, fusion_dataset, capsys
     ):
         base = fusion_dataset
-        bad = base / "data" / "gaze" / "p02_t003.csv"
-        assert bad.is_file()
-        lines = bad.read_text().splitlines()
-        lines[5] = lines[5].replace(",", ",oops", 1)
-        bad.write_text("\n".join(lines) + "\n")
+        bad = malform(base / "data" / "gaze" / "p02_t003.csv")
         assert run(base, 2, "out") == 1
         err = capsys.readouterr().err
         assert "dataset load" in err and str(bad) in err
 
+    def test_first_load_error_in_manifest_order_is_raised(self, fusion_dataset, capsys):
+        # At --jobs 2 participant 1's 18 trials are cut into trials 0-8 and
+        # 9-17, so both slices with a bad file fail, each in its own task.
+        base = fusion_dataset
+        first = malform(base / "data" / "motion" / "p01_t012.csv")
+        malform(base / "data" / "gaze" / "p01_t015.csv")
+        later = malform(base / "data" / "gaze" / "p02_t003.csv")
+        for jobs in (1, 2):
+            assert run(base, jobs, f"out{jobs}") == 1
+            err = capsys.readouterr().err
+            assert f"dataset load: {first}:6: bad numeric value" in err
+            assert str(later) not in err
+
     def test_feature_error_in_a_worker_names_participant_and_view(self, tmp_path, capsys):
-        (tmp_path / "profile.txt").write_text(
-            "[synth]\nparticipants = 2\ntrials_per_condition = 4\nmodalities = eeg\nseed = 3\n"
-        )
-        data = tmp_path / "data"
-        assert main(["synth", "--profile", str(tmp_path / "profile.txt"), "--out", str(data)]) == 0
-        # Undeclare the montage so that loading accepts a recording that
-        # lacks a channel, then drop Cz from one of participant 2's trials.
-        manifest = data / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join(x for x in lines if not x.startswith("eeg_channels")) + "\n")
-        trial = data / "eeg" / "p02_t000.csv"
-        header, body = trial.read_text().split("\n", 1)
-        trial.write_text(header.replace(",Cz,", ",Cx,") + "\n" + body)
-        (tmp_path / "config.txt").write_text(
-            "[dataset]\nroot = ./data\n"
-            "[experiment]\nmodalities = eeg\nmodel = lda\nseed = 1\nmin_trials = 10\n"
-            "[cv]\nfolds = 2\nrepeats = 1\n"
-            "[windows]\nfirst_end_s = 0.0\nlast_end_s = 1.0\nstep_s = 1.0\n"
-            "[features]\ntf_freq_lo_hz = 8\ntf_freq_hi_hz = 10\n"
-            "[output]\ndir = ./out\n"
-        )
+        data = eeg_dataset(tmp_path, participants=2)
+        rename_channel(data / "eeg" / "p02_t000.csv", "Cz")
         assert run(tmp_path, 2, "out") == 1
         err = capsys.readouterr().err
         assert "participant 2, eeg features: channels ['Cz'] not in the recording" in err
+
+    def test_feature_errors_in_slices_are_raised_in_trial_order(self, tmp_path, capsys):
+        # One participant's 12 trials, cut into trials 0-5 and 6-11 at --jobs 2.
+        data = eeg_dataset(tmp_path, participants=1)
+
+        def error_lines():
+            lines = []
+            for jobs in (1, 2):
+                assert run(tmp_path, jobs, "out") == 1
+                lines.append(capsys.readouterr().err.strip().splitlines()[-1])
+            return lines
+
+        rename_channel(data / "eeg" / "p01_t010.csv", "Cz")
+        serial, pooled = error_lines()
+        assert serial == pooled
+        assert "participant 1, eeg features: channels ['Cz'] not in the recording" in serial
+        rename_channel(data / "eeg" / "p01_t004.csv", "C3")  # earlier, in the first slice
+        serial, pooled = error_lines()
+        assert serial == pooled
+        assert "participant 1, eeg features: channels ['C3'] not in the recording" in serial
 
 
 LSTM_CONFIG = """[dataset]
@@ -191,20 +243,31 @@ class TestWindowPool:
         assert workers == {"prepare": 1, "evaluate": 1}
         errors, workers = window_errors_and_workers(base / "pooled")
         assert errors == []
-        assert workers == {"prepare": 1, "evaluate": 2}  # one participant, three windows
+        # One participant's trials in two slices; three windows.
+        assert workers == {"prepare": 2, "evaluate": 2}
 
-    def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path):
+    def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path, monkeypatch):
         # 6 handover trials cannot fill 10 stratified test folds with both
-        # classes, so every window fails on a one-class test fold.
+        # classes, so every window fails on a one-class test fold, before any
+        # LSTM member trains.
         base = one_participant_lstm(tmp_path, trials_per_condition=6, folds=10)
+        trained = []
+        original = evaluation.lstm_train_members
+
+        def counting(*args, **kwargs):
+            trained.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "lstm_train_members", counting)
         assert run(base, 1, "serial") == 0
+        assert trained == []
         assert run(base, 2, "pooled") == 0
         assert csv_bytes(base / "serial") == csv_bytes(base / "pooled")
         serial, _ = window_errors_and_workers(base / "serial")
         pooled, _ = window_errors_and_workers(base / "pooled")
         assert pooled == serial
         assert [e["window_end_s"] for e in serial] == [0.0, 0.5, 1.0]
-        assert all("need both classes 0 and 1" in e["message"] for e in serial)
+        assert {e["message"] for e in serial} == {"split 0: need both classes 0 and 1, got labels [0]"}
 
     def test_pooled_fusion_views_match_sweep(self, fusion_dataset):
         cfg = with_overrides(
