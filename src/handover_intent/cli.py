@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, parse_config, validate_config, with_overrides
 from .core_data import DatasetError, convert_dataset
 from .pipeline import PipelineError, run_experiment
 from .report import write_report
-from .synth import generate_dataset, parse_profile, with_seed
+from .synth import generate_dataset, parse_profile
 
 EXIT_OK = 0
 EXIT_PIPELINE = 1
@@ -84,7 +85,7 @@ def _cmd_synth(args) -> int:
     try:
         profile = parse_profile(args.profile)
         if args.seed is not None:
-            profile = with_seed(profile, args.seed)
+            profile = replace(profile, seed=args.seed)
     except (OSError, ValueError) as exc:
         print(f"profile error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,8 @@ required.  Every other key defaults to the matching field of
 defaults to ``manifest.txt`` under the root.  Relative paths are taken from
 the config file's directory.  [features] eeg_pca_target is the one PCA
 variance target of the EEG block, in the eeg view and in every fusion view.
+A list (modalities, modes, eeg_channels) may not repeat an item, and
+eeg_channels may not be empty.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .core_data import parse_modalities, read_sections
+from .core_data import parse_modalities, read_sections, split_items
 from .features import DEFAULT_EEG_CHANNELS, WindowGrid
 from .fusion import FusionMode, FusionSpec
 from .lda import DEFAULT_SHRINKAGE
@@ -101,8 +103,15 @@ def _to_model(value: str) -> str:
     return value
 
 
-def _items(value: str) -> "list[str]":
-    return [v.strip() for v in value.split(",") if v.strip()]
+def _to_channels(value: str) -> tuple:
+    channels = split_items(value, "channel")
+    if not channels:
+        raise ValueError("empty channel list")
+    return tuple(channels)
+
+
+def _to_modes(value: str) -> tuple:
+    return tuple(map(FusionMode, split_items(value.lower(), "mode")))
 
 
 # (section, key) -> (ExperimentConfig or WindowGrid field, conversion)
@@ -120,7 +129,7 @@ _KEYS = {
     ("windows", "first_end_s"): ("first_end_s", float),
     ("windows", "last_end_s"): ("last_end_s", float),
     ("windows", "step_s"): ("step_s", float),
-    ("features", "eeg_channels"): ("eeg_channels", lambda v: tuple(_items(v))),
+    ("features", "eeg_channels"): ("eeg_channels", _to_channels),
     ("features", "tf_freq_lo_hz"): ("tf_freq_lo_hz", int),
     ("features", "tf_freq_hi_hz"): ("tf_freq_hi_hz", int),
     ("features", "tf_cycles"): ("tf_cycles", float),
@@ -130,7 +139,7 @@ _KEYS = {
     ("features", "eeg_pca_target"): ("eeg_pca_target", float),
     ("features", "lda_shrinkage"): ("lda_shrinkage", float),
     ("features", "cache_dir"): ("cache_dir", Path),
-    ("fusion", "modes"): ("fusion_modes", lambda v: tuple(map(FusionMode, _items(v.lower())))),
+    ("fusion", "modes"): ("fusion_modes", _to_modes),
     ("fusion", "modalities"): ("fusion_modalities", parse_modalities),
     ("output", "dir"): ("out_dir", Path),
 }

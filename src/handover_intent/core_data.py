@@ -80,9 +80,19 @@ class Modality(Enum):
     MOTION = "motion"
 
 
+def split_items(text: str, what: str) -> list:
+    """The non-empty items of a comma-separated list.  A repeated item is an
+    error: it would run a view, or count a channel, twice."""
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            raise ValueError(f"repeated {what} {item}")
+    return items
+
+
 def parse_modalities(text: str) -> tuple:
     """Modalities from a comma-separated list such as ``gaze, motion``."""
-    items = [v.strip().lower() for v in text.split(",") if v.strip()]
+    items = split_items(text.lower(), "modality")
     if not items:
         raise ValueError("empty modality list")
     return tuple(Modality(v) for v in items)

@@ -140,20 +140,14 @@ class Standardization:
         return (x - self.mean) / self.std
 
 
-def standardize(
-    x: np.ndarray, stats: Standardization | None = None
-) -> tuple[np.ndarray, Standardization]:
-    """Zero-mean, unit-std columns (population std; constant columns map to 0).
-
-    With ``stats`` given, only applies them -- fitting never happens on
-    held-out data.
-    """
+def standardize(x: np.ndarray) -> tuple[np.ndarray, Standardization]:
+    """Zero-mean, unit-std columns (population std; constant columns map to 0),
+    and the fitted statistics, whose ``apply`` maps held-out data."""
     x = np.asarray(x, dtype=float)
-    if stats is None:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
-        std = np.where(std > 0.0, std, 1.0)
-        stats = Standardization(mean=mean, std=std)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std = np.where(std > 0.0, std, 1.0)
+    stats = Standardization(mean=mean, std=std)
     return stats.apply(x), stats
 
 

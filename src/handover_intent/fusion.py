@@ -1,9 +1,10 @@
-"""Multimodal fusion views.  Early fusion fits one LDA on the concatenated
-per-modality blocks (the EEG block standardized and PCA-reduced first, to the
-run's one variance target, as in the single-modality EEG view); late fusion
-averages per-modality LDA probabilities, weighted by each member's
-training-fold AUC.  Both run on the window-sweep engine of ``evaluation``,
-which also evaluates single modalities as one-block views."""
+"""Multimodal fusion: the fusion spec and late-fusion arithmetic.  Early
+fusion fits one LDA on the concatenated per-modality blocks (the EEG block
+standardized and PCA-reduced first, to the run's one variance target, as in
+the single-modality EEG view); late fusion averages per-modality LDA
+probabilities, weighted by each member's training-fold AUC.  ``pipeline``
+builds fusion views and single-modality views from the same recipe table,
+and the window-sweep engine of ``evaluation`` evaluates both."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .classifiers import lda_recipe_for
 from .core_data import Modality
 from .evaluation import AucTimeline, CvScheme, late_fusion_weights, sweep
 from .features import WindowGrid
-from .lda import DEFAULT_SHRINKAGE
 
 # Fixed concatenation / reporting order.
 MODALITY_ORDER = (Modality.EEG, Modality.GAZE, Modality.MOTION)
@@ -51,47 +51,27 @@ def late_fuse(member_probs, member_train_perf) -> float:
     return float(weights @ probs)
 
 
-def fusion_blocks(
-    sequences_by_modality: dict,
-    spec: FusionSpec,
-    standardize_all: bool = False,
-    eeg_pca_target: float = 0.99,
-    shrinkage: float = DEFAULT_SHRINKAGE,
-) -> list:
-    """The (sequences, LDA recipe) blocks of the fusion view ``spec``, one
-    per modality, in canonical order."""
-    blocks = []
-    for m in spec.modalities:
-        if m not in sequences_by_modality:
-            raise ValueError(f"missing sequences for modality {m.value}")
-        recipe = lda_recipe_for(
-            m,
-            standardize_all=standardize_all,
-            eeg_pca_target=eeg_pca_target,
-            shrinkage=shrinkage,
-        )
-        blocks.append((sequences_by_modality[m], recipe))
-    return blocks
-
-
 def run_fusion_sweep(
     sequences_by_modality: dict,
     spec: FusionSpec,
     scheme: CvScheme,
     grid: WindowGrid | None = None,
-    standardize_all: bool = False,
-    eeg_pca_target: float = 0.99,
-    shrinkage: float = DEFAULT_SHRINKAGE,
     audit_out: "list | None" = None,
 ) -> AucTimeline:
-    """Sweep the fusion view ``spec`` (its ``fusion_blocks``) through
-    ``evaluation.sweep``.
+    """Sweep the fusion view ``spec``, one default LDA block per modality in
+    canonical order, through ``evaluation.sweep``: the serial reference for
+    the fusion views that ``pipeline`` builds from its recipe table.
 
     ``audit_out``, when given, collects per-window records (fused dimension in
     early mode, weight-fallback flags in late mode).
     """
+    blocks = []
+    for m in spec.modalities:
+        if m not in sequences_by_modality:
+            raise ValueError(f"missing sequences for modality {m.value}")
+        blocks.append((sequences_by_modality[m], lda_recipe_for(m)))
     return sweep(
-        fusion_blocks(sequences_by_modality, spec, standardize_all, eeg_pca_target, shrinkage),
+        blocks,
         scheme,
         grid=grid,
         tag=spec.tag(),

@@ -1,5 +1,9 @@
 """Experiment orchestration: gating, feature build, sweeps, aggregation,
-latency tables, and deterministic result emission."""
+latency tables, and deterministic result emission.
+
+``_views`` describes every view, one modality or a fusion, as (tag,
+{modality: recipe}, late); one code path gates its trials on those
+modalities and builds it with one block per modality."""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS, __version__
-from .classifiers import lda_recipe_for, lstm_recipe_for
+from .classifiers import LstmRecipe, lda_recipe_for, lstm_recipe_for
 from .config import ExperimentConfig, config_text_hash
 from .core_data import (
     Modality,
@@ -41,7 +45,7 @@ from .features import (
     build_gaze_features,
     build_motion_features,
 )
-from .fusion import FusionMode, fusion_blocks
+from .fusion import FusionMode
 from .rng import derive_seed
 
 DECISION_FLAGS = {
@@ -105,8 +109,10 @@ def _build_features(cfg, trial, modality, cache):
     return seq
 
 
-def _recipe(cfg: ExperimentConfig, modality: Modality):
-    if cfg.model == "lda":
+def _recipe(cfg: ExperimentConfig, model: str, modality: Modality):
+    """The recipe of ``model`` (``lda`` or ``lstm``) for ``modality``, from
+    the config's feature settings."""
+    if model == "lda":
         return lda_recipe_for(
             modality,
             standardize_all=cfg.standardize_all,
@@ -133,10 +139,15 @@ def _safe_tag(tag: str) -> str:
 
 
 def _views(cfg: ExperimentConfig) -> list:
-    """(tag, modalities, fusion spec or None) of every sweep, in output order:
-    the single-modality sweeps, then the fusion sweeps."""
-    views = [(m.value, (m,), None) for m in cfg.modalities]
-    views += [(spec.tag(), spec.modalities, spec) for spec in cfg.fusion_specs()]
+    """(tag, {modality: recipe}, late) of every view, in output order: the
+    single-modality views, with ``cfg.model``'s recipe, then the fusion views,
+    with LDA recipes whatever the model (``DECISION_FLAGS["fusion_model"]``).
+    A fusion view's dict keeps ``FusionSpec``'s canonical modality order,
+    which is the order of its blocks and of its feature-error checks."""
+    views = [(m.value, {m: _recipe(cfg, cfg.model, m)}, False) for m in cfg.modalities]
+    for spec in cfg.fusion_specs():
+        lda = {m: _recipe(cfg, "lda", m) for m in spec.modalities}
+        views.append((spec.tag(), lda, spec.mode is FusionMode.LATE))
     return views
 
 
@@ -165,7 +176,7 @@ def prepare_trials(cfg: ExperimentConfig, manifest) -> PreparedTrials:
         trials = load_dataset(cfg.dataset_root, manifest)
     except Exception as exc:
         return PreparedTrials(load_error=str(exc))
-    view_modalities = [set(mods) for _, mods, _ in _views(cfg)]
+    view_modalities = [set(recipes) for _, recipes, _ in _views(cfg)]
     needed = [m for m in Modality if any(m in mods for mods in view_modalities)]
     cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
     out = PreparedTrials()
@@ -192,8 +203,8 @@ def _slices(entries: list, n: int) -> list:
 def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
     """The prepare phase: load and featurize every participant's trials, in
     slices of up to ``jobs`` per participant, then gate and align each view.
-    Returns (participant, tag, fusion spec or None, ``evaluation.View``) in
-    output order, the gated participants by tag, and the worker count.
+    Returns (participant, tag, ``evaluation.View``) in output order, the
+    gated participants by tag, and the worker count.
 
     Errors are raised in the order a serial run meets them: the first load
     error in manifest order of the lowest-numbered failing participant, then
@@ -217,43 +228,29 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
 
     evaluated = []
     participants_by_tag: dict = {}
-    for tag, mods, spec in _views(cfg):
+    for tag, recipes, late in _views(cfg):
         gated = []
         for pid, whole in participants.items():
-            refs = [ref for ref, usable in whole.trials if usable.issuperset(mods)]
+            refs = [ref for ref, usable in whole.trials if usable.issuperset(recipes)]
             if len(refs) >= cfg.min_trials:
                 gated.append((pid, whole, refs))
         if not gated:
-            what = f"{tag} trials" if spec is None else f"trials for {tag}"
+            what = f"{tag} trials" if len(recipes) == 1 else f"trials for {tag}"
             raise PipelineError(
                 f"gating: no participant has >= {cfg.min_trials} complete {what}"
             )
         participants_by_tag[tag] = [pid for pid, _, _ in gated]
         for pid, whole, refs in gated:
             errors = whole.feature_errors
-            failed = [(m, ref) for m in mods for ref in refs if (m, ref) in errors]
+            failed = [(m, ref) for m in recipes for ref in refs if (m, ref) in errors]
             if failed:
                 raise PipelineError(f"participant {pid}, {tag} features: {errors[failed[0]]}")
-            by_modality = {m: [whole.features[(m, ref)] for ref in refs] for m in mods}
-            if spec is None:
-                view = make_view(
-                    [(by_modality[mods[0]], _recipe(cfg, mods[0]))],
-                    _scheme(cfg, cfg.model == "lstm", tag, pid),
-                )
-            else:
-                blocks = fusion_blocks(
-                    by_modality,
-                    spec,
-                    standardize_all=cfg.standardize_all,
-                    eeg_pca_target=cfg.eeg_pca_target,
-                    shrinkage=cfg.lda_shrinkage,
-                )
-                view = make_view(
-                    blocks,
-                    _scheme(cfg, False, tag, pid),  # fusion views are LDA
-                    late=spec.mode is FusionMode.LATE,
-                )
-            evaluated.append((pid, tag, spec, view))
+            blocks = [
+                ([whole.features[(m, ref)] for ref in refs], recipe)
+                for m, recipe in recipes.items()
+            ]
+            nested = any(isinstance(recipe, LstmRecipe) for recipe in recipes.values())
+            evaluated.append((pid, tag, make_view(blocks, _scheme(cfg, nested, tag, pid), late)))
     return evaluated, participants_by_tag, workers
 
 
@@ -329,11 +326,11 @@ def run_experiment(
     by_task = dict(zip(tasks, results))
     timelines: list[AucTimeline] = []
     fusion_audits: list = []
-    for v, (pid, tag, spec, view) in enumerate(evaluated):
+    for v, (pid, tag, view) in enumerate(evaluated):
         in_grid_order = [by_task[(v, i)] for i in range(n_windows)]
         audit: list = []
         timelines.append(assemble_timeline(view, cfg.grid, in_grid_order, pid, tag, audit))
-        if spec is not None:
+        if len(view.blocks) > 1:
             fusion_audits.append(
                 {"participant": pid, "tag": tag, "records": _audit_summary(audit)}
             )

@@ -9,7 +9,7 @@ direction, with the handover direction linearly separable from both others.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +215,3 @@ def _write_ground_truth(path: Path, profile: SynthProfile) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(truth, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def with_seed(profile: SynthProfile, seed: int) -> SynthProfile:
-    return replace(profile, seed=seed)

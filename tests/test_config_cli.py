@@ -175,6 +175,28 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("experiment", "modalities", "gaze,GAZE", "repeated modality gaze"),
+            ("fusion", "modalities", "gaze,gaze,motion", "repeated modality gaze"),
+            ("fusion", "modes", "early,late,early", "repeated mode early"),
+            ("features", "eeg_channels", "Cz,C3,Cz", "repeated channel Cz"),
+            ("features", "eeg_channels", "", "empty channel list"),
+        ],
+    )
+    def test_repeated_or_missing_list_item_names_its_line(self, section, key, value, message):
+        # A repeated modality or mode would run its view twice, a repeated
+        # channel would count twice in the channel average.
+        if section == "experiment":
+            text = MINIMAL_CONFIG.replace("modalities = gaze", f"modalities = {value}")
+        else:
+            text = MINIMAL_CONFIG + f"\n[{section}]\n{key} = {value}\n"
+        line = max(i for i, t in enumerate(text.splitlines(), 1) if t.startswith(f"{key} ="))
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == f"<config>:{line}: [{section}] {key}: {message}"
+
 
 class TestSynth:
     def test_profile_parsing(self, tmp_path):
@@ -200,6 +222,14 @@ class TestSynth:
         path = tmp_path / "profile.txt"
         path.write_text("[synth]\nseed = 1\n\n[synth]\nseed = 2\n")
         with pytest.raises(ValueError, match=r"profile\.txt:5: duplicate key \[synth\] seed"):
+            parse_profile(path)
+
+    def test_repeated_profile_modality_names_its_line(self, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text("[synth]\nseed = 1\nmodalities = gaze,motion,gaze\n")
+        with pytest.raises(
+            ValueError, match=r"profile\.txt:3: \[synth\] modalities: repeated modality gaze$"
+        ):
             parse_profile(path)
 
     def test_generated_dataset_is_loadable_and_gated(self, tmp_path):
@@ -299,6 +329,31 @@ class TestCli:
         assert main(["run", "--config", str(strict)]) == 1
         assert "gating" in capsys.readouterr().err
 
+    def test_gating_error_names_a_single_modality_or_a_fusion_view(self, tmp_path, capsys):
+        profile, config = write_experiment(tmp_path)
+        main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")])
+        strict = tmp_path / "strict.txt"
+        strict.write_text(config.read_text().replace("min_trials = 10", "min_trials = 1000"))
+        assert main(["run", "--config", str(strict)]) == 1
+        assert capsys.readouterr().err == (
+            "pipeline error: gating: no participant has >= 1000 complete gaze trials\n"
+        )
+        # The dataset has no motion, so the gaze view passes and the fusion view fails.
+        fused = tmp_path / "fused.txt"
+        fused.write_text(config.read_text() + "[fusion]\nmodes = late\nmodalities = gaze,motion\n")
+        assert main(["run", "--config", str(fused)]) == 1
+        assert capsys.readouterr().err == (
+            "pipeline error: gating: no participant has >= 10 complete trials for late:gaze+motion\n"
+        )
+
+    def test_repeated_modality_exits_2_before_running(self, tmp_path, capsys):
+        profile, config = write_experiment(tmp_path)
+        main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")])
+        config.write_text(config.read_text().replace("modalities = gaze", "modalities = gaze,gaze"))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "repeated modality gaze" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_report_emits_figure_data_with_ordered_bands(self, tmp_path):
         profile, config = write_experiment(tmp_path)
         main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")])
@@ -385,6 +440,35 @@ class TestLstmPipeline:
         assert cells[1] == "gaze" and cells[2] == "lstm"
         auc = float(cells[4])
         assert auc > 0.8  # signal present from the epoch start
+
+    def test_fusion_views_use_lda_in_an_lstm_run(self, tmp_path):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
+            "modalities = gaze,motion\nseed = 8\n"
+            "[gaze]\ninjection_time_s = -5.0\neffect_px = 60.0\n"
+        )
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "[dataset]\nroot = ./data\n"
+            "[experiment]\nmodalities = gaze\nmodel = lstm\nseed = 3\nmin_trials = 10\n"
+            "[cv]\nfolds = 2\nrepeats = 1\ninner_folds = 2\n"
+            "[windows]\nfirst_end_s = -4.0\nlast_end_s = -4.0\nstep_s = 0.25\n"
+            "[fusion]\nmodes = early\nmodalities = gaze,motion\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+        assert sorted((cells[1], cells[2]) for cells in rows) == [
+            ("early:gaze+motion", "lda"),
+            ("gaze", "lstm"),
+        ]
+        assert sorted(p.name for p in out.glob("latency_*.csv")) == [
+            "latency_lda.csv",
+            "latency_lstm.csv",
+        ]
 
 
 class TestFusionPipeline:
