@@ -1,4 +1,5 @@
-"""Model recipes, fold-fitted preprocessing, and the fitted-classifier wrapper."""
+"""Model recipes, fold-fitted preprocessing (one fit function for LDA windows
+and LSTM sequences), and the fitted-classifier wrapper."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ class LstmRecipe:
     standardize: bool = False
 
     name = "lstm"
+    pca_variance_target = None  # sequences keep every feature
 
     def spec(self, input_dim: int, seed: int) -> LstmSpec:
         return LstmSpec(
@@ -76,43 +78,33 @@ def lstm_recipe_for(modality: Modality, standardize_all: bool = False) -> LstmRe
 
 @dataclass(frozen=True)
 class FittedPreprocessing:
-    """Standardization and/or PCA fitted on the training fold only."""
+    """Standardization and/or PCA fitted on the training fold only; both act
+    on the last axis, of windows (n, D) and of sequences (n, T, D) alike."""
 
     standardization: Standardization | None = None
     pca: PcaModel | None = None
 
-    def apply_flat(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray) -> np.ndarray:
         if self.standardization is not None:
             x = self.standardization.apply(x)
         if self.pca is not None:
             x = pca_apply(self.pca, x)
         return x
 
-    def apply_sequences(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, T, D); standardization runs per feature dimension."""
-        if self.standardization is not None:
-            x = self.standardization.apply(x)
-        return x
 
-
-def fit_flat_preprocessing(x_train: np.ndarray, recipe: LdaRecipe) -> FittedPreprocessing:
-    stats = None
+def fit_flat_preprocessing(x_train: np.ndarray, recipe) -> tuple[FittedPreprocessing, np.ndarray]:
+    """The recipe's steps fitted on ``x_train``, windows (n, D) or sequences
+    (n, T, D), and ``x_train`` transformed by them (the rows ``apply`` would
+    return).  Sequences are fitted on their time steps as rows."""
+    x = np.asarray(x_train, dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
+    stats = pca = None
     if recipe.standardize:
-        x_train, stats = standardize(x_train)
-    pca = None
+        rows, stats = standardize(rows)
     if recipe.pca_variance_target is not None:
-        pca = pca_fit(x_train, recipe.pca_variance_target)
-    return FittedPreprocessing(standardization=stats, pca=pca)
-
-
-def fit_sequence_preprocessing(
-    x_train: np.ndarray, recipe: LstmRecipe
-) -> FittedPreprocessing:
-    stats = None
-    if recipe.standardize:
-        flat = x_train.reshape(-1, x_train.shape[-1])
-        _, stats = standardize(flat)
-    return FittedPreprocessing(standardization=stats)
+        pca = pca_fit(rows, recipe.pca_variance_target)
+        rows = pca_apply(pca, rows)
+    return FittedPreprocessing(stats, pca), rows.reshape(*x.shape[:-1], rows.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -143,18 +135,18 @@ class TrainedClassifier:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """x: (n, D) flattened windows for lda, (n, T, D) sequences otherwise."""
-        x = np.asarray(x, dtype=float)
+        x = self.preprocessing.apply(np.asarray(x, dtype=float))
         if self.kind == "lda":
-            return lda_predict_proba(self.lda, self.preprocessing.apply_flat(x))
+            return lda_predict_proba(self.lda, x)
         # Each member scores the whole fold; the weighted sum runs in member
         # order, as ``ensemble_predict`` sums one sequence.
-        seqs = self.preprocessing.apply_sequences(x)
-        return sum(w * predict_proba_batch(model, seqs) for model, w in self.members)
+        return sum(w * predict_proba_batch(model, x) for model, w in self.members)
 
 
 def fit_lda_classifier(
     x_train: np.ndarray, y_train: np.ndarray, recipe: LdaRecipe
 ) -> TrainedClassifier:
-    prep = fit_flat_preprocessing(x_train, recipe)
-    model = lda_fit(prep.apply_flat(x_train), y_train, recipe.shrinkage)
+    """One LDA on windows prepared by ``recipe``, as ``evaluate_window`` fits a block."""
+    prep, x = fit_flat_preprocessing(x_train, recipe)
+    model = lda_fit(x, y_train, recipe.shrinkage)
     return TrainedClassifier(kind="lda", preprocessing=prep, lda=model)

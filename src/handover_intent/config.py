@@ -35,7 +35,8 @@ Example::
 Only [dataset] root, [experiment] modalities/model/seed, and [output] dir are
 required.  Every other key defaults to the matching field of
 ``ExperimentConfig`` (of ``WindowGrid`` for [windows]); [dataset] manifest
-defaults to ``manifest.txt`` under the root.  Relative paths are taken from
+defaults to ``manifest.txt`` under the root.  The windows must lie in the
+epoch: start_s >= -5.0 and last_end_s <= 6.0.  Relative paths are taken from
 the config file's directory.  [features] eeg_pca_target is the one PCA
 variance target of the EEG block, in the eeg view and in every fusion view.
 A list (modalities, modes, eeg_channels) may not repeat an item, and

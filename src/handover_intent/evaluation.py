@@ -1,6 +1,7 @@
 """ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
-every view (a single modality, early or late fusion, an LSTM), sustained-level
-detection latency, and the group statistics used for the summary tables."""
+every view (a single modality, early or late fusion, an LSTM; each block's
+preprocessing fitted once per split), sustained-level detection latency, and
+the group statistics used for the summary tables."""
 
 from __future__ import annotations
 
@@ -10,14 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import (
-    LdaRecipe,
-    LstmRecipe,
-    TrainedClassifier,
-    fit_flat_preprocessing,
-    fit_lda_classifier,
-    fit_sequence_preprocessing,
-)
+from .classifiers import LdaRecipe, LstmRecipe, TrainedClassifier, fit_flat_preprocessing
 from .core_data import epoch_rows
 from .features import FeatureSequence, WindowGrid
 from .lda import lda_fit, lda_predict_proba
@@ -295,8 +289,8 @@ def _lstm_ensembles(
             if split.inner is None:
                 raise ValueError("LSTM evaluation needs a nested CvScheme")
             spec = recipe.spec(input_dim=x.shape[2], seed=seed)
-            prep = fit_sequence_preprocessing(x[split.train_idx], recipe)
-            xp = prep.apply_sequences(x)
+            prep, _ = fit_flat_preprocessing(x[split.train_idx], recipe)
+            xp = prep.apply(x)
             _check_classes(y[split.test_idx])  # its AUC would fail after training
         except Exception as exc:
             yield from train_pending()  # earlier splits come first
@@ -370,10 +364,12 @@ def evaluate_window(
     """Fit and score every CV split of ``view`` on one window of ``grid``;
     aggregate the test AUCs across splits.
 
-    Preprocessing is fitted on each split's training fold.  ``audit_out``,
-    when given, receives the window's per-split records once every split has
-    succeeded: ``fused_dim`` for early fusion, ``weight_fallback`` when late
-    fusion fell back to equal weights.
+    Each LDA block is prepared once per split: the LDA is fitted on the rows
+    ``fit_flat_preprocessing`` returns for the training fold, and only the
+    test rows go through ``apply``.  ``audit_out``, when given, receives the
+    window's per-split records once every split has succeeded: ``fused_dim``
+    for early fusion, ``weight_fallback`` when late fusion fell back to equal
+    weights.
     """
     end = float(grid.end_times()[window_index])
     labels = view.labels
@@ -394,25 +390,26 @@ def evaluate_window(
         try:
             if lstm:
                 scores = next(ensembles).predict_proba(xs[0][test])
-            elif view.late:
-                perfs, member_scores = [], []
-                for x, (_, r) in zip(xs, view.blocks):
-                    clf = fit_lda_classifier(x[train], labels[train], r)
-                    perfs.append(auc_roc(clf.predict_proba(x[train]), labels[train]))
-                    member_scores.append(clf.predict_proba(x[test]))
-                weights, fallback = late_fusion_weights(perfs)
-                scores = weights @ np.stack(member_scores)
-                if fallback:
-                    audit = {"weight_fallback": True}
             else:
-                parts = []
+                parts = []  # each block's (train, test) rows, prepared once
                 for x, (_, r) in zip(xs, view.blocks):
-                    prep = fit_flat_preprocessing(x[train], r)
-                    parts.append((prep.apply_flat(x[train]), prep.apply_flat(x[test])))
-                x_train, x_test = (np.hstack(side) for side in zip(*parts))
-                model = lda_fit(x_train, labels[train], recipe.shrinkage)
-                scores = lda_predict_proba(model, x_test)
-                audit = {"fused_dim": x_train.shape[1]}
+                    prep, x_train = fit_flat_preprocessing(x[train], r)
+                    parts.append((x_train, prep.apply(x[test])))
+                if view.late:
+                    perfs, member_scores = [], []
+                    for (x_train, x_test), (_, r) in zip(parts, view.blocks):
+                        model = lda_fit(x_train, labels[train], r.shrinkage)
+                        perfs.append(auc_roc(lda_predict_proba(model, x_train), labels[train]))
+                        member_scores.append(lda_predict_proba(model, x_test))
+                    weights, fallback = late_fusion_weights(perfs)
+                    scores = weights @ np.stack(member_scores)
+                    if fallback:
+                        audit = {"weight_fallback": True}
+                else:
+                    x_train, x_test = (np.hstack(side) for side in zip(*parts))
+                    model = lda_fit(x_train, labels[train], recipe.shrinkage)
+                    scores = lda_predict_proba(model, x_test)
+                    audit = {"fused_dim": x_train.shape[1]}
             aucs.append(auc_roc(scores, labels[test]))
         except EvaluationError:
             raise
@@ -721,6 +718,10 @@ TIMELINE_COLUMNS = [
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _safe_tag(tag: str) -> str:  # a view tag as file names and figure columns show it
+    return tag.replace(":", "-")
 
 
 def timeline_rows(timeline: AucTimeline) -> "list[list[str]]":

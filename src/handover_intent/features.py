@@ -135,7 +135,8 @@ def build_eeg_features(
 
 @dataclass(frozen=True)
 class WindowGrid:
-    """Growing-window sweep: ends first..last in increments of step."""
+    """Growing-window sweep: ends first..last in increments of step, every
+    window inside the epoch."""
 
     start_s: float = EPOCH_START_S
     first_end_s: float = -4.75
@@ -145,10 +146,11 @@ class WindowGrid:
     def __post_init__(self):
         if self.step_s <= 0:
             raise ValueError("step_s must be positive")
-        if not self.start_s < self.first_end_s <= self.last_end_s:
+        start, first, last = self.start_s, self.first_end_s, self.last_end_s
+        if not EPOCH_START_S <= start < first <= last <= EPOCH_END_S:
             raise ValueError(
-                f"need start < first_end <= last_end, got "
-                f"{self.start_s}, {self.first_end_s}, {self.last_end_s}"
+                f"need {EPOCH_START_S} <= start < first_end <= last_end <= {EPOCH_END_S} "
+                f"(the epoch), got {start}, {first}, {last}"
             )
         n = (self.last_end_s - self.first_end_s) / self.step_s
         if abs(n - round(n)) > 1e-9:

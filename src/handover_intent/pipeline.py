@@ -29,6 +29,7 @@ from .dsp import TfSpec
 from .evaluation import (
     AucTimeline,
     CvScheme,
+    _safe_tag,
     aggregate_participants,
     assemble_timeline,
     detection_latency_table,
@@ -134,10 +135,6 @@ def _scheme(cfg: ExperimentConfig, nested: bool, *seed_labels) -> CvScheme:
     )
 
 
-def _safe_tag(tag: str) -> str:
-    return tag.replace(":", "-")
-
-
 def _views(cfg: ExperimentConfig) -> list:
     """(tag, {modality: recipe}, late) of every view, in output order: the
     single-modality views, with ``cfg.model``'s recipe, then the fusion views,
@@ -209,7 +206,8 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
     Errors are raised in the order a serial run meets them: the first load
     error in manifest order of the lowest-numbered failing participant, then
     per view a gating error or, participant by participant, the first feature
-    error in the view's modality order and trial order."""
+    error in the view's modality order and trial order, or a view that cannot
+    be built (more CV folds than its trials allow)."""
     pids = sorted({e.participant_id for e in manifest.entries})
     tasks = [
         (pid, replace(manifest, entries=part))
@@ -250,7 +248,11 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
                 for m, recipe in recipes.items()
             ]
             nested = any(isinstance(recipe, LstmRecipe) for recipe in recipes.values())
-            evaluated.append((pid, tag, make_view(blocks, _scheme(cfg, nested, tag, pid), late)))
+            try:
+                view = make_view(blocks, _scheme(cfg, nested, tag, pid), late)
+            except ValueError as exc:  # e.g. more CV folds than trials
+                raise PipelineError(f"participant {pid}, {tag} view: {exc}") from exc
+            evaluated.append((pid, tag, view))
     return evaluated, participants_by_tag, workers
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluation import aggregate_participants, read_timelines_csv
+from .evaluation import _fmt, _safe_tag, _write_csv, aggregate_participants, read_timelines_csv
 
 
 def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None) -> "list[Path]":
@@ -39,20 +39,15 @@ def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None)
                 raise ValueError("window grids differ between tags")
         header = ["window_end_s", "onset_s"]
         for tag in tags:
-            safe = tag.replace(":", "-")
-            header += [f"{safe}_q25", f"{safe}_median", f"{safe}_q75"]
-        lines = [",".join(header)]
+            header += [f"{_safe_tag(tag)}_{stat}" for stat in ("q25", "median", "q75")]
+        rows = []
         for i, end in enumerate(ends):
-            cells = [repr(float(end)), repr(0.0)]
+            row = [_fmt(end), _fmt(0.0)]
             for tag in tags:
                 agg = aggregates[tag]
-                cells += [
-                    repr(float(agg.q25[i])),
-                    repr(float(agg.median[i])),
-                    repr(float(agg.q75[i])),
-                ]
-            lines.append(",".join(cells))
+                row += [_fmt(agg.q25[i]), _fmt(agg.median[i]), _fmt(agg.q75[i])]
+            rows.append(row)
         path = out / f"figure_{model}.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(path, header, rows)
         written.append(path)
     return written

@@ -6,7 +6,6 @@ from handover_intent.classifiers import (
     TrainedClassifier,
     fit_lda_classifier,
     fit_flat_preprocessing,
-    fit_sequence_preprocessing,
     lda_recipe_for,
     lstm_recipe_for,
 )
@@ -46,24 +45,49 @@ class TestPreprocessing:
     def test_flat_chain_matches_manual_composition(self, rng):
         x = rng.normal(size=(30, 8)) * np.arange(1, 9)
         recipe = lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)
-        prep = fit_flat_preprocessing(x, recipe)
+        prep, _ = fit_flat_preprocessing(x, recipe)
         manual_std, stats = standardize(x)
         manual_pca = pca_fit(manual_std, 0.9)
-        assert np.allclose(prep.apply_flat(x), pca_apply(manual_pca, stats.apply(x)))
+        assert np.allclose(prep.apply(x), pca_apply(manual_pca, stats.apply(x)))
 
     def test_sequence_standardization_is_per_feature(self, rng):
         x = rng.normal(loc=[5.0, -3.0], scale=[2.0, 0.5], size=(10, 20, 2))
-        prep = fit_sequence_preprocessing(x, lstm_recipe_for(Modality.EEG))
-        out = prep.apply_sequences(x)
+        prep, _ = fit_flat_preprocessing(x, lstm_recipe_for(Modality.EEG))
+        assert prep.pca is None
+        out = prep.apply(x)
         flat = out.reshape(-1, 2)
         assert np.abs(flat.mean(axis=0)).max() < 1e-9
         assert np.abs(flat.std(axis=0) - 1.0).max() < 1e-9
 
     def test_raw_recipe_is_identity(self, rng):
         x = rng.normal(size=(6, 4, 3))
-        prep = fit_sequence_preprocessing(x, lstm_recipe_for(Modality.GAZE))
+        prep, x_train = fit_flat_preprocessing(x, lstm_recipe_for(Modality.GAZE))
         assert prep.standardization is None
-        assert np.array_equal(prep.apply_sequences(x), x)
+        assert np.array_equal(prep.apply(x), x)
+        assert np.array_equal(x_train, x)
+
+    @pytest.mark.parametrize(
+        "shape, recipe",
+        [
+            ((12, 40), lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)),  # n < D: Gram
+            ((40, 12), lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)),  # n >= D: SVD
+            ((20, 6), lda_recipe_for(Modality.GAZE)),
+            ((20, 6), lda_recipe_for(Modality.GAZE, standardize_all=True)),
+            ((8, 15, 3), lstm_recipe_for(Modality.EEG)),
+            ((8, 15, 3), lstm_recipe_for(Modality.MOTION)),
+            ((8, 15, 3), lstm_recipe_for(Modality.MOTION, standardize_all=True)),
+        ],
+        ids=["eeg-gram", "eeg-svd", "raw", "standardize-all", "lstm-eeg", "lstm-raw",
+             "lstm-standardize-all"],
+    )
+    def test_returned_rows_are_bit_equal_to_applying_the_fit(self, rng, shape, recipe):
+        x = rng.normal(loc=2.0, size=shape) * np.arange(1, shape[-1] + 1)
+        prep, x_train = fit_flat_preprocessing(x, recipe)
+        assert (prep.pca is not None) == (recipe.pca_variance_target is not None)
+        if prep.pca is not None:
+            assert 1 <= prep.pca.components.shape[0] < shape[-1]
+        assert x_train.shape == shape[:-1] + (x_train.shape[-1],)
+        assert np.array_equal(x_train, prep.apply(x))
 
 
 class TestTrainedClassifier:

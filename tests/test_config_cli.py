@@ -139,6 +139,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[windows\]"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "window, got",
+        [
+            ("start_s = -6.0\nfirst_end_s = -5.5\nlast_end_s = 6.0", "-6.0, -5.5, 6.0"),
+            ("last_end_s = 6.5", "-5.0, -4.75, 6.5"),
+        ],
+        ids=["starts-early", "ends-late"],
+    )
+    def test_window_grid_outside_the_epoch_is_rejected(self, tmp_path, capsys, window, got):
+        # Every such window would fail its coverage check, so the run would
+        # write a table of missing windows.
+        text = MINIMAL_CONFIG + f"\n[windows]\n{window}\n"
+        message = (
+            "[windows] need -5.0 <= start < first_end <= last_end <= 6.0 (the epoch), got " + got
+        )
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == f"<config>: {message}"
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_model_restricted(self):
         with pytest.raises(ConfigError, match="lda or lstm"):
             parse_config_text(MINIMAL_CONFIG.replace("model = lda", "model = svm"))
@@ -440,6 +463,36 @@ class TestLstmPipeline:
         assert cells[1] == "gaze" and cells[2] == "lstm"
         auc = float(cells[4])
         assert auc > 0.8  # signal present from the epoch start
+
+    @pytest.mark.parametrize(
+        "model, cv, message",
+        [
+            ("lda", "folds = 40", "only 18 samples for k=40"),
+            ("lstm", "folds = 2\ninner_folds = 20", "only 9 samples for k=20"),
+        ],
+        ids=["outer-folds", "inner-folds"],
+    )
+    def test_too_many_folds_is_a_pipeline_error(self, tmp_path, capsys, model, cv, message):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
+            "modalities = gaze\nseed = 8\n"
+        )
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "[dataset]\nroot = ./data\n"
+            f"[experiment]\nmodalities = gaze\nmodel = {model}\nseed = 3\nmin_trials = 10\n"
+            f"[cv]\n{cv}\nrepeats = 1\n"
+            "[windows]\nfirst_end_s = -4.0\nlast_end_s = -4.0\nstep_s = 0.25\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        assert main(["validate-config", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"pipeline error: participant 1, gaze view: {message}; use a smaller k\n"
+        )
 
     def test_fusion_views_use_lda_in_an_lstm_run(self, tmp_path):
         profile = tmp_path / "profile.txt"

@@ -191,6 +191,9 @@ class TestWindowing:
         assert grid.end_times().tolist() == [0.0, 0.5, 1.0]
         with pytest.raises(ValueError):
             WindowGrid(start_s=0.0, first_end_s=0.0, last_end_s=1.0, step_s=0.5)
+        for outside_the_epoch in ({"start_s": -5.25}, {"last_end_s": 6.25}):
+            with pytest.raises(ValueError, match="the epoch"):
+                WindowGrid(**outside_the_epoch)
 
 
 class TestFlatten:

@@ -147,7 +147,8 @@ class TestEarlyFuse:
         eeg, recipe = view.blocks[0]
         x = window_matrix(eeg, -3.0, self.GRID)
         for record, split in zip(audit, view.splits, strict=True):
-            k = fit_flat_preprocessing(x[split.train_idx], recipe).pca.components.shape[0]
+            prep, _ = fit_flat_preprocessing(x[split.train_idx], recipe)
+            k = prep.pca.components.shape[0]
             assert k < x.shape[1]
             assert record["fused_dim"] == k + (2 + 3) * self.SAMPLES
 
@@ -193,6 +194,30 @@ class TestLateSplitFixedPoint:
             clf = fit_lda_classifier(x[train], labels[train], recipe)
             single_auc = auc_roc(clf.predict_proba(x[test]), labels[test])
             assert fused_auc == pytest.approx(single_auc, abs=1e-9)
+
+    def test_late_view_with_a_reduced_eeg_member_equals_a_hand_loop(self, rng):
+        # Each member is one fit_lda_classifier, weighted by its training AUC.
+        blocks = [
+            (modality_sequences(rng, m), lda_recipe_for(m, eeg_pca_target=0.9))
+            for m in (Modality.EEG, Modality.GAZE)
+        ]
+        grid = WindowGrid(first_end_s=2.0, last_end_s=2.0, step_s=1.0)
+        view = make_view(blocks, CvScheme(k=3, repeats=2, seed=4), late=True)
+        fused = evaluate_window(view, grid, 0)
+        xs = [window_matrix(seqs, 2.0, grid) for seqs, _ in view.blocks]
+        labels = view.labels
+        expected = []
+        for split in view.splits:
+            train, test = split.train_idx, split.test_idx
+            clfs = [fit_lda_classifier(x[train], labels[train], r)
+                    for x, (_, r) in zip(xs, view.blocks)]
+            assert clfs[0].preprocessing.pca.components.shape[0] < xs[0].shape[1]
+            perfs = [auc_roc(clf.predict_proba(x[train]), labels[train])
+                     for clf, x in zip(clfs, xs)]
+            weights, _ = late_fusion_weights(perfs)
+            scores = weights @ np.stack([clf.predict_proba(x[test]) for clf, x in zip(clfs, xs)])
+            expected.append(auc_roc(scores, labels[test]))
+        assert fused.split_aucs == tuple(expected)
 
 
 class TestFusionSweep:
