@@ -163,6 +163,11 @@ def make_splits(labels: np.ndarray, scheme: CvScheme) -> "list[Split]":
 
 @dataclass(frozen=True)
 class WindowScore:
+    """One window's test AUCs across the CV splits, and what its models did:
+    ``fused_dims`` holds each split's LDA input width when the blocks fuse
+    early (one block included), and ``weight_fallbacks`` counts the splits
+    whose late-fusion or LSTM-ensemble weights fell back to equal weights."""
+
     end_time_s: float
     mean: float
     std: float  # across folds, ddof=1
@@ -171,6 +176,8 @@ class WindowScore:
     q25: float
     q75: float
     split_aucs: tuple
+    fused_dims: tuple
+    weight_fallbacks: int
 
 
 def _window_values(sequences, end_time_s: float, grid: WindowGrid) -> list:
@@ -197,8 +204,11 @@ def _sorted_sequences(sequences) -> "list[FeatureSequence]":
     return ordered
 
 
-def _score_stats(end_time_s: float, aucs: "list[float]") -> WindowScore:
+def _score_stats(
+    end_time_s: float, aucs: "list[float]", fused_dims: tuple, weight_fallbacks: int
+) -> WindowScore:
     arr = np.asarray(aucs, dtype=float)
+    median, q25, q75 = np.percentile(arr, (50, 25, 75))
     return WindowScore(
         end_time_s=end_time_s,
         mean=float(arr.mean()),
@@ -206,10 +216,12 @@ def _score_stats(end_time_s: float, aucs: "list[float]") -> WindowScore:
         stderr=(
             float(arr.std(ddof=1) / np.sqrt(arr.shape[0])) if arr.shape[0] > 1 else 0.0
         ),
-        median=float(np.percentile(arr, 50)),
-        q25=float(np.percentile(arr, 25)),
-        q75=float(np.percentile(arr, 75)),
+        median=float(median),
+        q25=float(q25),
+        q75=float(q75),
         split_aucs=tuple(arr.tolist()),
+        fused_dims=fused_dims,
+        weight_fallbacks=weight_fallbacks,
     )
 
 
@@ -358,18 +370,14 @@ def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
     return View(ordered, labels, tuple(make_splits(labels, scheme)), scheme.seed, late)
 
 
-def evaluate_window(
-    view: View, grid: WindowGrid, window_index: int, audit_out: "list | None" = None
-) -> WindowScore:
+def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
     """Fit and score every CV split of ``view`` on one window of ``grid``;
-    aggregate the test AUCs across splits.
+    aggregate the test AUCs across splits, with the facts ``WindowScore``
+    reports.
 
     Each LDA block is prepared once per split: the LDA is fitted on the rows
     ``fit_flat_preprocessing`` returns for the training fold, and only the
-    test rows go through ``apply``.  ``audit_out``, when given, receives the
-    window's per-split records once every split has succeeded: ``fused_dim``
-    for early fusion, ``weight_fallback`` when late fusion fell back to equal
-    weights.
+    test rows go through ``apply``.
     """
     end = float(grid.end_times()[window_index])
     labels = view.labels
@@ -383,13 +391,14 @@ def evaluate_window(
     if lstm:
         seeds = [derive_seed(view.seed, "lstm", window_index, i) for i in range(len(view.splits))]
         ensembles = _lstm_ensembles(xs[0], labels, view.splits, recipe, seeds)
-    aucs, audits = [], []
+    aucs, fused_dims, fallbacks = [], [], 0
     for split_index, split in enumerate(view.splits):
         train, test = split.train_idx, split.test_idx
-        audit = {}
         try:
             if lstm:
-                scores = next(ensembles).predict_proba(xs[0][test])
+                ensemble = next(ensembles)
+                fallbacks += ensemble.weight_fallback
+                scores = ensemble.predict_proba(xs[0][test])
             else:
                 parts = []  # each block's (train, test) rows, prepared once
                 for x, (_, r) in zip(xs, view.blocks):
@@ -403,23 +412,18 @@ def evaluate_window(
                         member_scores.append(lda_predict_proba(model, x_test))
                     weights, fallback = late_fusion_weights(perfs)
                     scores = weights @ np.stack(member_scores)
-                    if fallback:
-                        audit = {"weight_fallback": True}
+                    fallbacks += fallback
                 else:
                     x_train, x_test = (np.hstack(side) for side in zip(*parts))
                     model = lda_fit(x_train, labels[train], recipe.shrinkage)
                     scores = lda_predict_proba(model, x_test)
-                    audit = {"fused_dim": x_train.shape[1]}
+                    fused_dims.append(x_train.shape[1])
             aucs.append(auc_roc(scores, labels[test]))
         except EvaluationError:
             raise
         except Exception as exc:
             raise EvaluationError(f"split {split_index}: {exc}") from exc
-        if audit:
-            audits.append({"window_end_s": end, **audit, "split": split_index})
-    if audit_out is not None:
-        audit_out.extend(audits)
-    return _score_stats(end, aucs)
+    return _score_stats(end, aucs, tuple(fused_dims), fallbacks)
 
 
 @dataclass(frozen=True)
@@ -453,14 +457,13 @@ class AucTimeline:
 
 
 def window_result(view: View, grid: WindowGrid, window_index: int):
-    """(score, audit records, None) for one window of ``view``, or (None, [],
-    message) when it fails.  The result depends only on its arguments, so
-    windows can be evaluated in any order and in any process."""
-    audits: list = []
+    """(score, None) for one window of ``view``, or (None, message) when it
+    fails.  The result depends only on its arguments, so windows can be
+    evaluated in any order and in any process."""
     try:
-        return evaluate_window(view, grid, window_index, audits), audits, None
+        return evaluate_window(view, grid, window_index), None
     except EvaluationError as exc:
-        return None, [], str(exc)
+        return None, str(exc)
 
 
 def assemble_timeline(
@@ -469,14 +472,11 @@ def assemble_timeline(
     results,
     participant_id: int | None = None,
     tag: str | None = None,
-    audit_out: "list | None" = None,
 ) -> AucTimeline:
     """The timeline of ``view`` from its windows' ``window_result`` values,
     in grid order.  A failing window is recorded in ``errors`` and marked
-    missing (nan).  ``audit_out``, when given, receives the audit records of
-    the windows that succeeded, in grid order.  The participant and tag
-    default to the first trial's participant and the first block's
-    modality."""
+    missing (nan).  The participant and tag default to the first trial's
+    participant and the first block's modality."""
     sequences, recipe = view.blocks[0]
     end_times = grid.end_times()
     if len(results) != end_times.shape[0]:
@@ -484,14 +484,12 @@ def assemble_timeline(
     stats = ("mean", "std", "stderr", "median", "q25", "q75")
     cols = {name: np.full(end_times.shape[0], np.nan) for name in stats}
     errors = []
-    for i, (score, audits, message) in enumerate(results):
+    for i, (score, message) in enumerate(results):
         if message is not None:
             errors.append((float(end_times[i]), message))
             continue
         for name in stats:
             cols[name][i] = getattr(score, name)
-        if audit_out is not None:
-            audit_out.extend(audits)
     return AucTimeline(
         participant_id=sequences[0].trial_ref[0] if participant_id is None else participant_id,
         tag=sequences[0].modality.value if tag is None else tag,
@@ -515,7 +513,6 @@ def sweep(
     participant_id: int | None = None,
     tag: str | None = None,
     late: bool = False,
-    audit_out: "list | None" = None,
 ) -> AucTimeline:
     """Evaluate one view on every window end of the grid, serially.
 
@@ -526,7 +523,7 @@ def sweep(
     grid = WindowGrid() if grid is None else grid
     view = make_view(blocks, scheme, late)
     results = [window_result(view, grid, i) for i in range(grid.end_times().shape[0])]
-    return assemble_timeline(view, grid, results, participant_id, tag, audit_out)
+    return assemble_timeline(view, grid, results, participant_id, tag)
 
 
 # ---------------------------------------------------------------------------

@@ -56,25 +56,13 @@ def run_fusion_sweep(
     spec: FusionSpec,
     scheme: CvScheme,
     grid: WindowGrid | None = None,
-    audit_out: "list | None" = None,
 ) -> AucTimeline:
     """Sweep the fusion view ``spec``, one default LDA block per modality in
     canonical order, through ``evaluation.sweep``: the serial reference for
-    the fusion views that ``pipeline`` builds from its recipe table.
-
-    ``audit_out``, when given, collects per-window records (fused dimension in
-    early mode, weight-fallback flags in late mode).
-    """
+    the fusion views that ``pipeline`` builds from its recipe table."""
     blocks = []
     for m in spec.modalities:
         if m not in sequences_by_modality:
             raise ValueError(f"missing sequences for modality {m.value}")
         blocks.append((sequences_by_modality[m], lda_recipe_for(m)))
-    return sweep(
-        blocks,
-        scheme,
-        grid=grid,
-        tag=spec.tag(),
-        late=spec.mode is FusionMode.LATE,
-        audit_out=audit_out,
-    )
+    return sweep(blocks, scheme, grid=grid, tag=spec.tag(), late=spec.mode is FusionMode.LATE)

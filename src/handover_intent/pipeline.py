@@ -327,15 +327,19 @@ def run_experiment(
     results, evaluate_workers = _map(_evaluate, (views, cfg.grid), tasks, jobs)
     by_task = dict(zip(tasks, results))
     timelines: list[AucTimeline] = []
-    fusion_audits: list = []
+    fusion_audits, lstm_audits = [], []
     for v, (pid, tag, view) in enumerate(evaluated):
         in_grid_order = [by_task[(v, i)] for i in range(n_windows)]
-        audit: list = []
-        timelines.append(assemble_timeline(view, cfg.grid, in_grid_order, pid, tag, audit))
+        timelines.append(assemble_timeline(view, cfg.grid, in_grid_order, pid, tag))
+        scores = [score for score, _ in in_grid_order if score is not None]
+        fallbacks = sum(score.weight_fallbacks for score in scores)
         if len(view.blocks) > 1:
-            fusion_audits.append(
-                {"participant": pid, "tag": tag, "records": _audit_summary(audit)}
-            )
+            dims = {repr(s.end_time_s): list(s.fused_dims) for s in scores if s.fused_dims}
+            records = {"early_fused_dims": dims, "late_weight_fallbacks": fallbacks}
+            fusion_audits.append({"participant": pid, "tag": tag, "records": records})
+        elif isinstance(view.blocks[0][1], LstmRecipe):
+            records = {"ensemble_weight_fallbacks": fallbacks}
+            lstm_audits.append({"participant": pid, "tag": tag, "records": records})
 
     out = Path(cfg.out_dir)
     timeline_dir = out / "timelines"
@@ -376,6 +380,7 @@ def run_experiment(
         "participants_by_tag": participants_by_tag,
         "decision_flags": DECISION_FLAGS,
         "fusion_audits": fusion_audits,
+        "lstm_audits": lstm_audits,
         "window_errors": errors,
         "library_versions": _library_versions(),
         "environment": {
@@ -388,18 +393,6 @@ def run_experiment(
         json.dump(metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return RunResult(out_dir=out, timelines=timelines, metadata=metadata)
-
-
-def _audit_summary(records: list) -> dict:
-    """Collapse per-split audit records into compact per-window facts."""
-    dims = {}
-    fallbacks = 0
-    for rec in records:
-        if "fused_dim" in rec:
-            dims[repr(rec["window_end_s"])] = rec["fused_dim"]
-        if rec.get("weight_fallback"):
-            fallbacks += 1
-    return {"early_fused_dims": dims, "late_weight_fallbacks": fallbacks}
 
 
 def _library_versions() -> dict:

@@ -1,4 +1,5 @@
-"""Shared builders for small in-memory trials and on-disk datasets."""
+"""Shared builders for small in-memory trials and on-disk datasets, and a
+serial window sweep."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from handover_intent.core_data import (
     TrialRecording,
     is_uncorrupted,
 )
+from handover_intent.evaluation import assemble_timeline, make_view, window_result
 
 
 def series(start: float, step: float, values) -> TimeSeries:
@@ -107,3 +109,13 @@ def complete_trials(trials, modalities) -> list:
     """The trials that pass the corruption rule for every modality in
     ``modalities``: the trials a view with those modalities keeps."""
     return [t for t in trials if all(is_uncorrupted(t, m) for m in modalities)]
+
+
+def sweep_view(blocks, scheme, grid, late=False):
+    """Build the view of ``blocks`` and evaluate it on every window of
+    ``grid``, one ``window_result`` after another, as the pipeline's window
+    tasks do.  Returns its timeline and each window's ``WindowScore`` in grid
+    order (None where the window failed)."""
+    view = make_view(blocks, scheme, late)
+    results = [window_result(view, grid, i) for i in range(grid.end_times().shape[0])]
+    return assemble_timeline(view, grid, results), [score for score, _ in results]

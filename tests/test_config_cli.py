@@ -464,6 +464,31 @@ class TestLstmPipeline:
         auc = float(cells[4])
         assert auc > 0.8  # signal present from the epoch start
 
+    def test_ensemble_weight_fallbacks_are_written_per_lstm_view(self, tmp_path):
+        # 18 trials, 2 outer folds: 9 inner folds of a 9-trial training fold
+        # hold one trial each, so both splits' ensembles fall back.
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
+            "modalities = gaze\nseed = 8\n"
+        )
+        config = tmp_path / "config.txt"
+        config.write_text(
+            "[dataset]\nroot = ./data\n"
+            "[experiment]\nmodalities = gaze\nmodel = lstm\nseed = 3\nmin_trials = 10\n"
+            "[cv]\nfolds = 2\nrepeats = 1\ninner_folds = 9\n"
+            "[windows]\nfirst_end_s = -4.5\nlast_end_s = -4.5\nstep_s = 0.25\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        assert main(["run", "--config", str(config)]) == 0
+        metadata = json.loads((tmp_path / "out/run_metadata.json").read_text())
+        assert metadata["window_errors"] == []
+        assert metadata["fusion_audits"] == []
+        assert metadata["lstm_audits"] == [
+            {"participant": 1, "tag": "gaze", "records": {"ensemble_weight_fallbacks": 2}}
+        ]
+
     @pytest.mark.parametrize(
         "model, cv, message",
         [

@@ -303,6 +303,22 @@ class TestEvaluateWindow:
         score = evaluate_at(seqs, -3.0, recipe, scheme)
         assert len(score.split_aucs) == 3
         assert score.mean > 0.8  # signal everywhere, easy sequences
+        assert (score.fused_dims, score.weight_fallbacks) == ((), 0)
+
+    def test_one_class_validation_folds_are_counted_as_weight_fallbacks(self, rng):
+        # 12 trials, 4 of class 1: each outer training fold holds 6 trials,
+        # and 6 inner folds leave one trial per validation fold.  Every member
+        # then scores 0, so every split's ensemble falls back to equal weights.
+        from dataclasses import replace
+
+        seqs = toy_sequences(rng, n=12, t_samples=55, signal_at=-5.0, effect=4.0)
+        recipe = replace(
+            lstm_recipe_for(Modality.MOTION), max_epochs=2, hidden=3, early_stop_after=None
+        )
+        scheme = CvScheme(k=2, repeats=2, nested=True, inner_k=6, seed=2)
+        score = evaluate_at(seqs, -3.0, recipe, scheme)
+        assert len(score.split_aucs) == 4
+        assert score.weight_fallbacks == 4
 
 
 def motion_sequence(rng, start, n_samples, trial=0):

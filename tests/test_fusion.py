@@ -25,7 +25,7 @@ from handover_intent.fusion import (
     run_fusion_sweep,
 )
 
-from conftest import series
+from conftest import series, sweep_view
 
 
 class TestFusionSpec:
@@ -111,8 +111,8 @@ class TestEarlyFuse:
     SAMPLES = 10  # in the first window, [-5.0, -3.0) at 5 Hz
 
     def fit_inputs(self, monkeypatch, blocks):
-        """The view, each split's LDA training matrix and the audit records
-        of the first window."""
+        """The view, each split's LDA training matrix and the score of the
+        first window."""
         seen = []
         fit = evaluation.lda_fit
 
@@ -122,18 +122,15 @@ class TestEarlyFuse:
 
         monkeypatch.setattr(evaluation, "lda_fit", recording)
         view = make_view(blocks, self.SCHEME)
-        audit = []
-        evaluate_window(view, self.GRID, 0, audit)
-        return view, seen, audit
+        return view, seen, evaluate_window(view, self.GRID, 0)
 
     def test_dimension_is_the_sum_of_parts(self, rng, monkeypatch):
         blocks = [
             (modality_sequences(rng, m), lda_recipe_for(m))
             for m in (Modality.GAZE, Modality.MOTION)
         ]
-        view, seen, audit = self.fit_inputs(monkeypatch, blocks)
-        assert [r["fused_dim"] for r in audit] == [(2 + 3) * self.SAMPLES] * 3
-        assert [r["split"] for r in audit] == [0, 1, 2]
+        view, seen, score = self.fit_inputs(monkeypatch, blocks)
+        assert score.fused_dims == ((2 + 3) * self.SAMPLES,) * 3
         xs = [window_matrix(seqs, -3.0, self.GRID) for seqs, _ in view.blocks]
         for x_train, split in zip(seen, view.splits, strict=True):
             assert np.array_equal(x_train, np.hstack([x[split.train_idx] for x in xs]))
@@ -143,14 +140,14 @@ class TestEarlyFuse:
             (modality_sequences(rng, m), lda_recipe_for(m))
             for m in (Modality.EEG, Modality.GAZE, Modality.MOTION)
         ]
-        view, _, audit = self.fit_inputs(monkeypatch, blocks)
+        view, _, score = self.fit_inputs(monkeypatch, blocks)
         eeg, recipe = view.blocks[0]
         x = window_matrix(eeg, -3.0, self.GRID)
-        for record, split in zip(audit, view.splits, strict=True):
+        for fused_dim, split in zip(score.fused_dims, view.splits, strict=True):
             prep, _ = fit_flat_preprocessing(x[split.train_idx], recipe)
             k = prep.pca.components.shape[0]
             assert k < x.shape[1]
-            assert record["fused_dim"] == k + (2 + 3) * self.SAMPLES
+            assert fused_dim == k + (2 + 3) * self.SAMPLES
 
     def test_deterministic(self, rng):
         gaze = modality_sequences(rng, Modality.GAZE)
@@ -159,10 +156,9 @@ class TestEarlyFuse:
             [(gaze, lda_recipe_for(Modality.GAZE)), (motion, lda_recipe_for(Modality.MOTION))],
             self.SCHEME,
         )
-        audits = [[], []]
-        scores = [evaluate_window(view, self.GRID, 2, audit) for audit in audits]
+        scores = [evaluate_window(view, self.GRID, 2) for _ in range(2)]
         assert scores[0] == scores[1]
-        assert audits[0] == audits[1]
+        assert scores[0].fused_dims
 
     def test_single_part_is_identity(self, rng, monkeypatch):
         gaze = modality_sequences(rng, Modality.GAZE)
@@ -244,19 +240,12 @@ class TestFusionSweep:
         motion = modality_sequences(rng, Modality.MOTION, rate=5.0)
         scheme = CvScheme(k=3, repeats=1, seed=2)
         grid = WindowGrid(first_end_s=-3.0, last_end_s=0.0, step_s=1.0)
-        spec = FusionSpec(mode=FusionMode.EARLY, modalities=(Modality.GAZE, Modality.MOTION))
-        audit = []
-        run_fusion_sweep(
-            {Modality.GAZE: gaze, Modality.MOTION: motion},
-            spec,
-            scheme,
-            grid=grid,
-            audit_out=audit,
-        )
-        for record in audit:
-            end = record["window_end_s"]
-            t_in_window = int(np.ceil((end - -5.0) * 5.0 - 1e-9))
-            assert record["fused_dim"] == 2 * t_in_window + 3 * t_in_window
+        blocks = [(gaze, lda_recipe_for(Modality.GAZE)), (motion, lda_recipe_for(Modality.MOTION))]
+        _, scores = sweep_view(blocks, scheme, grid)
+        assert len(scores) == 4
+        for score in scores:
+            t_in_window = int(np.ceil((score.end_time_s - -5.0) * 5.0 - 1e-9))
+            assert score.fused_dims == (2 * t_in_window + 3 * t_in_window,) * 3
 
     def test_early_fusion_with_informative_modality_beats_chance(self, rng):
         gaze = modality_sequences(rng, Modality.GAZE, informative=True)
@@ -301,18 +290,12 @@ class TestFusionSweep:
         gaze = modality_sequences(rng, Modality.GAZE)
         motion = modality_sequences(rng, Modality.MOTION)
         grid = WindowGrid(first_end_s=-3.0, last_end_s=-1.0, step_s=1.0)
-        spec = FusionSpec(mode=FusionMode.EARLY, modalities=(Modality.GAZE, Modality.MOTION))
-        audit = []
-        fused = run_fusion_sweep(
-            {Modality.GAZE: gaze, Modality.MOTION: motion},
-            spec,
-            CvScheme(k=3, repeats=1, seed=2),
-            grid=grid,
-            audit_out=audit,
-        )
+        blocks = [(gaze, lda_recipe_for(Modality.GAZE)), (motion, lda_recipe_for(Modality.MOTION))]
+        fused, scores = sweep_view(blocks, CvScheme(k=3, repeats=1, seed=2), grid)
         assert fused.errors == ((-3.0, "split 1: boom"),)
         assert np.isnan(fused.auc[0]) and np.isfinite(fused.auc[1:]).all()
-        assert [r["window_end_s"] for r in audit] == [-2.0] * 3 + [-1.0] * 3
+        assert scores[0] is None
+        assert [(s.end_time_s, len(s.fused_dims)) for s in scores[1:]] == [(-2.0, 3), (-1.0, 3)]
 
     def test_lstm_blocks_are_not_fused(self, rng):
         blocks = [

@@ -16,13 +16,14 @@ import handover_intent
 from handover_intent import BLAS_THREAD_VARS, evaluation, pipeline
 from handover_intent.cli import main
 from handover_intent.config import parse_config, with_overrides
+from handover_intent.classifiers import lda_recipe_for
 from handover_intent.core_data import Modality, load_dataset
 from handover_intent.evaluation import CvScheme
 from handover_intent.features import build_gaze_features, build_motion_features
-from handover_intent.fusion import run_fusion_sweep
+from handover_intent.fusion import FusionMode
 from handover_intent.rng import derive_seed
 
-from conftest import complete_trials
+from conftest import complete_trials, sweep_view
 
 SRC = Path(handover_intent.__file__).resolve().parents[1]
 
@@ -245,6 +246,12 @@ class TestWindowPool:
         assert errors == []
         # One participant's trials in two slices; three windows.
         assert workers == {"prepare": 2, "evaluate": 2}
+        audits = [
+            json.loads((base / out / "run_metadata.json").read_text())["lstm_audits"]
+            for out in ("serial", "pooled")
+        ]
+        assert audits[0] == audits[1]
+        assert [(a["participant"], a["tag"]) for a in audits[0]] == [(1, "motion")]
 
     def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path, monkeypatch):
         # 6 handover trials cannot fill 10 stratified test folds with both
@@ -290,8 +297,9 @@ class TestWindowPool:
                 scheme = CvScheme(
                     k=cfg.cv_folds, repeats=cfg.cv_repeats, seed=derive_seed(cfg.seed, "cv", tag, pid)
                 )
-                audit: list = []
-                swept = run_fusion_sweep(sequences, spec, scheme, grid=cfg.grid, audit_out=audit)
+                blocks = [(sequences[m], lda_recipe_for(m)) for m in spec.modalities]
+                late = spec.mode is FusionMode.LATE
+                swept, scores = sweep_view(blocks, scheme, cfg.grid, late)
                 got = pooled[(pid, tag)]
                 for name in ("window_end_times_s", "auc", "auc_std", "auc_stderr",
                              "auc_median", "auc_q25", "auc_q75"):
@@ -299,9 +307,12 @@ class TestWindowPool:
                 assert (got.model, got.n_splits, got.errors) == (
                     swept.model, swept.n_splits, swept.errors
                 )
-                expected_audits.append(
-                    {"participant": pid, "tag": tag, "records": pipeline._audit_summary(audit)}
-                )
+                assert None not in scores
+                assert all(len(s.fused_dims) == (0 if late else got.n_splits) for s in scores)
+                dims = {repr(s.end_time_s): list(s.fused_dims) for s in scores if not late}
+                fallbacks = sum(s.weight_fallbacks for s in scores)
+                records = {"early_fused_dims": dims, "late_weight_fallbacks": fallbacks}
+                expected_audits.append({"participant": pid, "tag": tag, "records": records})
         assert result.metadata["fusion_audits"] == expected_audits
 
     def test_one_job_starts_no_process(self, fusion_dataset, monkeypatch):
