@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, parse_config, validate_config, with_overrides
+from .config import ConfigError, parse_config, parse_config_text, read_config_text, validate_config
 from .core_data import DatasetError, convert_dataset
 from .pipeline import PipelineError, run_experiment
 from .report import write_report
@@ -64,16 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    path = args.config
     try:
-        cfg = parse_config(args.config)
-        cfg = with_overrides(cfg, seed=args.seed, out_dir=args.out)
+        text = read_config_text(path)  # parsed once, and recorded in the run's metadata
+        cfg = parse_config_text(text, str(path), path.parent)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        config_text = Path(args.config).read_text(encoding="utf-8")
-        result = run_experiment(cfg, jobs=max(1, args.jobs), config_text=config_text)
+        result = run_experiment(cfg, jobs=max(1, args.jobs), config_text=text)
     except (PipelineError, DatasetError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -33,23 +33,33 @@ Example::
     dir = ./out
 
 Only [dataset] root, [experiment] modalities/model/seed, and [output] dir are
-required.  Every other key defaults to the matching field of
-``ExperimentConfig`` (of ``WindowGrid`` for [windows]); [dataset] manifest
-defaults to ``manifest.txt`` under the root.  The windows must lie in the
-epoch: start_s >= -5.0 and last_end_s <= 6.0.  Relative paths are taken from
-the config file's directory.  [features] eeg_pca_target is the one PCA
-variance target of the EEG block, in the eeg view and in every fusion view.
-A list (modalities, modes, eeg_channels) may not repeat an item, and
-eeg_channels may not be empty.
+required; [dataset] manifest defaults to ``manifest.txt`` under the root.
+Relative paths are taken from the config file's directory.  These keys are
+built into the object that uses them, whose constructor holds their rules and
+defaults:
+
+* [cv] -> ``evaluation.CvScheme``; each view runs a copy with its own seed,
+  nested for an LSTM.
+* [windows] -> ``features.WindowGrid``, every window in the -5..6 s epoch.
+* [features] tf_* but tf_log_power -> ``dsp.TfSpec`` (``dsp.default_tf_spec``),
+  over the integer frequencies tf_freq_lo_hz..tf_freq_hi_hz.
+* [fusion] -> a ``fusion.FusionSpec`` per mode; no modes, no fusion views.
+
+Every other key is an ``ExperimentConfig`` field, checked in ``_check_values``.
+[features] eeg_pca_target is the one PCA variance target of the EEG block, in
+every view.  A list (modalities, modes, eeg_channels) may not repeat an item,
+and eeg_channels may not be empty.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core_data import parse_modalities, read_sections, split_items
+from .core_data import parse_channels, parse_modalities, read_sections, split_items
+from .dsp import TfSpec, default_tf_spec
+from .evaluation import CvScheme
 from .features import DEFAULT_EEG_CHANNELS, WindowGrid
 from .fusion import FusionMode, FusionSpec
 from .lda import DEFAULT_SHRINKAGE
@@ -68,25 +78,16 @@ class ExperimentConfig:
     seed: int
     out_dir: Path
     min_trials: int = 60
-    cv_folds: int = 10
-    cv_repeats: int = 3
-    cv_inner_folds: int = 10
+    cv: CvScheme = field(default_factory=CvScheme)  # seed and nested set per view
     grid: WindowGrid = field(default_factory=WindowGrid)
     eeg_channels: tuple = tuple(DEFAULT_EEG_CHANNELS)
-    tf_freq_lo_hz: int = 5
-    tf_freq_hi_hz: int = 40
-    tf_cycles: float = 3.0
-    tf_output_step_s: float = 0.05
+    tf: TfSpec = field(default_factory=default_tf_spec)
     tf_log_power: bool = False
     standardize_all: bool = False
     eeg_pca_target: float = 0.99
     lda_shrinkage: float = DEFAULT_SHRINKAGE
     cache_dir: Path | None = None
-    fusion_modes: tuple = ()  # FusionMode members; empty = no fusion pass
-    fusion_modalities: tuple = ()
-
-    def fusion_specs(self) -> "list[FusionSpec]":
-        return [FusionSpec(mode, self.fusion_modalities) for mode in self.fusion_modes]
+    fusion: tuple = ()  # FusionSpec per [fusion] mode; empty = no fusion views
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -104,18 +105,17 @@ def _to_model(value: str) -> str:
     return value
 
 
-def _to_channels(value: str) -> tuple:
-    channels = split_items(value, "channel")
-    if not channels:
-        raise ValueError("empty channel list")
-    return tuple(channels)
-
-
 def _to_modes(value: str) -> tuple:
     return tuple(map(FusionMode, split_items(value.lower(), "mode")))
 
 
-# (section, key) -> (ExperimentConfig or WindowGrid field, conversion)
+def _fusion_specs(modes: tuple = (), modalities: tuple = ()) -> tuple:
+    return tuple(FusionSpec(mode, modalities) for mode in modes)
+
+
+# (section, key) -> (target, conversion).  A target "part.arg" is an argument
+# of the part's builder in _PARTS; any other target is an ExperimentConfig
+# field.
 _KEYS = {
     ("dataset", "root"): ("dataset_root", Path),
     ("dataset", "manifest"): ("manifest_path", Path),
@@ -123,26 +123,34 @@ _KEYS = {
     ("experiment", "model"): ("model", _to_model),
     ("experiment", "seed"): ("seed", int),
     ("experiment", "min_trials"): ("min_trials", int),
-    ("cv", "folds"): ("cv_folds", int),
-    ("cv", "repeats"): ("cv_repeats", int),
-    ("cv", "inner_folds"): ("cv_inner_folds", int),
-    ("windows", "start_s"): ("start_s", float),
-    ("windows", "first_end_s"): ("first_end_s", float),
-    ("windows", "last_end_s"): ("last_end_s", float),
-    ("windows", "step_s"): ("step_s", float),
-    ("features", "eeg_channels"): ("eeg_channels", _to_channels),
-    ("features", "tf_freq_lo_hz"): ("tf_freq_lo_hz", int),
-    ("features", "tf_freq_hi_hz"): ("tf_freq_hi_hz", int),
-    ("features", "tf_cycles"): ("tf_cycles", float),
-    ("features", "tf_output_step_s"): ("tf_output_step_s", float),
+    ("cv", "folds"): ("cv.k", int),
+    ("cv", "repeats"): ("cv.repeats", int),
+    ("cv", "inner_folds"): ("cv.inner_k", int),
+    ("windows", "start_s"): ("grid.start_s", float),
+    ("windows", "first_end_s"): ("grid.first_end_s", float),
+    ("windows", "last_end_s"): ("grid.last_end_s", float),
+    ("windows", "step_s"): ("grid.step_s", float),
+    ("features", "eeg_channels"): ("eeg_channels", parse_channels),
+    ("features", "tf_freq_lo_hz"): ("tf.lo_hz", int),
+    ("features", "tf_freq_hi_hz"): ("tf.hi_hz", int),
+    ("features", "tf_cycles"): ("tf.n_cycles", float),
+    ("features", "tf_output_step_s"): ("tf.output_step_s", float),
     ("features", "tf_log_power"): ("tf_log_power", _to_bool),
     ("features", "standardize_all"): ("standardize_all", _to_bool),
     ("features", "eeg_pca_target"): ("eeg_pca_target", float),
     ("features", "lda_shrinkage"): ("lda_shrinkage", float),
     ("features", "cache_dir"): ("cache_dir", Path),
-    ("fusion", "modes"): ("fusion_modes", _to_modes),
-    ("fusion", "modalities"): ("fusion_modalities", parse_modalities),
+    ("fusion", "modes"): ("fusion.modes", _to_modes),
+    ("fusion", "modalities"): ("fusion.modalities", parse_modalities),
     ("output", "dir"): ("out_dir", Path),
+}
+# ExperimentConfig field -> (its section, the builder that checks its keys);
+# a builder called with no arguments gives the field's default.
+_PARTS = {
+    "cv": ("cv", CvScheme),
+    "grid": ("windows", WindowGrid),
+    "tf": ("features", default_tf_spec),
+    "fusion": ("fusion", _fusion_specs),
 }
 _REQUIRED = (
     ("dataset", "root"),
@@ -166,45 +174,43 @@ def parse_config_text(
         if name in values:
             values[name] = base / values[name]  # an absolute path replaces base
     values.setdefault("manifest_path", values["dataset_root"] / "manifest.txt")
-    window = {f.name: values.pop(f.name) for f in fields(WindowGrid) if f.name in values}
-    try:
-        values["grid"] = WindowGrid(**window)
-    except ValueError as exc:
-        raise ConfigError(f"{origin}: [windows] {exc}") from exc
-    if values.get("fusion_modes") and len(values.get("fusion_modalities", ())) < 2:
-        raise ConfigError(f"{origin}: [fusion] modalities must list at least two modalities")
+    for part, (section, build) in _PARTS.items():
+        args = {
+            target.partition(".")[2]: values.pop(target)
+            for target in list(values)
+            if target.startswith(part + ".")
+        }
+        try:
+            values[part] = build(**args)
+        except ValueError as exc:
+            raise ConfigError(f"{origin}: [{section}] {exc}") from exc
     cfg = ExperimentConfig(**values)
     _check_values(cfg, origin)
     return cfg
 
 
 def _check_values(cfg: ExperimentConfig, origin: str) -> None:
+    """The rules of the plain ExperimentConfig fields; each part's rules are
+    its builder's."""
     if cfg.min_trials < 1:
         raise ConfigError(f"{origin}: [experiment] min_trials must be >= 1")
-    if cfg.cv_folds < 2 or cfg.cv_inner_folds < 2 or cfg.cv_repeats < 1:
-        raise ConfigError(f"{origin}: [cv] folds/inner_folds >= 2 and repeats >= 1")
-    if not 0 < cfg.tf_freq_lo_hz <= cfg.tf_freq_hi_hz:
-        raise ConfigError(f"{origin}: [features] need 0 < tf_freq_lo_hz <= tf_freq_hi_hz")
-    if cfg.tf_cycles <= 0 or cfg.tf_output_step_s <= 0:
-        raise ConfigError(f"{origin}: [features] tf_cycles and tf_output_step_s must be > 0")
     if not 0.0 < cfg.eeg_pca_target <= 1.0:
         raise ConfigError(f"{origin}: [features] eeg_pca_target must be in (0, 1]")
     if not 0.0 <= cfg.lda_shrinkage <= 1.0:
         raise ConfigError(f"{origin}: [features] lda_shrinkage must be in [0, 1]")
-    if cfg.fusion_modes:
-        try:
-            cfg.fusion_specs()
-        except ValueError as exc:
-            raise ConfigError(f"{origin}: [fusion] {exc}") from exc
+
+
+def read_config_text(path: Path) -> str:
+    """The file's text; a file that cannot be read as UTF-8 is a ConfigError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(path: "Path | str") -> ExperimentConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return parse_config_text(text, origin=str(path), base_dir=path.parent)
+    return parse_config_text(read_config_text(path), origin=str(path), base_dir=path.parent)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -213,16 +219,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"[dataset] root does not exist: {cfg.dataset_root}")
     if not cfg.manifest_path.is_file():
         raise ConfigError(f"[dataset] manifest does not exist: {cfg.manifest_path}")
-
-
-def with_overrides(
-    cfg: ExperimentConfig, seed: int | None = None, out_dir: "Path | None" = None
-) -> ExperimentConfig:
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=Path(out_dir))
-    return cfg
 
 
 def config_text_hash(text: str) -> str:

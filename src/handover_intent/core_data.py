@@ -90,6 +90,14 @@ def split_items(text: str, what: str) -> list:
     return items
 
 
+def parse_channels(text: str) -> tuple:
+    """EEG channel names from a comma-separated list; at least one."""
+    channels = split_items(text, "channel")
+    if not channels:
+        raise ValueError("empty channel list")
+    return tuple(channels)
+
+
 def parse_modalities(text: str) -> tuple:
     """Modalities from a comma-separated list such as ``gaze, motion``."""
     items = split_items(text.lower(), "modality")
@@ -331,6 +339,7 @@ def parse_manifest(path: "Path | str") -> Manifest:
     saw_header = False
     seen_ids: set[tuple[int, int]] = set()
     rates: dict = {}
+    channels = None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -349,7 +358,12 @@ def parse_manifest(path: "Path | str") -> Manifest:
                 if key in keys:
                     raise DatasetError(f"{path}:{lineno}: duplicate key {key}")
                 keys[key] = value.strip()
-                if key.endswith("_rate_hz"):
+                if key == "eeg_channels":
+                    try:
+                        channels = list(parse_channels(keys[key]))
+                    except ValueError as exc:
+                        raise DatasetError(f"{path}:{lineno}: {key}: {exc}") from exc
+                elif key.endswith("_rate_hz"):
                     rates[Modality(key.removesuffix("_rate_hz"))] = _rate(
                         keys[key], f"{path}:{lineno}: {key}"
                     )
@@ -386,9 +400,6 @@ def parse_manifest(path: "Path | str") -> Manifest:
     version = keys.get("format_version")
     if version != "1":
         raise DatasetError(f"{path}: unsupported format_version {version!r}")
-    channels = None
-    if "eeg_channels" in keys:
-        channels = [c.strip() for c in keys["eeg_channels"].split(",") if c.strip()]
     return Manifest(
         name=keys.get("name", path.stem),
         rates_hz=rates,

@@ -160,7 +160,7 @@ class TfSpec:
     def __post_init__(self):
         freqs = tuple(float(f) for f in self.freqs_hz)
         if not freqs or any(f <= 0 for f in freqs):
-            raise ValueError("freqs_hz must be positive")
+            raise ValueError("freqs_hz must be non-empty and positive")
         if list(freqs) != sorted(freqs):
             raise ValueError("freqs_hz must be ascending")
         if self.n_cycles <= 0:
@@ -185,9 +185,10 @@ class TfSpec:
         )
 
 
-def default_tf_spec() -> TfSpec:
-    """Integer 5..40 Hz grid, 3-cycle wavelets, ~20 Hz feature rate."""
-    return TfSpec(freqs_hz=tuple(range(5, 41)), n_cycles=3.0, output_step_s=0.05)
+def default_tf_spec(lo_hz: int = 5, hi_hz: int = 40, **rest) -> TfSpec:
+    """The integer lo_hz..hi_hz Hz grid, 5..40 Hz unless given; ``rest`` sets
+    the other ``TfSpec`` fields (3-cycle wavelets, ~20 Hz feature rate)."""
+    return TfSpec(freqs_hz=tuple(range(lo_hz, hi_hz + 1)), **rest)
 
 
 @dataclass(frozen=True)

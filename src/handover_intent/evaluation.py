@@ -90,7 +90,7 @@ class CvScheme:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 2 or (self.nested and self.inner_k < 2):
+        if self.k < 2 or self.inner_k < 2:
             raise ValueError("fold counts must be >= 2")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")

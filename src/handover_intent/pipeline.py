@@ -25,10 +25,8 @@ from .core_data import (
     load_dataset,
     parse_manifest,
 )
-from .dsp import TfSpec
 from .evaluation import (
     AucTimeline,
-    CvScheme,
     _safe_tag,
     aggregate_participants,
     assemble_timeline,
@@ -73,14 +71,6 @@ class RunResult:
     metadata: dict
 
 
-def _tf_spec(cfg: ExperimentConfig) -> TfSpec:
-    return TfSpec(
-        freqs_hz=tuple(range(cfg.tf_freq_lo_hz, cfg.tf_freq_hi_hz + 1)),
-        n_cycles=cfg.tf_cycles,
-        output_step_s=cfg.tf_output_step_s,
-    )
-
-
 def _eeg_digest(eeg) -> str:
     """Short hash of an EEG recording's content, so that a cache entry is
     only served for the recording it was built from."""
@@ -96,15 +86,14 @@ def _build_features(cfg, trial, modality, cache):
         return build_gaze_features(trial)
     if modality is Modality.MOTION:
         return build_motion_features(trial)
-    tf = _tf_spec(cfg)
     if cache is not None:
-        key = tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
+        key = cfg.tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
         key += f"_eeg{_eeg_digest(trial.streams[Modality.EEG])}"
         ref = (trial.participant_id, trial.trial_id)
         seq = cache.get(ref, Modality.EEG, key, label_for(trial.condition))
         if seq is not None:
             return seq
-    seq = build_eeg_features(trial, list(cfg.eeg_channels), tf, log_power=cfg.tf_log_power)
+    seq = build_eeg_features(trial, list(cfg.eeg_channels), cfg.tf, log_power=cfg.tf_log_power)
     if cache is not None:
         cache.put(seq, key)
     return seq
@@ -123,18 +112,6 @@ def _recipe(cfg: ExperimentConfig, model: str, modality: Modality):
     return lstm_recipe_for(modality, standardize_all=cfg.standardize_all)
 
 
-def _scheme(cfg: ExperimentConfig, nested: bool, *seed_labels) -> CvScheme:
-    """Only an LSTM sweep draws inner folds; the outer folds do not depend on
-    them, since each comes from its own seed substream."""
-    return CvScheme(
-        k=cfg.cv_folds,
-        repeats=cfg.cv_repeats,
-        nested=nested,
-        inner_k=cfg.cv_inner_folds,
-        seed=derive_seed(cfg.seed, "cv", *seed_labels),
-    )
-
-
 def _views(cfg: ExperimentConfig) -> list:
     """(tag, {modality: recipe}, late) of every view, in output order: the
     single-modality views, with ``cfg.model``'s recipe, then the fusion views,
@@ -142,7 +119,7 @@ def _views(cfg: ExperimentConfig) -> list:
     A fusion view's dict keeps ``FusionSpec``'s canonical modality order,
     which is the order of its blocks and of its feature-error checks."""
     views = [(m.value, {m: _recipe(cfg, cfg.model, m)}, False) for m in cfg.modalities]
-    for spec in cfg.fusion_specs():
+    for spec in cfg.fusion:
         lda = {m: _recipe(cfg, "lda", m) for m in spec.modalities}
         views.append((spec.tag(), lda, spec.mode is FusionMode.LATE))
     return views
@@ -247,9 +224,12 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
                 ([whole.features[(m, ref)] for ref in refs], recipe)
                 for m, recipe in recipes.items()
             ]
+            # Only an LSTM view draws inner folds; the outer folds do not
+            # depend on them, since each comes from its own seed substream.
             nested = any(isinstance(recipe, LstmRecipe) for recipe in recipes.values())
+            scheme = replace(cfg.cv, nested=nested, seed=derive_seed(cfg.seed, "cv", tag, pid))
             try:
-                view = make_view(blocks, _scheme(cfg, nested, tag, pid), late)
+                view = make_view(blocks, scheme, late)
             except ValueError as exc:  # e.g. more CV folds than trials
                 raise PipelineError(f"participant {pid}, {tag} view: {exc}") from exc
             evaluated.append((pid, tag, view))

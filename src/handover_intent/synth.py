@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .core_data import (
+    EPOCH_END_S,
+    EPOCH_START_S,
     STREAM_COLUMNS,
     Condition,
     Manifest,
@@ -97,8 +99,8 @@ def parse_profile(path: "Path | str") -> SynthProfile:
 
 
 def _grid(rate_hz: float) -> np.ndarray:
-    n = int(round((6.0 - -5.0) * rate_hz)) + 1
-    return -5.0 + np.arange(n) / rate_hz
+    n = int(round((EPOCH_END_S - EPOCH_START_S) * rate_hz)) + 1
+    return EPOCH_START_S + np.arange(n) / rate_hz
 
 
 def _gaze_trial(profile: SynthProfile, rng, base: np.ndarray, condition: Condition):

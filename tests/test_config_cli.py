@@ -1,5 +1,8 @@
 import json
 import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +11,14 @@ from handover_intent import config
 from handover_intent.cli import main
 from handover_intent.config import (
     ConfigError,
+    ExperimentConfig,
     parse_config,
     parse_config_text,
     validate_config,
-    with_overrides,
 )
 from handover_intent.core_data import Modality, load_dataset
+from handover_intent.dsp import default_tf_spec
+from handover_intent.evaluation import CvScheme
 from handover_intent.fusion import FusionMode
 from handover_intent.synth import SynthProfile, generate_dataset, parse_profile
 
@@ -97,15 +102,68 @@ class TestConfigParsing:
         assert cfg.model == "lda"
         assert cfg.seed == 7
         assert cfg.min_trials == 60
-        assert (cfg.cv_folds, cfg.cv_repeats) == (10, 3)
+        assert (cfg.cv.k, cfg.cv.repeats) == (10, 3)
         assert cfg.grid.end_times().shape[0] == 44
         assert cfg.dataset_root == tmp_path / "data"
-        assert cfg.fusion_modes == ()
+        assert cfg.fusion == ()
 
     def test_every_key_at_its_default_equals_the_minimal_config(self, tmp_path):
         assert written_keys(EVERY_KEY_AT_ITS_DEFAULT) | UNSET_BY_DEFAULT == set(config._KEYS)
         full = parse_config_text(EVERY_KEY_AT_ITS_DEFAULT, base_dir=tmp_path)
         assert full == parse_config_text(MINIMAL_CONFIG, base_dir=tmp_path)
+
+    def test_unset_parts_take_the_dataclass_defaults(self, tmp_path):
+        # Each built part has one default: its builder called with no keys.
+        cfg = parse_config_text(MINIMAL_CONFIG, base_dir=tmp_path)
+        bare = ExperimentConfig(
+            dataset_root=tmp_path / "data",
+            manifest_path=tmp_path / "data" / "manifest.txt",
+            modalities=(Modality.GAZE,),
+            model="lda",
+            seed=7,
+            out_dir=tmp_path / "out",
+        )
+        assert cfg == bare
+        assert cfg.cv == CvScheme()
+        assert cfg.tf == default_tf_spec()
+        assert cfg.tf.freqs_hz == tuple(float(f) for f in range(5, 41))
+
+    def test_docstring_example_parses(self, tmp_path):
+        doc = config.__doc__
+        lines = doc[doc.index("Example::") :].splitlines()[2:]
+        end = next(i for i, t in enumerate(lines) if t and not t.startswith("    "))
+        example = textwrap.dedent("\n".join(lines[:end]))
+        cfg = parse_config_text(example, base_dir=tmp_path)
+        assert cfg.out_dir == tmp_path / "out"  # the example's last line
+        assert (cfg.cv.k, cfg.cv.repeats) == (10, 3)
+        assert [s.tag() for s in cfg.fusion] == ["early:gaze+motion", "late:gaze+motion"]
+
+    @pytest.mark.parametrize(
+        "section, keys, message",
+        [
+            ("cv", "folds = 1", "fold counts must be >= 2"),
+            ("cv", "inner_folds = 1", "fold counts must be >= 2"),
+            ("cv", "repeats = 0", "repeats must be >= 1"),
+            ("windows", "step_s = -1.0", "step_s must be positive"),
+            ("windows", "last_end_s = 5.9", "last_end_s must lie on the end-time grid"),
+            ("features", "tf_freq_lo_hz = 0", "freqs_hz must be non-empty and positive"),
+            (
+                "features",
+                "tf_freq_lo_hz = 12\ntf_freq_hi_hz = 8",
+                "freqs_hz must be non-empty and positive",
+            ),
+            ("features", "tf_cycles = 0", "n_cycles must be positive"),
+            ("features", "tf_output_step_s = -0.05", "output_step_s must be positive"),
+            ("fusion", "modes = late\nmodalities = gaze", "fusion needs at least two modalities"),
+            ("fusion", "modes = early", "fusion needs at least two modalities"),
+        ],
+    )
+    def test_bad_part_value_names_the_origin_and_section(self, section, keys, message):
+        # The rule of each built part lives in its constructor, whose
+        # ValueError is reported against the config file and section.
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(MINIMAL_CONFIG + f"\n[{section}]\n{keys}\n", origin="c.txt")
+        assert str(info.value) == f"c.txt: [{section}] {message}"
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
@@ -169,9 +227,8 @@ class TestConfigParsing:
     def test_fusion_section(self):
         text = MINIMAL_CONFIG + "\n[fusion]\nmodes = early,late\nmodalities = gaze,motion\n"
         cfg = parse_config_text(text)
-        assert cfg.fusion_modes == (FusionMode.EARLY, FusionMode.LATE)
-        specs = cfg.fusion_specs()
-        assert [s.tag() for s in specs] == ["early:gaze+motion", "late:gaze+motion"]
+        assert [s.mode for s in cfg.fusion] == [FusionMode.EARLY, FusionMode.LATE]
+        assert [s.tag() for s in cfg.fusion] == ["early:gaze+motion", "late:gaze+motion"]
 
     def test_fusion_needs_two_modalities(self):
         text = MINIMAL_CONFIG + "\n[fusion]\nmodes = late\nmodalities = gaze\n"
@@ -188,7 +245,7 @@ class TestConfigParsing:
 
     def test_overrides(self, tmp_path):
         cfg = parse_config_text(MINIMAL_CONFIG, base_dir=tmp_path)
-        cfg2 = with_overrides(cfg, seed=99, out_dir=tmp_path / "elsewhere")
+        cfg2 = replace(cfg, seed=99, out_dir=tmp_path / "elsewhere")
         assert cfg2.seed == 99
         assert cfg2.out_dir == tmp_path / "elsewhere"
         assert cfg.seed == 7  # original untouched
@@ -333,6 +390,40 @@ class TestCli:
         _, config = write_experiment(tmp_path)
         assert main(["run", "--config", str(config)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # A directory cannot be read whatever the user's rights.
+            (lambda path: path.mkdir(), "Is a directory"),
+            (lambda path: path.write_bytes(b"[dataset]\nroot = \xff\n"), "can't decode"),
+        ],
+        ids=["directory", "not-utf8"],
+    )
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, command, make, message):
+        config = tmp_path / "config.txt"
+        make(config)
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {config}: ") and message in err
+
+    def test_run_reads_its_config_once_and_records_that_text(self, tmp_path, monkeypatch):
+        profile, config = write_experiment(tmp_path)
+        main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")])
+        reads = []
+        original = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            if self == config:
+                reads.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        assert main(["run", "--config", str(config)]) == 0
+        assert len(reads) == 1
+        metadata = json.loads((tmp_path / "out" / "run_metadata.json").read_text())
+        assert metadata["config_text"] == config.read_text()
 
     def test_validate_config_subcommand(self, tmp_path, capsys):
         profile, config = write_experiment(tmp_path)

@@ -473,6 +473,26 @@ class TestManifestFormat:
             parse_manifest(tmp_path / "m.txt")
         assert str(info.value) == f"{tmp_path}/{message}"
 
+    @pytest.mark.parametrize(
+        "channels, message",
+        [
+            ("Cz,C3,Cz", "repeated channel Cz"),
+            ("", "empty channel list"),
+            (" , ", "empty channel list"),
+        ],
+        ids=["repeated", "empty", "blank-items"],
+    )
+    def test_bad_eeg_channel_list_names_its_line(self, tmp_path, channels, message):
+        # A repeated channel would count twice in the channel average, and an
+        # empty list would fail every EEG file on a column mismatch.
+        (tmp_path / "m.txt").write_text(
+            f"format_version = 1\nname = x\neeg_channels = {channels}\n[trials]\n"
+            "participant,trial,condition,onset_s,eeg,gaze,motion\n"
+        )
+        with pytest.raises(DatasetError) as info:
+            parse_manifest(tmp_path / "m.txt")
+        assert str(info.value) == f"{tmp_path}/m.txt:3: eeg_channels: {message}"
+
     def test_version_required(self, tmp_path):
         (tmp_path / "m.txt").write_text("name = x\n[trials]\n")
         with pytest.raises(DatasetError, match="format_version"):

@@ -150,6 +150,21 @@ class TestSplits:
                 counts = [(labels[s.test_idx] == cls).sum() for s in splits]
                 assert max(counts) - min(counts) <= 1
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"k": 1}, "fold counts must be >= 2"),
+            ({"inner_k": 1}, "fold counts must be >= 2"),
+            ({"inner_k": 1, "nested": True}, "fold counts must be >= 2"),
+            ({"repeats": 0}, "repeats must be >= 1"),
+        ],
+    )
+    def test_scheme_rejects_too_few_folds_or_repeats(self, kwargs, message):
+        # inner_k is checked in an unnested scheme too: a view's scheme is the
+        # configured one with nested switched on for an LSTM view.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CvScheme(**kwargs)
+
     def test_nested_inner_folds_avoid_the_outer_test(self):
         labels = np.array([1] * 12 + [0] * 24)
         splits = make_splits(

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,9 @@ import pytest
 import handover_intent
 from handover_intent import BLAS_THREAD_VARS, evaluation, pipeline
 from handover_intent.cli import main
-from handover_intent.config import parse_config, with_overrides
+from handover_intent.config import parse_config
 from handover_intent.classifiers import lda_recipe_for
 from handover_intent.core_data import Modality, load_dataset
-from handover_intent.evaluation import CvScheme
 from handover_intent.features import build_gaze_features, build_motion_features
 from handover_intent.fusion import FusionMode
 from handover_intent.rng import derive_seed
@@ -277,14 +277,12 @@ class TestWindowPool:
         assert {e["message"] for e in serial} == {"split 0: need both classes 0 and 1, got labels [0]"}
 
     def test_pooled_fusion_views_match_sweep(self, fusion_dataset):
-        cfg = with_overrides(
-            parse_config(fusion_dataset / "config.txt"), out_dir=fusion_dataset / "out"
-        )
+        cfg = replace(parse_config(fusion_dataset / "config.txt"), out_dir=fusion_dataset / "out")
         result = pipeline.run_experiment(cfg, jobs=2)
         pooled = {(t.participant_id, t.tag): t for t in result.timelines}
         trials = load_dataset(cfg.dataset_root, cfg.manifest_path)
         expected_audits = []
-        for spec in cfg.fusion_specs():
+        for spec in cfg.fusion:
             tag = spec.tag()
             for pid in (1, 2, 3):
                 usable = complete_trials(
@@ -294,9 +292,7 @@ class TestWindowPool:
                     Modality.GAZE: [build_gaze_features(t) for t in usable],
                     Modality.MOTION: [build_motion_features(t) for t in usable],
                 }
-                scheme = CvScheme(
-                    k=cfg.cv_folds, repeats=cfg.cv_repeats, seed=derive_seed(cfg.seed, "cv", tag, pid)
-                )
+                scheme = replace(cfg.cv, seed=derive_seed(cfg.seed, "cv", tag, pid))
                 blocks = [(sequences[m], lda_recipe_for(m)) for m in spec.modalities]
                 late = spec.mode is FusionMode.LATE
                 swept, scores = sweep_view(blocks, scheme, cfg.grid, late)

@@ -8,11 +8,15 @@ that no longer fits its function's return value breaks a traced run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import handover_intent
 from handover_intent.core_data import Modality, TimeSeries, write_trial_csv
 from handover_intent.features import FeatureCache, FeatureSequence
 from handover_intent.lda import lda_fit
@@ -85,3 +89,19 @@ def test_annotate_hook_reads_the_real_result(name, tmp_path):
     args, kwargs, expected = annotated_calls(tmp_path)[name]
     result = resolve(name)(*args, **kwargs)
     assert load_tracer().ANNOTATE[name](args, kwargs, result) == expected
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    # The tracer wraps only modules that are loaded when it is installed,
+    # right after ``handover_intent.cli`` is imported; a module that the CLI
+    # imports later, inside a function, would go unmeasured.
+    tracer = load_tracer()
+    wanted = {f"{tracer.PACKAGE}.{short}" for short in [*tracer.TARGETS, *tracer.METHODS]}
+    src = str(Path(handover_intent.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, handover_intent.cli; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert wanted - set(done.stdout.split()) == set()

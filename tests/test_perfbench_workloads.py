@@ -39,5 +39,5 @@ def test_workload_config_parses(name, tmp_path):
     cfg = parse_config_text(workload.config, origin=name, base_dir=tmp_path)
     assert cfg.model == workload.model
     assert (cfg.grid.first_end_s, cfg.grid.last_end_s, cfg.grid.step_s) == workload.grid
-    tags = [m.value for m in cfg.modalities] + [s.tag() for s in cfg.fusion_specs()]
+    tags = [m.value for m in cfg.modalities] + [s.tag() for s in cfg.fusion]
     assert sorted(tags) == sorted(workload.tags)
