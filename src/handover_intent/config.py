@@ -110,6 +110,8 @@ def _to_modes(value: str) -> tuple:
 
 
 def _fusion_specs(modes: tuple = (), modalities: tuple = ()) -> tuple:
+    if modalities and not modes:
+        raise ValueError("modalities given without modes")
     return tuple(FusionSpec(mode, modalities) for mode in modes)
 
 

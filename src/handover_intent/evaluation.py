@@ -1,7 +1,8 @@
 """ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
-every view (a single modality, early or late fusion, an LSTM; each block's
-preprocessing fitted once per split), sustained-level detection latency, and
-the group statistics used for the summary tables."""
+every view (a single modality, early or late fusion: two LDA stages per split,
+the label-free ``prepare_split`` and the label stage ``score_split``; an LSTM:
+``_lstm_ensembles``), sustained-level detection latency, and the group
+statistics used for the summary tables."""
 
 from __future__ import annotations
 
@@ -180,20 +181,13 @@ class WindowScore:
     weight_fallbacks: int
 
 
-def _window_values(sequences, end_time_s: float, grid: WindowGrid) -> list:
-    """Each sequence's rows in [grid.start, end_time_s), as ``window_features``
-    selects them, without building a sequence per trial."""
+def _window(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
+    """(trials, time, features): each sequence's rows in [grid.start,
+    end_time_s), as ``window_features`` selects them."""
     grid.index_of(end_time_s)  # raises GridError when off the grid
-    return [s.series.values[epoch_rows(s.series, grid.start_s, end_time_s)] for s in sequences]
-
-
-def _window_matrix(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
-    """(trials, time x features), time-major as in ``flatten``."""
-    return np.stack([v.reshape(-1) for v in _window_values(sequences, end_time_s, grid)])
-
-
-def _window_tensor(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
-    return np.stack(_window_values(sequences, end_time_s, grid))
+    return np.stack(
+        [s.series.values[epoch_rows(s.series, grid.start_s, end_time_s)] for s in sequences]
+    )
 
 
 def _sorted_sequences(sequences) -> "list[FeatureSequence]":
@@ -204,24 +198,23 @@ def _sorted_sequences(sequences) -> "list[FeatureSequence]":
     return ordered
 
 
-def _score_stats(
-    end_time_s: float, aucs: "list[float]", fused_dims: tuple, weight_fallbacks: int
-) -> WindowScore:
+def _score_stats(end_time_s: float, results) -> WindowScore:
+    """Aggregate each split's (test AUC, fused width or None, weight fallback)."""
+    aucs, dims, fallbacks = zip(*results)
     arr = np.asarray(aucs, dtype=float)
+    std = float(arr.std(ddof=1))  # a CvScheme makes at least two splits
     median, q25, q75 = np.percentile(arr, (50, 25, 75))
     return WindowScore(
         end_time_s=end_time_s,
         mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if arr.shape[0] > 1 else 0.0,
-        stderr=(
-            float(arr.std(ddof=1) / np.sqrt(arr.shape[0])) if arr.shape[0] > 1 else 0.0
-        ),
+        std=std,
+        stderr=float(std / np.sqrt(arr.shape[0])),
         median=float(median),
         q25=float(q25),
         q75=float(q75),
         split_aucs=tuple(arr.tolist()),
-        fused_dims=fused_dims,
-        weight_fallbacks=weight_fallbacks,
+        fused_dims=tuple(dim for dim in dims if dim is not None),
+        weight_fallbacks=sum(fallbacks),
     )
 
 
@@ -370,60 +363,73 @@ def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
     return View(ordered, labels, tuple(make_splits(labels, scheme)), scheme.seed, late)
 
 
-def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
-    """Fit and score every CV split of ``view`` on one window of ``grid``;
-    aggregate the test AUCs across splits, with the facts ``WindowScore``
-    reports.
+def prepare_split(view: View, xs, split: Split) -> list:
+    """The label-free stage: each LDA block's (train rows, test rows), given
+    its (trials, D) window in ``xs``, preprocessed as fitted on the training fold."""
+    parts = []
+    for x, (_, recipe) in zip(xs, view.blocks):
+        prep, x_train = fit_flat_preprocessing(x[split.train_idx], recipe)
+        parts.append((x_train, prep.apply(x[split.test_idx])))
+    return parts
 
-    Each LDA block is prepared once per split: the LDA is fitted on the rows
-    ``fit_flat_preprocessing`` returns for the training fold, and only the
-    test rows go through ``apply``.
-    """
+
+def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages) -> tuple:
+    """The label stage: (test AUC, fused width or None, weight fallback).
+    Early fusion fits one LDA on the blocks side by side (first block's
+    shrinkage); late fusion, one per block, weighted by its training AUC."""
+    y_train, y_test = labels[split.train_idx], labels[split.test_idx]
+    members = zip(parts, shrinkages)
+    if not late:
+        members = [(tuple(map(np.hstack, zip(*parts))), shrinkages[0])]
+    perfs, member_scores = [], []
+    for (x_train, x_test), shrinkage in members:
+        model = lda_fit(x_train, y_train, shrinkage)
+        if late:
+            perfs.append(auc_roc(lda_predict_proba(model, x_train), y_train))
+        member_scores.append(lda_predict_proba(model, x_test))
+    if not late:
+        return auc_roc(member_scores[0], y_test), x_train.shape[1], False
+    weights, fallback = late_fusion_weights(perfs)
+    return auc_roc(weights @ np.stack(member_scores), y_test), None, fallback
+
+
+def _lstm_scores(view: View, x: np.ndarray, window_index: int):
+    """Each split's (test AUC, None, weight fallback) from its LSTM ensemble."""
+    seeds = [derive_seed(view.seed, "lstm", window_index, i) for i in range(len(view.splits))]
+    ensembles = _lstm_ensembles(x, view.labels, view.splits, view.blocks[0][1], seeds)
+    for split, ensemble in zip(view.splits, ensembles):
+        scores = ensemble.predict_proba(x[split.test_idx])
+        yield auc_roc(scores, view.labels[split.test_idx]), None, ensemble.weight_fallback
+
+
+def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
+    """Fit and score every CV split of ``view`` on one window of ``grid``:
+    build each block's window once, then run ``prepare_split`` and
+    ``score_split`` per split for LDA, or the LSTM stage ``_lstm_ensembles``.
+    A failure is tagged with the split it occurred in."""
     end = float(grid.end_times()[window_index])
-    labels = view.labels
-    recipe = view.blocks[0][1]
-    lstm = isinstance(recipe, LstmRecipe)
-    window = _window_tensor if lstm else _window_matrix
     try:
-        xs = [window(seqs, end, grid) for seqs, _ in view.blocks]
+        xs = [_window(seqs, end, grid) for seqs, _ in view.blocks]
     except Exception as exc:
         raise EvaluationError(f"window setup: {exc}") from exc
-    if lstm:
-        seeds = [derive_seed(view.seed, "lstm", window_index, i) for i in range(len(view.splits))]
-        ensembles = _lstm_ensembles(xs[0], labels, view.splits, recipe, seeds)
-    aucs, fused_dims, fallbacks = [], [], 0
-    for split_index, split in enumerate(view.splits):
-        train, test = split.train_idx, split.test_idx
-        try:
-            if lstm:
-                ensemble = next(ensembles)
-                fallbacks += ensemble.weight_fallback
-                scores = ensemble.predict_proba(xs[0][test])
-            else:
-                parts = []  # each block's (train, test) rows, prepared once
-                for x, (_, r) in zip(xs, view.blocks):
-                    prep, x_train = fit_flat_preprocessing(x[train], r)
-                    parts.append((x_train, prep.apply(x[test])))
-                if view.late:
-                    perfs, member_scores = [], []
-                    for (x_train, x_test), (_, r) in zip(parts, view.blocks):
-                        model = lda_fit(x_train, labels[train], r.shrinkage)
-                        perfs.append(auc_roc(lda_predict_proba(model, x_train), labels[train]))
-                        member_scores.append(lda_predict_proba(model, x_test))
-                    weights, fallback = late_fusion_weights(perfs)
-                    scores = weights @ np.stack(member_scores)
-                    fallbacks += fallback
-                else:
-                    x_train, x_test = (np.hstack(side) for side in zip(*parts))
-                    model = lda_fit(x_train, labels[train], recipe.shrinkage)
-                    scores = lda_predict_proba(model, x_test)
-                    fused_dims.append(x_train.shape[1])
-            aucs.append(auc_roc(scores, labels[test]))
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(f"split {split_index}: {exc}") from exc
-    return _score_stats(end, aucs, tuple(fused_dims), fallbacks)
+    if isinstance(view.blocks[0][1], LstmRecipe):
+        scored = _lstm_scores(view, xs[0], window_index)
+    else:
+        flat = [x.reshape(x.shape[0], -1) for x in xs]  # time-major, as ``flatten``
+        shrinkages = [recipe.shrinkage for _, recipe in view.blocks]
+        scored = (
+            score_split(prepare_split(view, flat, split), view.labels, split, view.late, shrinkages)
+            for split in view.splits
+        )
+    results = []
+    try:
+        for result in scored:
+            results.append(result)
+    except EvaluationError:
+        raise
+    except Exception as exc:
+        raise EvaluationError(f"split {len(results)}: {exc}") from exc
+    return _score_stats(end, results)
 
 
 @dataclass(frozen=True)
@@ -722,23 +728,11 @@ def _safe_tag(tag: str) -> str:  # a view tag as file names and figure columns s
 
 
 def timeline_rows(timeline: AucTimeline) -> "list[list[str]]":
-    rows = []
-    for i, end in enumerate(timeline.window_end_times_s):
-        rows.append(
-            [
-                str(timeline.participant_id),
-                timeline.tag,
-                timeline.model,
-                _fmt(end),
-                _fmt(timeline.auc[i]),
-                _fmt(timeline.auc_std[i]),
-                _fmt(timeline.auc_stderr[i]),
-                _fmt(timeline.auc_median[i]),
-                _fmt(timeline.auc_q25[i]),
-                _fmt(timeline.auc_q75[i]),
-            ]
-        )
-    return rows
+    t = timeline
+    columns = (t.window_end_times_s, t.auc, t.auc_std, t.auc_stderr)
+    columns += (t.auc_median, t.auc_q25, t.auc_q75)
+    head = [str(t.participant_id), t.tag, t.model]
+    return [[*head, *map(_fmt, values)] for values in zip(*columns)]
 
 
 def write_timeline_csv(path, timeline: AucTimeline) -> None:
@@ -803,18 +797,11 @@ def write_aggregate_csv(path, aggregates) -> None:
     header = ["tag", "model", "window_end_s", "median", "q25", "q75", "n_participants"]
     rows = []
     for agg in sorted(aggregates, key=lambda a: (a.model, a.tag)):
-        for i, end in enumerate(agg.window_end_times_s):
-            rows.append(
-                [
-                    agg.tag,
-                    agg.model,
-                    _fmt(end),
-                    _fmt(agg.median[i]),
-                    _fmt(agg.q25[i]),
-                    _fmt(agg.q75[i]),
-                    str(agg.n_participants),
-                ]
-            )
+        columns = (agg.window_end_times_s, agg.median, agg.q25, agg.q75)
+        rows += [
+            [agg.tag, agg.model, *map(_fmt, values), str(agg.n_participants)]
+            for values in zip(*columns)
+        ]
     _write_csv(path, header, rows)
 
 

@@ -156,6 +156,8 @@ class TestConfigParsing:
             ("features", "tf_output_step_s = -0.05", "output_step_s must be positive"),
             ("fusion", "modes = late\nmodalities = gaze", "fusion needs at least two modalities"),
             ("fusion", "modes = early", "fusion needs at least two modalities"),
+            # Without modes no fusion view would run, and nothing would say so.
+            ("fusion", "modalities = gaze,motion", "modalities given without modes"),
         ],
     )
     def test_bad_part_value_names_the_origin_and_section(self, section, keys, message):

@@ -1,13 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handover_intent import evaluation
 from handover_intent.classifiers import fit_lda_classifier, lda_recipe_for, lstm_recipe_for
 from handover_intent.core_data import CoverageError, Modality
 from handover_intent.evaluation import (
-    _window_matrix,
-    _window_tensor,
+    _window,
     AucTimeline,
     CvScheme,
     EvaluationError,
@@ -19,6 +21,7 @@ from handover_intent.evaluation import (
     make_splits,
     make_view,
     median_timeline,
+    prepare_split,
     read_timelines_csv,
     sustained_level_time,
     sweep,
@@ -257,8 +260,6 @@ class TestEvaluateWindow:
         # A trial in split 0's test fold is in split 1's training set only.
         poisoned = int(splits[0].test_idx[0])
         assert poisoned in splits[1].train_idx
-        from dataclasses import replace
-
         bad = seqs[poisoned]
         nan_series = replace(bad.series, values=np.full_like(bad.series.values, np.nan))
         seqs[poisoned] = replace(bad, series=nan_series)
@@ -267,8 +268,6 @@ class TestEvaluateWindow:
             evaluate_at(seqs, -3.0, recipe, scheme)
 
     def test_lstm_training_crash_is_a_failed_window(self, rng, monkeypatch):
-        import handover_intent.evaluation as evaluation
-
         def crash(*args, **kwargs):
             raise MemoryError("out of memory")
 
@@ -283,9 +282,6 @@ class TestEvaluateWindow:
         assert len(timeline.errors) == timeline.window_end_times_s.shape[0]
 
     def test_stack_budget_changes_no_result(self, rng, monkeypatch):
-        import handover_intent.evaluation as evaluation
-        from dataclasses import replace
-
         stacks = []
         train = evaluation.lstm_train_members
 
@@ -311,8 +307,6 @@ class TestEvaluateWindow:
         seqs = toy_sequences(rng, n=18, t_samples=55, signal_at=-5.0, effect=4.0)
         recipe = lstm_recipe_for(Modality.MOTION)
         # shrink the recipe for test speed
-        from dataclasses import replace
-
         recipe = replace(recipe, max_epochs=8, hidden=4, early_stop_after=None)
         scheme = CvScheme(k=3, repeats=1, nested=True, inner_k=3, seed=2)
         score = evaluate_at(seqs, -3.0, recipe, scheme)
@@ -324,8 +318,6 @@ class TestEvaluateWindow:
         # 12 trials, 4 of class 1: each outer training fold holds 6 trials,
         # and 6 inner folds leave one trial per validation fold.  Every member
         # then scores 0, so every split's ensemble falls back to equal weights.
-        from dataclasses import replace
-
         seqs = toy_sequences(rng, n=12, t_samples=55, signal_at=-5.0, effect=4.0)
         recipe = replace(
             lstm_recipe_for(Modality.MOTION), max_epochs=2, hidden=3, early_stop_after=None
@@ -349,11 +341,12 @@ class TestWindowArrays:
             windows = [window_features(s, end, grid) for s in seqs]
             tensor = np.stack([w.series.values for w in windows])
             matrix = np.stack([flatten(w) for w in windows])
-            assert _window_tensor(seqs, end, grid).tobytes() == tensor.tobytes()
-            assert _window_matrix(seqs, end, grid).tobytes() == matrix.tobytes()
+            window = _window(seqs, end, grid)
+            assert window.tobytes() == tensor.tobytes()
+            # LDA flattens each trial's window time-major, as ``flatten`` does.
+            assert window.reshape(len(seqs), -1).tobytes() == matrix.tobytes()
 
-    @pytest.mark.parametrize("build", [_window_matrix, _window_tensor])
-    def test_errors_are_those_of_window_features(self, rng, build):
+    def test_errors_are_those_of_window_features(self, rng):
         grid = WindowGrid(first_end_s=-4.95, last_end_s=1.0, step_s=0.05)
         full, short, off_grid = (
             motion_sequence(rng, -5.0, 40),
@@ -370,8 +363,52 @@ class TestWindowArrays:
                 for s in seqs:
                     window_features(s, end, grid)
             with pytest.raises(type(expected.value)) as got:
-                build(seqs, end, grid)
+                _window(seqs, end, grid)
             assert str(got.value) == str(expected.value)
+
+
+def two_block_view(rng, late, scheme=CvScheme(k=3, repeats=2, seed=5)):
+    """A standardize+PCA block and a raw block over the same 30 trials."""
+    pca = lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)
+    raw = lda_recipe_for(Modality.MOTION)
+    blocks = [(toy_sequences(rng, n=30, signal_at=0.0), recipe) for recipe in (pca, raw)]
+    return make_view(blocks, scheme, late)
+
+
+class TestLdaStages:
+    @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+    def test_prepare_split_reads_no_labels(self, rng, late):
+        # Shared preparation across views and label permutations rely on it.
+        view = two_block_view(rng, late)
+        permuted = replace(view, labels=rng.permutation(view.labels))
+        assert not np.array_equal(permuted.labels, view.labels)
+        grid = WindowGrid()
+        xs = [_window(seqs, 1.0, grid).reshape(len(seqs), -1) for seqs, _ in view.blocks]
+        for split in view.splits:
+            parts = prepare_split(view, xs, split)
+            assert parts[0][0].shape[1] < xs[0].shape[1] == parts[1][0].shape[1]  # PCA, raw
+            for ours, theirs in zip(parts, prepare_split(permuted, xs, split)):
+                assert [rows.tobytes() for rows in ours] == [rows.tobytes() for rows in theirs]
+
+    @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+    def test_work_per_window(self, rng, monkeypatch, late):
+        calls = dict.fromkeys(("fit_flat_preprocessing", "lda_fit", "auc_roc"), 0)
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        view = two_block_view(rng, late, CvScheme(k=3, repeats=2, seed=5))
+        grid = WindowGrid()
+        evaluate_window(view, grid, grid.index_of(1.0))
+        splits, blocks = 3 * 2, 2
+        assert calls == {
+            "fit_flat_preprocessing": blocks * splits,
+            "lda_fit": blocks * splits if late else splits,
+            "auc_roc": splits + (blocks * splits if late else 0),  # late training AUCs
+        }
 
 
 class TestSweep:

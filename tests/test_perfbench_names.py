@@ -1,5 +1,6 @@
 """Every function and method the benchmark's span tracer wraps must exist,
-and every attribute hook must read the result its function really returns.
+every attribute hook must read the result its function really returns, and a
+traced run of the CLI must measure every layer.
 
 The tracer reports a function the program no longer has as not measured, so
 renaming or deleting one of them silently blanks per-layer metrics; a hook
@@ -8,6 +9,7 @@ that no longer fits its function's return value breaks a traced run.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +22,7 @@ import handover_intent
 from handover_intent.core_data import Modality, TimeSeries, write_trial_csv
 from handover_intent.features import FeatureCache, FeatureSequence
 from handover_intent.lda import lda_fit
+from handover_intent.synth import SynthProfile, generate_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -105,3 +108,61 @@ def test_importing_the_cli_loads_every_traced_module():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert wanted - set(done.stdout.split()) == set()
+
+
+TINY_RUN = """[dataset]
+root = data
+
+[experiment]
+modalities = eeg
+model = lda
+seed = 7
+min_trials = 12
+
+[cv]
+folds = 2
+repeats = 1
+
+[windows]
+start_s = -5.0
+first_end_s = 0.0
+last_end_s = 1.0
+step_s = 1.0
+
+[features]
+tf_freq_lo_hz = 8
+tf_freq_hi_hz = 12
+cache_dir = cache
+
+[fusion]
+modes = early,late
+modalities = eeg,gaze,motion
+
+[output]
+dir = out
+"""
+
+
+def test_a_traced_run_measures_every_layer(tmp_path):
+    # What the benchmark's traced run does, on a tiny dataset at --jobs 1 so
+    # that every span is recorded in one process: a traced name the tracer
+    # cannot find, or a hook that fails on a real result, would leave the
+    # benchmark's result line with null metrics or without a result line.
+    generate_dataset(
+        SynthProfile(participants=1, trials_per_condition=6, modalities=tuple(Modality), seed=3),
+        tmp_path / "data",
+    )
+    (tmp_path / "config.txt").write_text(TINY_RUN)
+    src = str(Path(handover_intent.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    args = ["run", "--config", "config.txt", "--jobs", "1", "--out", "out"]
+    done = subprocess.run(
+        [sys.executable, str(TRACER.parent / "traced_cli.py"), "spans.json", *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    assert spans["missing"] == []
+    metrics = load_tracer().layer_metrics(tmp_path / "spans.json")
+    assert [name for name, (value, _) in metrics.items() if value is None] == []
+    assert metrics["lda.lda_fit.calls"][0] > 0 and metrics["features.pca_fit.calls"][0] > 0
