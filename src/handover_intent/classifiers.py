@@ -1,5 +1,5 @@
 """Model recipes, fold-fitted preprocessing (one fit function for LDA windows
-and LSTM sequences), and the fitted-classifier wrapper."""
+and LSTM sequences), and ``TrainedClassifier``, the fitted-LDA reference."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .core_data import Modality
 from .dsp import Standardization, standardize
 from .features import PcaModel, pca_apply, pca_fit
 from .lda import DEFAULT_SHRINKAGE, LdaModel, lda_fit, lda_predict_proba
-from .lstm import LstmSpec, predict_proba_batch
+from .lstm import LstmSpec
 
 
 @dataclass(frozen=True)
@@ -109,38 +109,16 @@ def fit_flat_preprocessing(x_train: np.ndarray, recipe) -> tuple[FittedPreproces
 
 @dataclass(frozen=True)
 class TrainedClassifier:
-    """An immutable fitted model exposing class-1 probability scoring.
+    """A fitted LDA and the preprocessing fitted with it: the serial
+    reference for one split of ``evaluate_window``'s LDA stages."""
 
-    kind is ``lda`` or ``lstm_ensemble``; exactly the matching payload field
-    is set.
-    """
-
-    kind: str
     preprocessing: FittedPreprocessing
-    lda: LdaModel | None = None
-    members: tuple | None = None  # ((LstmModel, weight), ...)
-    weight_fallback: bool = False  # True when equal weights replaced zero scores
-
-    def __post_init__(self):
-        if self.kind not in ("lda", "lstm_ensemble"):
-            raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if self.kind == "lda" and self.lda is None:
-            raise ValueError("lda classifier needs an LdaModel")
-        if self.kind == "lstm_ensemble":
-            if not self.members:
-                raise ValueError("lstm classifier needs members")
-            weights = np.array([w for _, w in self.members], dtype=float)
-            if (weights < 0).any() or abs(weights.sum() - 1.0) > 1e-9:
-                raise ValueError("member weights must be nonnegative and sum to 1")
+    lda: LdaModel
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """x: (n, D) flattened windows for lda, (n, T, D) sequences otherwise."""
+        """Class-1 probabilities of (n, D) flattened windows."""
         x = self.preprocessing.apply(np.asarray(x, dtype=float))
-        if self.kind == "lda":
-            return lda_predict_proba(self.lda, x)
-        # Each member scores the whole fold; the weighted sum runs in member
-        # order, as ``ensemble_predict`` sums one sequence.
-        return sum(w * predict_proba_batch(model, x) for model, w in self.members)
+        return lda_predict_proba(self.lda, x)
 
 
 def fit_lda_classifier(
@@ -149,4 +127,4 @@ def fit_lda_classifier(
     """One LDA on windows prepared by ``recipe``, as ``evaluate_window`` fits a block."""
     prep, x = fit_flat_preprocessing(x_train, recipe)
     model = lda_fit(x, y_train, recipe.shrinkage)
-    return TrainedClassifier(kind="lda", preprocessing=prep, lda=model)
+    return TrainedClassifier(prep, model)

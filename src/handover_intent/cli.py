@@ -69,6 +69,8 @@ def _cmd_run(args) -> int:
         text = read_config_text(path)  # parsed once, and recorded in the run's metadata
         cfg = parse_config_text(text, str(path), path.parent)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
@@ -89,6 +91,8 @@ def _cmd_synth(args) -> int:
     try:
         profile = parse_profile(args.profile)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
             profile = replace(profile, seed=args.seed)
     except (OSError, ValueError) as exc:
         print(f"profile error: {exc}", file=sys.stderr)

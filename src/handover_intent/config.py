@@ -194,6 +194,8 @@ def parse_config_text(
 def _check_values(cfg: ExperimentConfig, origin: str) -> None:
     """The rules of the plain ExperimentConfig fields; each part's rules are
     its builder's."""
+    if cfg.seed < 0:
+        raise ConfigError(f"{origin}: [experiment] seed must be >= 0")
     if cfg.min_trials < 1:
         raise ConfigError(f"{origin}: [experiment] min_trials must be >= 1")
     if not 0.0 < cfg.eeg_pca_target <= 1.0:

@@ -1,8 +1,8 @@
 """ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
-every view (a single modality, early or late fusion: two LDA stages per split,
-the label-free ``prepare_split`` and the label stage ``score_split``; an LSTM:
-``_lstm_ensembles``), sustained-level detection latency, and the group
-statistics used for the summary tables."""
+every view (a single modality, early or late fusion, an LSTM) in two stages
+per split, the label-free ``prepare_split`` and a label stage (``score_split``
+for LDA, ``_lstm_scores`` for an LSTM), sustained-level detection latency,
+and the group statistics used for the summary tables."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifiers import LdaRecipe, LstmRecipe, TrainedClassifier, fit_flat_preprocessing
+from .classifiers import LdaRecipe, LstmRecipe, fit_flat_preprocessing
 from .core_data import epoch_rows
 from .features import FeatureSequence, WindowGrid
 from .lda import lda_fit, lda_predict_proba
@@ -250,86 +250,6 @@ def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]
     return trained
 
 
-def _lstm_ensembles(
-    x: np.ndarray,
-    y: np.ndarray,
-    splits: "list[Split]",
-    recipe: LstmRecipe,
-    seeds: "list[int]",
-):
-    """Yield each split's ensemble, in split order, with one member per inner
-    (fit, val) fold of that split.
-
-    Consecutive members train as one stack, filled up to ``STACK_BYTES``, and
-    a split's ensemble is yielded once its last member is trained, so only
-    one stack's data and the models of unfinished splits are held.  Ensemble
-    weights are the members' validation AUCs, normalized (equal weights when
-    every AUC is zero).  Preprocessing is fitted on each outer training fold.
-    A split whose test fold holds one class fails before its members train.
-    A failure raises ``EvaluationError`` naming the split that serial
-    training would have failed in first.
-    """
-    preps, trained = {}, {}  # by split, until its ensemble is yielded
-    pending = []  # (split, seed, x_fit, y_fit, x_val, y_val, bytes)
-
-    def train_pending():
-        if not pending:
-            return
-        owners = [member[0] for member in pending]
-        try:
-            results = fit_lstm_ensemble(spec, [member[1:6] for member in pending])
-        except Exception as exc:
-            member = getattr(exc, "member", None)
-            where = "window" if member is None else f"split {owners[member]}"
-            raise EvaluationError(f"{where}: {exc}") from exc
-        pending.clear()
-        for owner, result in zip(owners, results):
-            trained[owner].append(result)
-        for owner in sorted(set(owners)):
-            if len(trained[owner]) == len(splits[owner].inner):
-                yield _weighted_ensemble(preps.pop(owner), trained.pop(owner))
-
-    for split_index, (split, seed) in enumerate(zip(splits, seeds, strict=True)):
-        try:
-            if split.inner is None:
-                raise ValueError("LSTM evaluation needs a nested CvScheme")
-            spec = recipe.spec(input_dim=x.shape[2], seed=seed)
-            prep, _ = fit_flat_preprocessing(x[split.train_idx], recipe)
-            xp = prep.apply(x)
-            _check_classes(y[split.test_idx])  # its AUC would fail after training
-        except Exception as exc:
-            yield from train_pending()  # earlier splits come first
-            raise EvaluationError(f"split {split_index}: {exc}") from exc
-        preps[split_index] = prep
-        trained[split_index] = []
-        for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
-            cost = member_bytes(spec, x.shape[1], len(fit_idx), len(val_idx))
-            if sum(member[-1] for member in pending) + cost > STACK_BYTES:
-                yield from train_pending()
-            pending.append(
-                (
-                    split_index,
-                    derive_seed(seed, "member", inner_index),
-                    xp[fit_idx],
-                    y[fit_idx],
-                    xp[val_idx],
-                    y[val_idx],
-                    cost,
-                )
-            )
-    yield from train_pending()
-
-
-def _weighted_ensemble(prep, trained) -> TrainedClassifier:
-    weights, fallback = late_fusion_weights([auc for _, auc in trained])
-    return TrainedClassifier(
-        kind="lstm_ensemble",
-        preprocessing=prep,
-        members=tuple(zip((model for model, _ in trained), weights.tolist())),
-        weight_fallback=fallback,
-    )
-
-
 @dataclass(frozen=True)
 class View:
     """What one sweep evaluates, aligned once for all of its windows.
@@ -338,7 +258,8 @@ class View:
     modality, every block covering the same trials; ``labels`` and ``splits``
     are shared by every window.  LDA blocks fuse early (one LDA on their
     concatenation; a single modality is one block) unless ``late`` (one LDA
-    per block, weighted by training AUC).  An LSTM view has one block.
+    per block, weighted by training AUC).  An LSTM view has one block.  Every
+    view's splits run through ``prepare_split``, which never reads ``labels``.
     """
 
     blocks: tuple
@@ -364,8 +285,9 @@ def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
 
 
 def prepare_split(view: View, xs, split: Split) -> list:
-    """The label-free stage: each LDA block's (train rows, test rows), given
-    its (trials, D) window in ``xs``, preprocessed as fitted on the training fold."""
+    """The label-free stage of every view: each block's (train rows, test
+    rows), given its window in ``xs`` ((trials, D) flattened for LDA, (trials,
+    T, D) sequences for an LSTM), preprocessed as fitted on the training fold."""
     parts = []
     for x, (_, recipe) in zip(xs, view.blocks):
         prep, x_train = fit_flat_preprocessing(x[split.train_idx], recipe)
@@ -394,18 +316,80 @@ def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages)
 
 
 def _lstm_scores(view: View, x: np.ndarray, window_index: int):
-    """Each split's (test AUC, None, weight fallback) from its LSTM ensemble."""
-    seeds = [derive_seed(view.seed, "lstm", window_index, i) for i in range(len(view.splits))]
-    ensembles = _lstm_ensembles(x, view.labels, view.splits, view.blocks[0][1], seeds)
-    for split, ensemble in zip(view.splits, ensembles):
-        scores = ensemble.predict_proba(x[split.test_idx])
-        yield auc_roc(scores, view.labels[split.test_idx]), None, ensemble.weight_fallback
+    """Yield each split's (test AUC, None, weight fallback), in split order,
+    from an ensemble with one member per inner (fit, val) fold of that split.
+
+    Each split's rows come from ``prepare_split``.  Consecutive members train
+    as one stack, filled up to ``STACK_BYTES``, and a split is scored once its
+    last member is trained, so only one split's training rows, one stack's
+    data and the test rows and models of unfinished splits are held.
+    Ensemble weights are the members' validation AUCs, normalized (equal
+    weights when every AUC is zero).  A split whose test fold holds one class
+    fails before its members train.  A failure raises ``EvaluationError``
+    naming the split that serial training would have failed in first.
+    """
+    labels, recipe = view.labels, view.blocks[0][1]
+    test_rows, trained = {}, {}  # by split, until it is scored
+    pending = []  # (split, seed, x_fit, y_fit, x_val, y_val, bytes)
+
+    def train_pending():
+        if not pending:
+            return
+        owners = [member[0] for member in pending]
+        try:
+            results = fit_lstm_ensemble(spec, [member[1:6] for member in pending])
+        except Exception as exc:
+            member = getattr(exc, "member", None)
+            where = "window" if member is None else f"split {owners[member]}"
+            raise EvaluationError(f"{where}: {exc}") from exc
+        pending.clear()
+        for owner, result in zip(owners, results):
+            trained[owner].append(result)
+        for owner in sorted(set(owners)):
+            if len(trained[owner]) == len(view.splits[owner].inner):
+                models, aucs = zip(*trained.pop(owner))
+                weights, fallback = late_fusion_weights(aucs)
+                # Each member scores the whole fold; the weighted sum runs in
+                # member order, as ``ensemble_predict`` sums one sequence.
+                x_test = test_rows.pop(owner)
+                scores = sum(w * predict_proba_batch(m, x_test) for m, w in zip(models, weights))
+                yield auc_roc(scores, labels[view.splits[owner].test_idx]), None, fallback
+
+    for split_index, split in enumerate(view.splits):
+        seed = derive_seed(view.seed, "lstm", window_index, split_index)
+        try:
+            if split.inner is None:
+                raise ValueError("LSTM evaluation needs a nested CvScheme")
+            spec = recipe.spec(input_dim=x.shape[2], seed=seed)
+            [(x_train, test_rows[split_index])] = prepare_split(view, [x], split)
+            _check_classes(labels[split.test_idx])  # its AUC would fail after training
+        except Exception as exc:
+            yield from train_pending()  # earlier splits come first
+            raise EvaluationError(f"split {split_index}: {exc}") from exc
+        trained[split_index] = []
+        for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
+            cost = member_bytes(spec, x.shape[1], len(fit_idx), len(val_idx))
+            if sum(member[-1] for member in pending) + cost > STACK_BYTES:
+                yield from train_pending()
+            fit, val = (np.searchsorted(split.train_idx, idx) for idx in (fit_idx, val_idx))
+            pending.append(
+                (
+                    split_index,
+                    derive_seed(seed, "member", inner_index),
+                    x_train[fit],
+                    labels[fit_idx],
+                    x_train[val],
+                    labels[val_idx],
+                    cost,
+                )
+            )
+    yield from train_pending()
 
 
 def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
     """Fit and score every CV split of ``view`` on one window of ``grid``:
-    build each block's window once, then run ``prepare_split`` and
-    ``score_split`` per split for LDA, or the LSTM stage ``_lstm_ensembles``.
+    build each block's window once, then run ``prepare_split`` per split and
+    its label stage, ``score_split`` for LDA or ``_lstm_scores`` for an LSTM.
     A failure is tagged with the split it occurred in."""
     end = float(grid.end_times()[window_index])
     try:
@@ -753,8 +737,12 @@ def read_timelines_csv(path) -> "list[AucTimeline]":
         if header != TIMELINE_COLUMNS:
             raise ValueError(f"{path}: unexpected columns {header}")
         grouped: dict = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
+            if len(cells) != len(header):  # a row cut short, as by an interrupted write
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
+                )
             key = (int(cells[0]), cells[1], cells[2])
             grouped.setdefault(key, []).append([float(c) for c in cells[3:]])
     out = []

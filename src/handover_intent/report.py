@@ -22,6 +22,8 @@ def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None)
             f"missing input: expected {results_csv} (produced by the run command)"
         )
     timelines = read_timelines_csv(results_csv)
+    if not timelines:
+        raise ValueError(f"{results_csv}: no rows below the header")
     by_model: dict = {}
     for t in timelines:
         by_model.setdefault(t.model, {}).setdefault(t.tag, []).append(t)

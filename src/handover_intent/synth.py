@@ -69,6 +69,8 @@ class SynthProfile:
             raise ValueError("participants and trials_per_condition must be >= 1")
         if not self.modalities:
             raise ValueError("at least one modality is required")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         object.__setattr__(self, "modalities", tuple(Modality(m) for m in self.modalities))
 
 
@@ -94,8 +96,11 @@ _PROFILE_KEYS = {
 def parse_profile(path: "Path | str") -> SynthProfile:
     """Profile file: [synth]/[gaze]/[motion]/[eeg] sections of key = value."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    return SynthProfile(**read_sections(text, str(path), _PROFILE_KEYS))
+    values = read_sections(path.read_text(encoding="utf-8"), str(path), _PROFILE_KEYS)
+    try:
+        return SynthProfile(**values)
+    except ValueError as exc:  # SynthProfile's own checks, all on [synth] keys
+        raise ValueError(f"{path}: [synth] {exc}") from exc
 
 
 def _grid(rate_hz: float) -> np.ndarray:

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from handover_intent.classifiers import (
-    FittedPreprocessing,
-    TrainedClassifier,
     fit_lda_classifier,
     fit_flat_preprocessing,
     lda_recipe_for,
@@ -13,7 +11,7 @@ from handover_intent.core_data import Modality
 from handover_intent.dsp import standardize
 from handover_intent.features import pca_apply, pca_fit
 from handover_intent.lda import lda_fit, lda_predict_proba
-from handover_intent.lstm import LstmSpec, init_model
+from handover_intent.lstm import LstmSpec
 
 
 class TestRecipes:
@@ -91,23 +89,6 @@ class TestPreprocessing:
 
 
 class TestTrainedClassifier:
-    def test_kind_and_payload_validation(self):
-        with pytest.raises(ValueError):
-            TrainedClassifier(kind="forest", preprocessing=FittedPreprocessing())
-        with pytest.raises(ValueError):
-            TrainedClassifier(kind="lda", preprocessing=FittedPreprocessing())
-        model = init_model(LstmSpec(1, 3, 2, 2, 5))
-        with pytest.raises(ValueError, match="unknown classifier kind"):
-            TrainedClassifier(
-                kind="lstm", preprocessing=FittedPreprocessing(), members=((model, 1.0),)
-            )
-        with pytest.raises(ValueError, match="sum to 1"):
-            TrainedClassifier(
-                kind="lstm_ensemble",
-                preprocessing=FittedPreprocessing(),
-                members=((model, 0.3), (model, 0.3)),
-            )
-
     def test_lda_prediction_equals_manual_pipeline(self, rng):
         x = np.vstack([rng.normal(size=(25, 6)) - 1.0, rng.normal(size=(25, 6)) + 1.0])
         y = np.array([0] * 25 + [1] * 25)

@@ -18,7 +18,7 @@ from handover_intent.config import (
 )
 from handover_intent.core_data import Modality, load_dataset
 from handover_intent.dsp import default_tf_spec
-from handover_intent.evaluation import CvScheme
+from handover_intent.evaluation import TIMELINE_COLUMNS, CvScheme
 from handover_intent.fusion import FusionMode
 from handover_intent.synth import SynthProfile, generate_dataset, parse_profile
 
@@ -489,6 +489,44 @@ class TestCli:
     def test_report_missing_inputs_exits_1(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path)]) == 1
         assert "results.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [("1,gaze\n", ":2: expected 10 columns, got 2"), ("", ": no rows below the header")],
+        ids=["cut-short-row", "header-only"],
+    )
+    def test_report_on_an_interrupted_results_csv_exits_1(self, tmp_path, capsys, rows, message):
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(TIMELINE_COLUMNS) + "\n" + rows)
+        assert main(["report", "--results", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"report error: {results}{message}\n"
+        assert not (tmp_path / "figures").exists()
+
+    def test_negative_seeds_exit_2_before_any_work(self, tmp_path, capsys):
+        # numpy's SeedSequence rejects them only once a run or synth is under way.
+        profile, config = write_experiment(tmp_path)
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        bad_config = tmp_path / "bad_config.txt"
+        bad_config.write_text(config.read_text().replace("seed = 7", "seed = -3"))
+        bad_profile = tmp_path / "bad_profile.txt"
+        bad_profile.write_text(profile.read_text().replace("seed = 11", "seed = -2"))
+        cases = [
+            (["validate-config", "--config", str(bad_config)],
+             f"config error: {bad_config}: [experiment] seed must be >= 0"),
+            (["run", "--config", str(bad_config)],
+             f"config error: {bad_config}: [experiment] seed must be >= 0"),
+            (["run", "--config", str(config), "--seed", "-1"],
+             "config error: --seed must be >= 0, got -1"),
+            (["synth", "--profile", str(bad_profile), "--out", str(tmp_path / "s1")],
+             f"profile error: {bad_profile}: [synth] seed must be >= 0"),
+            (["synth", "--profile", str(profile), "--out", str(tmp_path / "s2"), "--seed", "-2"],
+             "profile error: --seed must be >= 0, got -2"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == message + "\n"
+        assert not any((tmp_path / name).exists() for name in ("out", "s1", "s2"))
 
     def test_convert_dataset_subcommand(self, tmp_path, capsys):
         src = tmp_path / "src/sub-1"

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handover_intent import evaluation
-from handover_intent.classifiers import fit_lda_classifier, lda_recipe_for, lstm_recipe_for
+from handover_intent.classifiers import (
+    fit_flat_preprocessing,
+    fit_lda_classifier,
+    lda_recipe_for,
+    lstm_recipe_for,
+)
 from handover_intent.core_data import CoverageError, Modality
 from handover_intent.evaluation import (
     _window,
@@ -18,6 +23,8 @@ from handover_intent.evaluation import (
     auc_roc,
     detection_latency_table,
     evaluate_window,
+    fit_lstm_ensemble,
+    late_fusion_weights,
     make_splits,
     make_view,
     median_timeline,
@@ -36,6 +43,8 @@ from handover_intent.features import (
     flatten,
     window_features,
 )
+from handover_intent.lstm import predict_proba_batch
+from handover_intent.rng import derive_seed
 
 from conftest import series
 
@@ -375,18 +384,31 @@ def two_block_view(rng, late, scheme=CvScheme(k=3, repeats=2, seed=5)):
     return make_view(blocks, scheme, late)
 
 
-class TestLdaStages:
-    @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
-    def test_prepare_split_reads_no_labels(self, rng, late):
+class TestStages:
+    @pytest.mark.parametrize("kind", ["early", "late", "lstm"])
+    def test_prepare_split_reads_no_labels(self, rng, kind):
         # Shared preparation across views and label permutations rely on it.
-        view = two_block_view(rng, late)
+        if kind == "lstm":  # one standardized sequence block
+            recipe = lstm_recipe_for(Modality.MOTION, standardize_all=True)
+            scheme = CvScheme(k=3, repeats=2, nested=True, inner_k=2, seed=5)
+            view = make_view([(toy_sequences(rng, n=30, signal_at=0.0), recipe)], scheme)
+        else:
+            view = two_block_view(rng, late=kind == "late")
         permuted = replace(view, labels=rng.permutation(view.labels))
         assert not np.array_equal(permuted.labels, view.labels)
         grid = WindowGrid()
-        xs = [_window(seqs, 1.0, grid).reshape(len(seqs), -1) for seqs, _ in view.blocks]
+        xs = [_window(seqs, 1.0, grid) for seqs, _ in view.blocks]
+        if kind != "lstm":
+            xs = [x.reshape(len(x), -1) for x in xs]
         for split in view.splits:
             parts = prepare_split(view, xs, split)
-            assert parts[0][0].shape[1] < xs[0].shape[1] == parts[1][0].shape[1]  # PCA, raw
+            if kind == "lstm":
+                [(x_train, x_test)] = parts
+                assert x_train.shape == (len(split.train_idx), *xs[0].shape[1:])
+                assert x_test.shape == (len(split.test_idx), *xs[0].shape[1:])
+                assert np.allclose(x_train.mean(axis=(0, 1)), 0.0)  # standardized
+            else:
+                assert parts[0][0].shape[1] < xs[0].shape[1] == parts[1][0].shape[1]  # PCA, raw
             for ours, theirs in zip(parts, prepare_split(permuted, xs, split)):
                 assert [rows.tobytes() for rows in ours] == [rows.tobytes() for rows in theirs]
 
@@ -409,6 +431,57 @@ class TestLdaStages:
             "lda_fit": blocks * splits if late else splits,
             "auc_roc": splits + (blocks * splits if late else 0),  # late training AUCs
         }
+
+    def test_one_block_lstm_window_equals_a_hand_loop(self, rng, monkeypatch):
+        calls = dict.fromkeys(("fit_flat_preprocessing", "predict_proba_batch", "auc_roc"), 0)
+        scored = []  # every score vector the engine ranks, bit for bit
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+                calls[_name] += 1
+                if _name == "auc_roc":
+                    scored.append(args[0].tobytes())
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(evaluation, name, counted)
+        seqs = toy_sequences(rng, n=18, t_samples=55, signal_at=-5.0, effect=1.0)
+        recipe = replace(
+            lstm_recipe_for(Modality.MOTION, standardize_all=True),
+            max_epochs=3, hidden=3, early_stop_after=None,
+        )
+        scheme = CvScheme(k=2, repeats=2, nested=True, inner_k=2, seed=9)
+        grid = WindowGrid()
+        window_index = grid.index_of(-3.0)
+        view = make_view([(seqs, recipe)], scheme)
+        score = evaluate_window(view, grid, window_index)
+        splits, members = 2 * 2, 2 * 2 * 2
+        assert calls == {
+            "fit_flat_preprocessing": splits,
+            "predict_proba_batch": 2 * members,  # validation, then test
+            "auc_roc": members + splits,
+        }
+        monkeypatch.undo()
+        ordered = sorted(seqs, key=lambda s: s.trial_ref)
+        x = np.stack([window_features(s, -3.0, grid).series.values for s in ordered])
+        labels = np.array([s.label for s in ordered])
+        aucs = []
+        for i, split in enumerate(make_splits(labels, scheme)):
+            prep, _ = fit_flat_preprocessing(x[split.train_idx], recipe)
+            seed = derive_seed(scheme.seed, "lstm", window_index, i)
+            trained = fit_lstm_ensemble(
+                recipe.spec(input_dim=x.shape[2], seed=seed),
+                [
+                    (derive_seed(seed, "member", j), prep.apply(x[fit]), labels[fit],
+                     prep.apply(x[val]), labels[val])
+                    for j, (fit, val) in enumerate(split.inner)
+                ],
+            )
+            weights, _ = late_fusion_weights([auc for _, auc in trained])
+            x_test = prep.apply(x[split.test_idx])
+            scores = sum(w * predict_proba_batch(m, x_test) for (m, _), w in zip(trained, weights))
+            assert scores.tobytes() in scored
+            aucs.append(auc_roc(scores, labels[split.test_idx]))
+        assert score.split_aucs == tuple(aucs)
 
 
 class TestSweep:

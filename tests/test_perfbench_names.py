@@ -143,16 +143,53 @@ dir = out
 """
 
 
-def test_a_traced_run_measures_every_layer(tmp_path):
+TINY_LSTM_RUN = """[dataset]
+root = data
+
+[experiment]
+modalities = motion
+model = lstm
+seed = 7
+min_trials = 12
+
+[cv]
+folds = 2
+repeats = 1
+inner_folds = 2
+
+[windows]
+start_s = -5.0
+first_end_s = -4.0
+last_end_s = -4.0
+step_s = 1.0
+
+[output]
+dir = out
+"""
+
+
+@pytest.mark.parametrize(
+    "config, modalities, counted",
+    [
+        (TINY_RUN, tuple(Modality), ("lda.lda_fit.calls", "features.pca_fit.calls")),
+        (
+            TINY_LSTM_RUN,
+            (Modality.MOTION,),
+            ("evaluation.fit_lstm_ensemble.self_s", "lstm.predict_proba_batch.calls"),
+        ),
+    ],
+    ids=["eeg-fusion-lda", "motion-lstm"],
+)
+def test_a_traced_run_measures_every_layer(tmp_path, config, modalities, counted):
     # What the benchmark's traced run does, on a tiny dataset at --jobs 1 so
     # that every span is recorded in one process: a traced name the tracer
     # cannot find, or a hook that fails on a real result, would leave the
     # benchmark's result line with null metrics or without a result line.
     generate_dataset(
-        SynthProfile(participants=1, trials_per_condition=6, modalities=tuple(Modality), seed=3),
+        SynthProfile(participants=1, trials_per_condition=6, modalities=modalities, seed=3),
         tmp_path / "data",
     )
-    (tmp_path / "config.txt").write_text(TINY_RUN)
+    (tmp_path / "config.txt").write_text(config)
     src = str(Path(handover_intent.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     args = ["run", "--config", "config.txt", "--jobs", "1", "--out", "out"]
@@ -165,4 +202,4 @@ def test_a_traced_run_measures_every_layer(tmp_path):
     assert spans["missing"] == []
     metrics = load_tracer().layer_metrics(tmp_path / "spans.json")
     assert [name for name, (value, _) in metrics.items() if value is None] == []
-    assert metrics["lda.lda_fit.calls"][0] > 0 and metrics["features.pca_fit.calls"][0] > 0
+    assert [name for name in counted if not metrics[name][0] > 0] == []
