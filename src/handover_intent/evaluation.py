@@ -2,7 +2,9 @@
 every view (a single modality, early or late fusion, an LSTM) in two stages
 per split, the label-free ``prepare_split`` and a label stage (``score_split``
 for LDA, ``_lstm_scores`` for an LSTM), sustained-level detection latency,
-and the group statistics used for the summary tables."""
+the group statistics used for the summary tables, and every result CSV:
+``write_run_csvs`` writes a run's, ``write_figure_csv`` a report's figures,
+both grouped by ``group_timelines``."""
 
 from __future__ import annotations
 
@@ -542,7 +544,7 @@ class AggregateTimeline:
     tag: str
     model: str
     window_end_times_s: np.ndarray
-    median: np.ndarray
+    auc: np.ndarray  # median across participants, what sustained_level_time reads
     q25: np.ndarray
     q75: np.ndarray
     n_participants: int
@@ -571,31 +573,24 @@ def aggregate_participants(timelines) -> AggregateTimeline:
         tag=first.tag,
         model=first.model,
         window_end_times_s=first.window_end_times_s,
-        median=median,
+        auc=median,
         q25=q25,
         q75=q75,
         n_participants=len(timelines),
     )
 
 
-def median_timeline(timelines) -> AucTimeline:
-    """The cross-participant median expressed as an AucTimeline (participant 0)."""
-    agg = aggregate_participants(timelines)
-    n = agg.window_end_times_s.shape[0]
-    zeros = np.zeros(n)
-    return AucTimeline(
-        participant_id=0,
-        tag=agg.tag,
-        model=agg.model,
-        window_end_times_s=agg.window_end_times_s,
-        auc=agg.median,
-        auc_std=zeros,
-        auc_stderr=zeros,
-        auc_median=agg.median,
-        auc_q25=agg.q25,
-        auc_q75=agg.q75,
-        n_splits=0,
-    )
+median_timeline = aggregate_participants  # the cross-participant median timeline
+
+
+def group_timelines(timelines) -> dict:
+    """``{model: {tag: timelines}}``, models and tags sorted and each tag's
+    timelines in ascending participant order: the order of every summary
+    (the ANOVA sums depend on it)."""
+    grouped: dict = {}
+    for t in sorted(timelines, key=lambda t: (t.model, t.tag, t.participant_id)):
+        grouped.setdefault(t.model, {}).setdefault(t.tag, []).append(t)
+    return grouped
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +645,7 @@ def detection_latency_table(
     level are left out, and the test is skipped when fewer than two groups
     keep two members)."""
     rows = []
-    medians = {tag: median_timeline(tls) for tag, tls in timelines_by_tag.items()}
+    medians = {tag: aggregate_participants(tls) for tag, tls in timelines_by_tag.items()}
     for level in levels:
         times = {
             tag: sustained_level_time(med, level, run_length)
@@ -738,32 +733,25 @@ def read_timelines_csv(path) -> "list[AucTimeline]":
             raise ValueError(f"{path}: unexpected columns {header}")
         grouped: dict = {}
         for lineno, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(header):  # a row cut short, as by an interrupted write
+            # Every row is written with its line end, so a row without one, or
+            # with too few cells, was cut short, as by an interrupted write.
+            if not line.endswith("\n"):
+                raise ValueError(f"{path}:{lineno}: row has no line end")
+            cells = line[:-1].split(",")
+            if len(cells) != len(header):
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
                 )
-            key = (int(cells[0]), cells[1], cells[2])
-            grouped.setdefault(key, []).append([float(c) for c in cells[3:]])
-    out = []
-    for (pid, tag, model), rows in grouped.items():
-        arr = np.asarray(rows)
-        out.append(
-            AucTimeline(
-                participant_id=pid,
-                tag=tag,
-                model=model,
-                window_end_times_s=arr[:, 0],
-                auc=arr[:, 1],
-                auc_std=arr[:, 2],
-                auc_stderr=arr[:, 3],
-                auc_median=arr[:, 4],
-                auc_q25=arr[:, 5],
-                auc_q75=arr[:, 6],
-                n_splits=0,
-            )
-        )
-    return out
+            try:
+                key = (int(cells[0]), cells[1], cells[2])
+                grouped.setdefault(key, []).append([float(c) for c in cells[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    # A row's columns after the model are AucTimeline's fields, in order.
+    return [
+        AucTimeline(pid, tag, model, *np.asarray(rows).T, n_splits=0)
+        for (pid, tag, model), rows in grouped.items()
+    ]
 
 
 def write_latency_csv(path, rows: "list[LatencyRow]", tags: "list[str]") -> None:
@@ -785,12 +773,44 @@ def write_aggregate_csv(path, aggregates) -> None:
     header = ["tag", "model", "window_end_s", "median", "q25", "q75", "n_participants"]
     rows = []
     for agg in sorted(aggregates, key=lambda a: (a.model, a.tag)):
-        columns = (agg.window_end_times_s, agg.median, agg.q25, agg.q75)
+        columns = (agg.window_end_times_s, agg.auc, agg.q25, agg.q75)
         rows += [
             [agg.tag, agg.model, *map(_fmt, values), str(agg.n_participants)]
             for values in zip(*columns)
         ]
     _write_csv(path, header, rows)
+
+
+def write_figure_csv(path, aggregates) -> None:
+    """One model's figure data: window_end_s, onset_s (constant 0.0, the
+    dashed onset marker), then per aggregate, in order: <tag>_q25,
+    <tag>_median, <tag>_q75.  The aggregates must share one window grid."""
+    ends = aggregates[0].window_end_times_s
+    if any(not np.array_equal(agg.window_end_times_s, ends) for agg in aggregates):
+        raise ValueError("window grids differ between tags")
+    header = ["window_end_s", "onset_s"]
+    columns = [ends, np.zeros_like(ends)]
+    for agg in aggregates:
+        header += [f"{_safe_tag(agg.tag)}_{stat}" for stat in ("q25", "median", "q75")]
+        columns += [agg.q25, agg.auc, agg.q75]
+    _write_csv(path, header, [list(map(_fmt, values)) for values in zip(*columns)])
+
+
+def write_run_csvs(out_dir, timelines) -> None:
+    """Every CSV of a run, from its timelines: ``timelines/p###_<tag>_<model>.csv``
+    per timeline, ``results.csv``, ``aggregate.csv`` and ``latency_<model>.csv``
+    per model."""
+    out = Path(out_dir)
+    for t in timelines:
+        name = f"p{t.participant_id:03d}_{_safe_tag(t.tag)}_{t.model}.csv"
+        write_timeline_csv(out / "timelines" / name, t)
+    write_results_csv(out / "results.csv", timelines)
+    grouped = group_timelines(timelines)
+    aggregates = [aggregate_participants(tls) for g in grouped.values() for tls in g.values()]
+    write_aggregate_csv(out / "aggregate.csv", aggregates)
+    for model, by_tag in grouped.items():
+        rows = detection_latency_table(by_tag)
+        write_latency_csv(out / f"latency_{model}.csv", rows, list(by_tag))
 
 
 def _write_csv(path, header, rows) -> None:

@@ -1,5 +1,5 @@
-"""Experiment orchestration: gating, feature build, sweeps, aggregation,
-latency tables, and deterministic result emission.
+"""Experiment orchestration: gating, feature build, sweeps, and the run's
+outputs (its CSVs through ``evaluation.write_run_csvs``, then its metadata).
 
 ``_views`` describes every view, one modality or a fusion, as (tag,
 {modality: recipe}, late); one code path gates its trials on those
@@ -25,19 +25,7 @@ from .core_data import (
     load_dataset,
     parse_manifest,
 )
-from .evaluation import (
-    AucTimeline,
-    _safe_tag,
-    aggregate_participants,
-    assemble_timeline,
-    detection_latency_table,
-    make_view,
-    window_result,
-    write_aggregate_csv,
-    write_latency_csv,
-    write_results_csv,
-    write_timeline_csv,
-)
+from .evaluation import AucTimeline, assemble_timeline, make_view, window_result, write_run_csvs
 from .features import (
     FeatureCache,
     build_eeg_features,
@@ -281,9 +269,10 @@ def _map(fn, shared, tasks: list, jobs: int):
 def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, config_text: str = ""
 ) -> RunResult:
-    """Execute gating, feature build, sweeps (plus fusion when configured),
-    aggregation, and latency tables; write CSVs and run metadata under
-    ``cfg.out_dir``.  Output bytes depend only on (dataset, config, seed).
+    """Execute gating, feature build and sweeps (plus fusion when
+    configured); under ``cfg.out_dir``, ``evaluation.write_run_csvs`` writes
+    every CSV, then this writes ``run_metadata.json`` last.  Output bytes
+    depend only on (dataset, config, seed).
 
     The run has two phases, each a list of independent tasks that ``_map``
     spreads over up to ``jobs`` worker processes.  Preparing
@@ -322,24 +311,7 @@ def run_experiment(
             lstm_audits.append({"participant": pid, "tag": tag, "records": records})
 
     out = Path(cfg.out_dir)
-    timeline_dir = out / "timelines"
-    for timeline in timelines:
-        name = f"p{timeline.participant_id:03d}_{_safe_tag(timeline.tag)}_{timeline.model}.csv"
-        write_timeline_csv(timeline_dir / name, timeline)
-    write_results_csv(out / "results.csv", timelines)
-
-    by_tag_model: dict = {}
-    for timeline in timelines:
-        by_tag_model.setdefault((timeline.tag, timeline.model), []).append(timeline)
-    aggregates = [aggregate_participants(tls) for tls in by_tag_model.values()]
-    write_aggregate_csv(out / "aggregate.csv", aggregates)
-
-    by_model: dict = {}
-    for (tag, model), tls in sorted(by_tag_model.items()):
-        by_model.setdefault(model, {})[tag] = tls
-    for model, by_tag in by_model.items():
-        rows = detection_latency_table(by_tag)
-        write_latency_csv(out / f"latency_{model}.csv", rows, sorted(by_tag))
+    write_run_csvs(out, timelines)
 
     errors = [
         {

@@ -1,19 +1,23 @@
-"""Plot-data emission: per-figure CSVs (median line + interquartile band per
-modality/fusion tag) consumable by any plotting tool."""
+"""Plot-data emission: ``figures/figure_<model>.csv`` per model (median line
++ interquartile band per modality/fusion tag, written by
+``evaluation.write_figure_csv``), consumable by any plotting tool."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluation import _fmt, _safe_tag, _write_csv, aggregate_participants, read_timelines_csv
+from .evaluation import (
+    aggregate_participants,
+    group_timelines,
+    read_timelines_csv,
+    write_figure_csv,
+)
 
 
 def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None) -> "list[Path]":
-    """Build one figure-data file per model from ``results.csv``.
-
-    Columns: window_end_s, onset_s (constant 0.0, the dashed onset marker),
-    then per tag: <tag>_q25, <tag>_median, <tag>_q75.
-    """
+    """Write ``figure_<model>.csv`` per model from ``results.csv``, with the
+    run's grouping and aggregate; the paths written, in model order.  A
+    ValueError names ``results.csv``."""
     results_dir = Path(results_dir)
     out = results_dir / "figures" if out_dir is None else Path(out_dir)
     results_csv = results_dir / "results.csv"
@@ -24,32 +28,13 @@ def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None)
     timelines = read_timelines_csv(results_csv)
     if not timelines:
         raise ValueError(f"{results_csv}: no rows below the header")
-    by_model: dict = {}
-    for t in timelines:
-        by_model.setdefault(t.model, {}).setdefault(t.tag, []).append(t)
-
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for model in sorted(by_model):
-        tags = sorted(by_model[model])
-        aggregates = {tag: aggregate_participants(by_model[model][tag]) for tag in tags}
-        ends = aggregates[tags[0]].window_end_times_s
-        for agg in aggregates.values():
-            if agg.window_end_times_s.shape != ends.shape or (
-                agg.window_end_times_s != ends
-            ).any():
-                raise ValueError("window grids differ between tags")
-        header = ["window_end_s", "onset_s"]
-        for tag in tags:
-            header += [f"{_safe_tag(tag)}_{stat}" for stat in ("q25", "median", "q75")]
-        rows = []
-        for i, end in enumerate(ends):
-            row = [_fmt(end), _fmt(0.0)]
-            for tag in tags:
-                agg = aggregates[tag]
-                row += [_fmt(agg.q25[i]), _fmt(agg.median[i]), _fmt(agg.q75[i])]
-            rows.append(row)
-        path = out / f"figure_{model}.csv"
-        _write_csv(path, header, rows)
-        written.append(path)
-    return written
+    try:
+        figures = {
+            out / f"figure_{model}.csv": [aggregate_participants(tls) for tls in by_tag.values()]
+            for model, by_tag in group_timelines(timelines).items()
+        }
+        for path, aggregates in figures.items():
+            write_figure_csv(path, aggregates)
+    except ValueError as exc:
+        raise ValueError(f"{results_csv}: {exc}") from None
+    return list(figures)

@@ -366,6 +366,10 @@ def write_experiment(tmp_path, extra=""):
     return profile, config
 
 
+# One well-formed results.csv row: participant 1, gaze, lda, the window ending at 0.25 s.
+ROW = "1,gaze,lda,0.25,0.5,0.1,0.1,0.5,0.4,0.6\n"
+
+
 class TestCli:
     def test_full_run_produces_expected_files(self, tmp_path, capsys):
         profile, config = write_experiment(tmp_path)
@@ -485,6 +489,21 @@ class TestCli:
             assert cells[1] == 0.0
             q25, med, q75 = cells[2], cells[3], cells[4]
             assert q25 <= med <= q75
+        # Each band cell is the run's aggregate.csv cell, string for string.
+        aggregate = (tmp_path / "out/aggregate.csv").read_text().splitlines()
+        assert aggregate[0] == "tag,model,window_end_s,median,q25,q75,n_participants"
+        expected = {}
+        for line in aggregate[1:]:
+            tag, model, end, median, q25, q75, _ = line.split(",")
+            if model == "lda":
+                expected[(tag, end)] = {"q25": q25, "median": median, "q75": q75}
+        figure = {}
+        for line in lines[1:]:
+            cells = line.split(",")
+            for column, cell in zip(header[2:], cells[2:]):
+                tag, stat = column.rsplit("_", 1)
+                figure.setdefault((tag, cells[0]), {})[stat] = cell
+        assert figure == expected
 
     def test_report_missing_inputs_exits_1(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path)]) == 1
@@ -492,8 +511,26 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "rows, message",
-        [("1,gaze\n", ":2: expected 10 columns, got 2"), ("", ": no rows below the header")],
-        ids=["cut-short-row", "header-only"],
+        [
+            ("1,gaze\n", ":2: expected 10 columns, got 2"),
+            ("", ": no rows below the header"),
+            (ROW + "1,gaze,lda,0.5,0.5,0.1,0.1,0.5,0.4,0.", ":3: row has no line end"),
+            ("1,gaze,lda,0.25,0.5,0.1,0.1,0.5,0.4,\n", ":2: could not convert string to float: ''"),
+            ("x" + ROW[1:], ":2: invalid literal for int() with base 10: 'x'"),
+            (ROW + ROW.replace("gaze", "motion").replace("0.25", "0.5", 1),
+             ": window grids differ between tags"),
+            (ROW + ROW.replace("1", "2", 1).replace("0.25", "0.5", 1),
+             ": window grids do not match across participants"),
+        ],
+        ids=[
+            "cut-short-row",
+            "header-only",
+            "last-row-without-line-end",
+            "empty-cell",
+            "participant-not-a-number",
+            "tag-grids-differ",
+            "participant-grids-differ",
+        ],
     )
     def test_report_on_an_interrupted_results_csv_exits_1(self, tmp_path, capsys, rows, message):
         results = tmp_path / "results.csv"

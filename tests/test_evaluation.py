@@ -623,7 +623,7 @@ class TestAggregation:
     def test_single_participant_degenerate_band(self):
         tl = timeline_from([0.5, 0.6, 0.7])
         agg = aggregate_participants([tl])
-        assert np.array_equal(agg.median, tl.auc)
+        assert np.array_equal(agg.auc, tl.auc)
         assert np.array_equal(agg.q25, tl.auc)
         assert np.array_equal(agg.q75, tl.auc)
 
@@ -634,7 +634,7 @@ class TestAggregation:
             timeline_from([0.6] * 4, participant_id=3),
         ]
         agg = aggregate_participants(tls)
-        assert np.allclose(agg.median, 0.5)
+        assert np.allclose(agg.auc, 0.5)
         assert np.allclose(agg.q25, 0.45)
         assert np.allclose(agg.q75, 0.55)
 
@@ -642,7 +642,7 @@ class TestAggregation:
         tls = [timeline_from(rng.random(6), participant_id=i) for i in range(1, 6)]
         a = aggregate_participants(tls)
         b = aggregate_participants(tls[::-1])
-        assert np.array_equal(a.median, b.median)
+        assert np.array_equal(a.auc, b.auc)
 
     def test_grid_mismatch_rejected(self):
         a = timeline_from([0.5, 0.5])

@@ -200,6 +200,13 @@ def test_a_traced_run_measures_every_layer(tmp_path, config, modalities, counted
     assert done.returncode == 0, done.stderr
     spans = json.loads((tmp_path / "spans.json").read_text())
     assert spans["missing"] == []
-    metrics = load_tracer().layer_metrics(tmp_path / "spans.json")
+    # evaluation.write_csv.self_s sums over the writers the program has, so it
+    # stays measured when one of them is no longer called; every writer and
+    # both summary functions must record a span of their own.
+    tracer = load_tracer()
+    summaries = ("evaluation.aggregate_participants", "evaluation.detection_latency_table")
+    called = {span["name"] for span in spans["spans"]}
+    assert [name for name in (*tracer.CSV_WRITERS, *summaries) if name not in called] == []
+    metrics = tracer.layer_metrics(tmp_path / "spans.json")
     assert [name for name, (value, _) in metrics.items() if value is None] == []
     assert [name for name in counted if not metrics[name][0] > 0] == []
