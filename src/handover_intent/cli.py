@@ -72,6 +72,8 @@ def _cmd_run(args) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg = replace(cfg, seed=args.seed)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
         validate_config(cfg)
@@ -79,7 +81,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        result = run_experiment(cfg, jobs=max(1, args.jobs), config_text=text)
+        result = run_experiment(cfg, jobs=args.jobs, config_text=text)
     except (PipelineError, DatasetError) as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE

@@ -39,7 +39,9 @@ built into the object that uses them, whose constructor holds their rules and
 defaults:
 
 * [cv] -> ``evaluation.CvScheme``; each view runs a copy with its own seed,
-  nested for an LSTM.
+  nested for an LSTM.  In a participant's view every class needs at least
+  folds trials, and for an LSTM at least inner_folds in every outer
+  training fold; otherwise the run stops.
 * [windows] -> ``features.WindowGrid``, every window in the -5..6 s epoch.
 * [features] tf_* but tf_log_power -> ``dsp.TfSpec`` (``dsp.default_tf_spec``),
   over the integer frequencies tf_freq_lo_hz..tf_freq_hi_hz.
@@ -78,7 +80,7 @@ class ExperimentConfig:
     seed: int
     out_dir: Path
     min_trials: int = 60
-    cv: CvScheme = field(default_factory=CvScheme)  # seed and nested set per view
+    cv: CvScheme = field(default_factory=CvScheme)  # seed set per view, nested by make_view
     grid: WindowGrid = field(default_factory=WindowGrid)
     eeg_channels: tuple = tuple(DEFAULT_EEG_CHANNELS)
     tf: TfSpec = field(default_factory=default_tf_spec)

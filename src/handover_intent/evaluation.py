@@ -3,13 +3,13 @@ every view (a single modality, early or late fusion, an LSTM) in two stages
 per split, the label-free ``prepare_split`` and a label stage (``score_split``
 for LDA, ``_lstm_scores`` for an LSTM), sustained-level detection latency,
 the group statistics used for the summary tables, and every result CSV:
-``write_run_csvs`` writes a run's, ``write_figure_csv`` a report's figures,
+``write_run_csvs`` writes a run's, ``write_figure_csvs`` a report's figures,
 both grouped by ``group_timelines``."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +84,7 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CvScheme:
-    """Repeated stratified k-fold; nested mode adds inner train/val folds."""
+    """Repeated stratified k-fold; nested mode (set by ``make_view``) adds inner folds."""
 
     k: int = 10
     repeats: int = 3
@@ -106,20 +106,17 @@ class Split:
     inner: tuple | None = None  # ((fit_idx, val_idx), ...) within train_idx
 
 
-def _stratified_folds(labels: np.ndarray, k: int, rng) -> "list[np.ndarray]":
-    """Disjoint folds covering all indices, class counts within +-1 per fold.
-
-    Classes smaller than k spread one sample per fold over the currently
-    least-loaded folds, so k = n degenerates to singleton (leave-one-out
-    shaped) folds.
-    """
-    if labels.shape[0] < k:
-        raise ValueError(
-            f"only {labels.shape[0]} samples for k={k}; use a smaller k"
-        )
+def _stratified_folds(labels, k: int, rng, name="k", trials="trials") -> "list[np.ndarray]":
+    """Disjoint folds covering all indices, class counts within +-1 per fold
+    (a class's remainder goes to the least-loaded folds).  Each fold holds
+    both classes: a class with fewer than k ``trials`` is a ValueError that
+    names ``name``, the setting of k."""
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
+    for cls in (0, 1):
         idx = rng.permutation(np.nonzero(labels == cls)[0])
+        if idx.shape[0] < k:
+            message = f"class {cls} has {idx.shape[0]} {trials}, fewer than {name}={k} folds"
+            raise ValueError(f"{message}; use a smaller {name}")
         base, extra = divmod(idx.shape[0], k)
         by_load = sorted(range(k), key=lambda f: (len(folds[f]), f))
         pos = 0
@@ -145,8 +142,9 @@ def make_splits(labels: np.ndarray, scheme: CvScheme) -> "list[Split]":
             inner = None
             if scheme.nested:
                 inner_rng = substream(scheme.seed, "cv-inner", repeat, fold_index)
+                trials = f"training trials in split {len(splits)}"
                 inner_folds = _stratified_folds(
-                    labels[train_idx], scheme.inner_k, inner_rng
+                    labels[train_idx], scheme.inner_k, inner_rng, "inner_k", trials
                 )
                 inner = tuple(
                     (
@@ -237,19 +235,17 @@ def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
 
 def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]":
     """Train ensemble members as one stack; each member is (seed, x_fit,
-    y_fit, x_val, y_val).  Returns each member's model and validation AUC (0
-    when its val set holds one class).  A training error carries the failing
+    y_fit, x_val, y_val), every val set holding both classes.  Returns each
+    member's model and validation AUC.  A training error carries the failing
     member's index in ``.member``."""
     seeds, x_fits, y_fits, x_vals, y_vals = zip(*members)
     models = lstm_train_members(
         spec, seeds, list(zip(x_fits, y_fits)), list(zip(x_vals, y_vals))
     )
-    trained = []
-    for model, x_val, y_val in zip(models, x_vals, y_vals):
-        has_both = len(np.unique(y_val)) > 1
-        probs = predict_proba_batch(model, x_val)
-        trained.append((model, auc_roc(probs, y_val) if has_both else 0.0))
-    return trained
+    return [
+        (model, auc_roc(predict_proba_batch(model, x_val), y_val))
+        for model, x_val, y_val in zip(models, x_vals, y_vals)
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,7 +256,8 @@ class View:
     modality, every block covering the same trials; ``labels`` and ``splits``
     are shared by every window.  LDA blocks fuse early (one LDA on their
     concatenation; a single modality is one block) unless ``late`` (one LDA
-    per block, weighted by training AUC).  An LSTM view has one block.  Every
+    per block, weighted by training AUC).  An LSTM view has one block, and
+    only its splits carry inner folds; every fold holds both classes.  Every
     view's splits run through ``prepare_split``, which never reads ``labels``.
     """
 
@@ -273,7 +270,9 @@ class View:
 
 def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
     """Sort each block's (sequences, recipe) by trial, require every block to
-    cover the same (trial, label) pairs, and draw the CV splits."""
+    cover the same (trial, label) pairs, and draw the CV splits, with inner
+    folds exactly for an LSTM, whatever ``scheme.nested`` says (they do not
+    move the outer folds).  Too few trials of a class is a ValueError."""
     ordered = tuple((_sorted_sequences(seqs), recipe) for seqs, recipe in blocks)
     if not ordered:
         raise ValueError("a view needs at least one block")
@@ -283,6 +282,7 @@ def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
     if any(key != keys[0] for key in keys[1:]):
         raise ValueError("modalities cover different trials; gate upstream")
     labels = np.array([s.label for s in ordered[0][0]])
+    scheme = replace(scheme, nested=isinstance(ordered[0][1], LstmRecipe))
     return View(ordered, labels, tuple(make_splits(labels, scheme)), scheme.seed, late)
 
 
@@ -326,9 +326,9 @@ def _lstm_scores(view: View, x: np.ndarray, window_index: int):
     last member is trained, so only one split's training rows, one stack's
     data and the test rows and models of unfinished splits are held.
     Ensemble weights are the members' validation AUCs, normalized (equal
-    weights when every AUC is zero).  A split whose test fold holds one class
-    fails before its members train.  A failure raises ``EvaluationError``
-    naming the split that serial training would have failed in first.
+    weights when every AUC is zero).  Every fold holds both classes, so only
+    training can fail: ``EvaluationError`` names the split that serial
+    training would have failed in first.
     """
     labels, recipe = view.labels, view.blocks[0][1]
     test_rows, trained = {}, {}  # by split, until it is scored
@@ -359,15 +359,8 @@ def _lstm_scores(view: View, x: np.ndarray, window_index: int):
 
     for split_index, split in enumerate(view.splits):
         seed = derive_seed(view.seed, "lstm", window_index, split_index)
-        try:
-            if split.inner is None:
-                raise ValueError("LSTM evaluation needs a nested CvScheme")
-            spec = recipe.spec(input_dim=x.shape[2], seed=seed)
-            [(x_train, test_rows[split_index])] = prepare_split(view, [x], split)
-            _check_classes(labels[split.test_idx])  # its AUC would fail after training
-        except Exception as exc:
-            yield from train_pending()  # earlier splits come first
-            raise EvaluationError(f"split {split_index}: {exc}") from exc
+        spec = recipe.spec(input_dim=x.shape[2], seed=seed)
+        [(x_train, test_rows[split_index])] = prepare_split(view, [x], split)
         trained[split_index] = []
         for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
             cost = member_bytes(spec, x.shape[1], len(fit_idx), len(val_idx))
@@ -443,9 +436,13 @@ class AucTimeline:
         object.__setattr__(
             self, "window_end_times_s", np.asarray(self.window_end_times_s, dtype=float)
         )
-        finite = self.auc[np.isfinite(self.auc)]
-        if finite.size and (finite.min() < 0.0 or finite.max() > 1.0):
-            raise ValueError("AUC values must lie in [0, 1]")
+        _check_auc(self.auc)
+
+
+def _check_auc(auc) -> None:  # nan marks a missing window
+    auc = np.asarray(auc, dtype=float)
+    if not (np.isnan(auc) | ((auc >= 0.0) & (auc <= 1.0))).all():
+        raise ValueError("AUC values must lie in [0, 1]")
 
 
 def window_result(view: View, grid: WindowGrid, window_index: int):
@@ -744,7 +741,9 @@ def read_timelines_csv(path) -> "list[AucTimeline]":
                 )
             try:
                 key = (int(cells[0]), cells[1], cells[2])
-                grouped.setdefault(key, []).append([float(c) for c in cells[3:]])
+                row = [float(c) for c in cells[3:]]
+                _check_auc(row[1])  # auc_mean
+                grouped.setdefault(key, []).append(row)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     # A row's columns after the model are AucTimeline's fields, in order.
@@ -781,19 +780,27 @@ def write_aggregate_csv(path, aggregates) -> None:
     _write_csv(path, header, rows)
 
 
-def write_figure_csv(path, aggregates) -> None:
-    """One model's figure data: window_end_s, onset_s (constant 0.0, the
-    dashed onset marker), then per aggregate, in order: <tag>_q25,
-    <tag>_median, <tag>_q75.  The aggregates must share one window grid."""
-    ends = aggregates[0].window_end_times_s
-    if any(not np.array_equal(agg.window_end_times_s, ends) for agg in aggregates):
-        raise ValueError("window grids differ between tags")
-    header = ["window_end_s", "onset_s"]
-    columns = [ends, np.zeros_like(ends)]
-    for agg in aggregates:
-        header += [f"{_safe_tag(agg.tag)}_{stat}" for stat in ("q25", "median", "q75")]
-        columns += [agg.q25, agg.auc, agg.q75]
-    _write_csv(path, header, [list(map(_fmt, values)) for values in zip(*columns)])
+def write_figure_csvs(out_dir, timelines) -> "list[Path]":
+    """``figure_<model>.csv`` per model under ``out_dir`` (window_end_s,
+    onset_s = 0.0 for the dashed onset marker, then per tag <tag>_q25,
+    <tag>_median, <tag>_q75), and the paths, in model order.  Every model's
+    tags must share one window grid; all are checked before the first write."""
+    tables = {}
+    for model, by_tag in group_timelines(timelines).items():
+        aggregates = [aggregate_participants(tls) for tls in by_tag.values()]
+        ends = aggregates[0].window_end_times_s
+        if any(not np.array_equal(agg.window_end_times_s, ends) for agg in aggregates):
+            raise ValueError("window grids differ between tags")
+        header = ["window_end_s", "onset_s"]
+        columns = [ends, np.zeros_like(ends)]
+        for agg in aggregates:
+            header += [f"{_safe_tag(agg.tag)}_{stat}" for stat in ("q25", "median", "q75")]
+            columns += [agg.q25, agg.auc, agg.q75]
+        rows = [list(map(_fmt, values)) for values in zip(*columns)]
+        tables[Path(out_dir) / f"figure_{model}.csv"] = header, rows
+    for path, (header, rows) in tables.items():
+        _write_csv(path, header, rows)
+    return list(tables)
 
 
 def write_run_csvs(out_dir, timelines) -> None:

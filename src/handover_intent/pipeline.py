@@ -45,6 +45,8 @@ DECISION_FLAGS = {
     "missing_windows": "fail the sustained-level condition; a nan window breaks a run",
     "eeg_lda_preprocessing": "standardize then PCA, fitted on training folds only",
     "fusion_model": "fusion views always use LDA, whatever [experiment] model is",
+    "cv_folds": "each class needs at least k trials, and an LSTM view at least inner_k "
+    "training trials per class in every outer split; otherwise the run stops",
 }
 
 
@@ -172,7 +174,7 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
     error in manifest order of the lowest-numbered failing participant, then
     per view a gating error or, participant by participant, the first feature
     error in the view's modality order and trial order, or a view that cannot
-    be built (more CV folds than its trials allow)."""
+    be built (a class with fewer trials than its CV folds)."""
     pids = sorted({e.participant_id for e in manifest.entries})
     tasks = [
         (pid, replace(manifest, entries=part))
@@ -212,13 +214,10 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
                 ([whole.features[(m, ref)] for ref in refs], recipe)
                 for m, recipe in recipes.items()
             ]
-            # Only an LSTM view draws inner folds; the outer folds do not
-            # depend on them, since each comes from its own seed substream.
-            nested = any(isinstance(recipe, LstmRecipe) for recipe in recipes.values())
-            scheme = replace(cfg.cv, nested=nested, seed=derive_seed(cfg.seed, "cv", tag, pid))
+            scheme = replace(cfg.cv, seed=derive_seed(cfg.seed, "cv", tag, pid))
             try:
                 view = make_view(blocks, scheme, late)
-            except ValueError as exc:  # e.g. more CV folds than trials
+            except ValueError as exc:  # e.g. a class with fewer trials than CV folds
                 raise PipelineError(f"participant {pid}, {tag} view: {exc}") from exc
             evaluated.append((pid, tag, view))
     return evaluated, participants_by_tag, workers

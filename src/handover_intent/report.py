@@ -1,23 +1,18 @@
 """Plot-data emission: ``figures/figure_<model>.csv`` per model (median line
 + interquartile band per modality/fusion tag, written by
-``evaluation.write_figure_csv``), consumable by any plotting tool."""
+``evaluation.write_figure_csvs``), consumable by any plotting tool."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluation import (
-    aggregate_participants,
-    group_timelines,
-    read_timelines_csv,
-    write_figure_csv,
-)
+from .evaluation import read_timelines_csv, write_figure_csvs
 
 
 def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None) -> "list[Path]":
     """Write ``figure_<model>.csv`` per model from ``results.csv``, with the
     run's grouping and aggregate; the paths written, in model order.  A
-    ValueError names ``results.csv``."""
+    ValueError names ``results.csv``, and nothing is written then."""
     results_dir = Path(results_dir)
     out = results_dir / "figures" if out_dir is None else Path(out_dir)
     results_csv = results_dir / "results.csv"
@@ -29,12 +24,6 @@ def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None)
     if not timelines:
         raise ValueError(f"{results_csv}: no rows below the header")
     try:
-        figures = {
-            out / f"figure_{model}.csv": [aggregate_participants(tls) for tls in by_tag.values()]
-            for model, by_tag in group_timelines(timelines).items()
-        }
-        for path, aggregates in figures.items():
-            write_figure_csv(path, aggregates)
+        return write_figure_csvs(out, timelines)
     except ValueError as exc:
         raise ValueError(f"{results_csv}: {exc}") from None
-    return list(figures)

@@ -521,6 +521,10 @@ class TestCli:
              ": window grids differ between tags"),
             (ROW + ROW.replace("1", "2", 1).replace("0.25", "0.5", 1),
              ": window grids do not match across participants"),
+            # The lda rows are sound and come first; no figure is written.
+            (ROW + ROW.replace("lda", "lstm") + ROW.replace("gaze,lda,0.25", "motion,lstm,0.5"),
+             ": window grids differ between tags"),
+            ("1,gaze,lda,0.25,1.5,0.1,0.1,0.5,0.4,0.6\n", ":2: AUC values must lie in [0, 1]"),
         ],
         ids=[
             "cut-short-row",
@@ -530,6 +534,8 @@ class TestCli:
             "participant-not-a-number",
             "tag-grids-differ",
             "participant-grids-differ",
+            "second-model-grids-differ",
+            "auc-out-of-range",
         ],
     )
     def test_report_on_an_interrupted_results_csv_exits_1(self, tmp_path, capsys, rows, message):
@@ -564,6 +570,15 @@ class TestCli:
             assert main(argv) == 2, argv
             assert capsys.readouterr().err == message + "\n"
         assert not any((tmp_path / name).exists() for name in ("out", "s1", "s2"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exit_2_before_any_work(self, tmp_path, capsys, jobs):
+        profile, config = write_experiment(tmp_path)
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"config error: --jobs must be >= 1, got {jobs}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_convert_dataset_subcommand(self, tmp_path, capsys):
         src = tmp_path / "src/sub-1"
@@ -632,9 +647,18 @@ class TestLstmPipeline:
         auc = float(cells[4])
         assert auc > 0.8  # signal present from the epoch start
 
-    def test_ensemble_weight_fallbacks_are_written_per_lstm_view(self, tmp_path):
-        # 18 trials, 2 outer folds: 9 inner folds of a 9-trial training fold
-        # hold one trial each, so both splits' ensembles fall back.
+    def test_ensemble_weight_fallbacks_are_written_per_lstm_view(self, tmp_path, monkeypatch):
+        # Every validation fold holds both classes, so a split's ensemble
+        # falls back to equal weights only when all of its members score 0,
+        # as they do here.
+        import handover_intent.evaluation as evaluation
+
+        fit = evaluation.fit_lstm_ensemble
+        monkeypatch.setattr(
+            evaluation,
+            "fit_lstm_ensemble",
+            lambda spec, members: [(model, 0.0) for model, _ in fit(spec, members)],
+        )
         profile = tmp_path / "profile.txt"
         profile.write_text(
             "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
@@ -644,7 +668,7 @@ class TestLstmPipeline:
         config.write_text(
             "[dataset]\nroot = ./data\n"
             "[experiment]\nmodalities = gaze\nmodel = lstm\nseed = 3\nmin_trials = 10\n"
-            "[cv]\nfolds = 2\nrepeats = 1\ninner_folds = 9\n"
+            "[cv]\nfolds = 2\nrepeats = 1\ninner_folds = 3\n"
             "[windows]\nfirst_end_s = -4.5\nlast_end_s = -4.5\nstep_s = 0.25\n"
             "[output]\ndir = ./out\n"
         )
@@ -658,23 +682,35 @@ class TestLstmPipeline:
         ]
 
     @pytest.mark.parametrize(
-        "model, cv, message",
+        "modality, trials, model, cv, message",
         [
-            ("lda", "folds = 40", "only 18 samples for k=40"),
-            ("lstm", "folds = 2\ninner_folds = 20", "only 9 samples for k=20"),
+            ("gaze", 6, "lda", "folds = 40",
+             "class 0 has 12 trials, fewer than k=40 folds; use a smaller k"),
+            ("gaze", 6, "lstm", "folds = 2\ninner_folds = 20",
+             "class 0 has 6 training trials in split 0, fewer than inner_k=20 folds; "
+             "use a smaller inner_k"),
+            ("motion", 4, "lda", "folds = 5",
+             "class 1 has 4 trials, fewer than k=5 folds; use a smaller k"),
+            ("motion", 4, "lstm", "folds = 2\ninner_folds = 3",
+             "class 1 has 2 training trials in split 0, fewer than inner_k=3 folds; "
+             "use a smaller inner_k"),
         ],
-        ids=["outer-folds", "inner-folds"],
+        ids=["outer-folds", "inner-folds", "outer-class", "inner-class"],
     )
-    def test_too_many_folds_is_a_pipeline_error(self, tmp_path, capsys, model, cv, message):
+    def test_too_many_folds_is_a_pipeline_error(
+        self, tmp_path, capsys, modality, trials, model, cv, message
+    ):
+        # 3 * trials trials, of which trials handovers (class 1).
         profile = tmp_path / "profile.txt"
         profile.write_text(
-            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
-            "modalities = gaze\nseed = 8\n"
+            f"[synth]\nparticipants = 1\ntrials_per_condition = {trials}\n"
+            f"modalities = {modality}\nseed = 8\n"
         )
         config = tmp_path / "config.txt"
         config.write_text(
             "[dataset]\nroot = ./data\n"
-            f"[experiment]\nmodalities = gaze\nmodel = {model}\nseed = 3\nmin_trials = 10\n"
+            f"[experiment]\nmodalities = {modality}\nmodel = {model}\nseed = 3\n"
+            "min_trials = 10\n"
             f"[cv]\n{cv}\nrepeats = 1\n"
             "[windows]\nfirst_end_s = -4.0\nlast_end_s = -4.0\nstep_s = 0.25\n"
             "[output]\ndir = ./out\n"
@@ -684,8 +720,9 @@ class TestLstmPipeline:
         capsys.readouterr()
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err == (
-            f"pipeline error: participant 1, gaze view: {message}; use a smaller k\n"
+            f"pipeline error: participant 1, {modality} view: {message}\n"
         )
+        assert not (tmp_path / "out").exists()
 
     def test_fusion_views_use_lda_in_an_lstm_run(self, tmp_path):
         profile = tmp_path / "profile.txt"

@@ -132,15 +132,43 @@ class TestSplits:
             all_test = np.concatenate([s.test_idx for s in chunk])
             assert np.array_equal(np.sort(all_test), np.arange(labels.shape[0]))
 
-    def test_leave_one_out_shape(self):
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        splits = make_splits(labels, CvScheme(k=6, repeats=1, seed=0))
-        assert len(splits) == 6
-        assert sorted(s.test_idx.shape[0] for s in splits) == [1] * 6
+    @pytest.mark.parametrize(
+        "labels, scheme, message",
+        [
+            ([0, 0, 0, 1, 1, 1], CvScheme(k=6, repeats=1, seed=0),
+             "class 0 has 3 trials, fewer than k=6 folds; use a smaller k"),
+            ([0] * 8 + [1] * 4, CvScheme(k=5, repeats=2, seed=0),
+             "class 1 has 4 trials, fewer than k=5 folds; use a smaller k"),
+            ([0] * 8 + [1] * 4, CvScheme(k=2, repeats=1, nested=True, inner_k=3, seed=0),
+             "class 1 has 2 training trials in split 0, fewer than inner_k=3 folds; "
+             "use a smaller inner_k"),
+        ],
+        ids=["k-equals-n", "outer", "inner"],
+    )
+    def test_a_class_smaller_than_its_fold_count_is_rejected(self, labels, scheme, message):
+        with pytest.raises(ValueError) as error:
+            make_splits(np.array(labels), scheme)
+        assert str(error.value) == message
 
     def test_k_larger_than_n_suggests_smaller_k(self):
         with pytest.raises(ValueError, match="smaller k"):
             make_splits(np.array([0, 1, 0, 1]), CvScheme(k=5, repeats=1, seed=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 5), st.integers(2, 5), st.integers(0, 12), st.integers(0, 12),
+        st.integers(0, 2**16),
+    )
+    def test_every_fold_a_scheme_draws_holds_both_classes(self, k, inner_k, more0, more1, seed):
+        # The fewest trials per class that pass: at least k, and at least
+        # inner_k left in a training set after the largest test fold.
+        least = next(c for c in range(k, 100) if c - -(-c // k) >= inner_k)
+        labels = np.array([0] * (least + more0) + [1] * (least + more1))
+        scheme = CvScheme(k=k, repeats=2, nested=True, inner_k=inner_k, seed=seed)
+        for s in make_splits(labels, scheme):
+            folds = [s.train_idx, s.test_idx, *(idx for pair in s.inner for idx in pair)]
+            for idx in folds:
+                assert set(labels[idx].tolist()) == {0, 1}
 
     def test_same_seed_reproduces_splits(self):
         labels = np.array([0, 1] * 20)
@@ -246,20 +274,22 @@ class TestEvaluateWindow:
 
     def test_split_errors_are_tagged(self, rng):
         seqs = toy_sequences(rng, n=12)
-        # k too large for the positive class leaves single-class test folds
-        scheme = CvScheme(k=12, repeats=1, seed=0)
-        with pytest.raises(EvaluationError, match="split"):
-            evaluate_at(seqs, 0.0, lda_recipe_for(Modality.MOTION), scheme)
+        # Unshrunk, a window wider (D = 75) than its training fold (8 trials)
+        # has a singular covariance.
+        recipe = replace(lda_recipe_for(Modality.MOTION), shrinkage=0.0)
+        with pytest.raises(EvaluationError, match="^split 0: pooled covariance is singular"):
+            evaluate_at(seqs, 0.0, recipe, CvScheme(k=3, repeats=1, seed=0))
 
-    def test_lstm_recipe_requires_nested_scheme(self, rng):
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_inner_folds_are_drawn_exactly_for_an_lstm_view(self, rng, nested):
         seqs = toy_sequences(rng, n=18, t_samples=10)
-        with pytest.raises(EvaluationError, match="nested"):
-            evaluate_at(
-                seqs,
-                -4.0,
-                lstm_recipe_for(Modality.MOTION),
-                CvScheme(k=3, repeats=1, seed=0),
-            )
+        scheme = CvScheme(k=3, repeats=1, nested=nested, inner_k=2, seed=0)
+        lstm = make_view([(seqs, lstm_recipe_for(Modality.MOTION))], scheme)
+        lda = make_view([(seqs, lda_recipe_for(Modality.MOTION))], scheme)
+        assert [len(s.inner) for s in lstm.splits] == [2, 2, 2]
+        assert [s.inner for s in lda.splits] == [None] * 3
+        for ours, theirs in zip(lstm.splits, lda.splits):
+            assert np.array_equal(ours.test_idx, theirs.test_idx)
 
     def test_lstm_divergence_names_the_split_that_owns_the_member(self, rng):
         seqs = toy_sequences(rng, n=18, t_samples=55)
@@ -323,18 +353,18 @@ class TestEvaluateWindow:
         assert score.mean > 0.8  # signal everywhere, easy sequences
         assert (score.fused_dims, score.weight_fallbacks) == ((), 0)
 
-    def test_one_class_validation_folds_are_counted_as_weight_fallbacks(self, rng):
-        # 12 trials, 4 of class 1: each outer training fold holds 6 trials,
-        # and 6 inner folds leave one trial per validation fold.  Every member
-        # then scores 0, so every split's ensemble falls back to equal weights.
-        seqs = toy_sequences(rng, n=12, t_samples=55, signal_at=-5.0, effect=4.0)
-        recipe = replace(
-            lstm_recipe_for(Modality.MOTION), max_epochs=2, hidden=3, early_stop_after=None
+    def test_inner_folds_a_class_cannot_fill_are_rejected(self, rng):
+        # 12 trials, 4 of class 1: each outer training fold holds 4 of class 0
+        # and 2 of class 1, too few for 3 validation folds with both classes.
+        seqs = toy_sequences(rng, n=12, t_samples=55)
+        scheme = CvScheme(k=2, repeats=2, inner_k=3, seed=2)
+        with pytest.raises(ValueError) as error:
+            make_view([(seqs, lstm_recipe_for(Modality.MOTION))], scheme)
+        assert str(error.value) == (
+            "class 1 has 2 training trials in split 0, fewer than inner_k=3 folds; "
+            "use a smaller inner_k"
         )
-        scheme = CvScheme(k=2, repeats=2, nested=True, inner_k=6, seed=2)
-        score = evaluate_at(seqs, -3.0, recipe, scheme)
-        assert len(score.split_aucs) == 4
-        assert score.weight_fallbacks == 4
+        make_view([(seqs, lstm_recipe_for(Modality.MOTION))], replace(scheme, inner_k=2))
 
 
 def motion_sequence(rng, start, n_samples, trial=0):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import handover_intent
-from handover_intent import BLAS_THREAD_VARS, evaluation, pipeline
+from handover_intent import BLAS_THREAD_VARS, pipeline
 from handover_intent.cli import main
 from handover_intent.config import parse_config
 from handover_intent.classifiers import lda_recipe_for
@@ -253,28 +253,27 @@ class TestWindowPool:
         assert audits[0] == audits[1]
         assert [(a["participant"], a["tag"]) for a in audits[0]] == [(1, "motion")]
 
-    def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path, monkeypatch):
-        # 6 handover trials cannot fill 10 stratified test folds with both
-        # classes, so every window fails on a one-class test fold, before any
-        # LSTM member trains.
-        base = one_participant_lstm(tmp_path, trials_per_condition=6, folds=10)
-        trained = []
-        original = evaluation.lstm_train_members
-
-        def counting(*args, **kwargs):
-            trained.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "lstm_train_members", counting)
+    def test_windows_that_all_fail_are_reported_in_grid_order(self, tmp_path):
+        # Unshrunk, an LDA window (D >= 75 from the epoch start) wider than
+        # its training fold (12 trials) has a singular covariance, so every
+        # window fails in split 0.
+        base = one_participant_lstm(tmp_path, trials_per_condition=6, folds=3)
+        config = base / "config.txt"
+        text = config.read_text().replace("model = lstm", "model = lda")
+        config.write_text(
+            text.replace("start_s = -0.5", "start_s = -5.0") + "[features]\nlda_shrinkage = 0\n"
+        )
         assert run(base, 1, "serial") == 0
-        assert trained == []
         assert run(base, 2, "pooled") == 0
         assert csv_bytes(base / "serial") == csv_bytes(base / "pooled")
         serial, _ = window_errors_and_workers(base / "serial")
         pooled, _ = window_errors_and_workers(base / "pooled")
         assert pooled == serial
         assert [e["window_end_s"] for e in serial] == [0.0, 0.5, 1.0]
-        assert {e["message"] for e in serial} == {"split 0: need both classes 0 and 1, got labels [0]"}
+        assert {e["message"] for e in serial} == {
+            "split 0: pooled covariance is singular even after shrinkage; "
+            "increase the shrinkage fraction"
+        }
 
     def test_pooled_fusion_views_match_sweep(self, fusion_dataset):
         cfg = replace(parse_config(fusion_dataset / "config.txt"), out_dir=fusion_dataset / "out")
