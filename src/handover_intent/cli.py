@@ -36,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for loading and featurizing trials (each "
-        "participant's trials cut into up to this many slices) and for "
+        help="worker processes for loading and featurizing trials (the "
+        "manifest's trials cut into up to this many slices) and for "
         "evaluating windows",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -99,7 +99,11 @@ def _cmd_synth(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"profile error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = generate_dataset(profile, args.out)
+    try:
+        manifest = generate_dataset(profile, args.out)
+    except OSError as exc:
+        print(f"synth error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE
     print(f"wrote synthetic dataset manifest {manifest}")
     return EXIT_OK
 
@@ -107,7 +111,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     try:
         written = write_report(args.results, args.out)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
     for path in written:

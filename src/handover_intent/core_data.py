@@ -31,6 +31,10 @@ on a uniform grid:
 * EEG:    ``time_s,<channel>,<channel>,...`` (microvolts)
 * gaze:   ``time_s,gaze_x,gaze_y,ref_x,ref_y`` (pixels; ``nan`` = missing)
 * motion: ``time_s,hand_x,hand_y,hand_z`` (meters)
+
+``write_file`` is the one way the program writes a file: trial CSVs, the
+manifest, a run's CSVs and metadata, report figures and feature-cache
+entries all reach disk whole or not at all.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -257,6 +262,23 @@ def is_uncorrupted(
     return bool(finite.all())
 
 
+def write_file(path: "Path | str", data: "str | bytes") -> None:
+    """Write ``data`` (a ``str`` as UTF-8, newlines as given) to ``path``,
+    creating its directory: into ``.<name>.<pid>.tmp`` beside it, with the
+    mode the umask allows, then renamed over it, so that no reader and no
+    killed run sees a partial file.  The temporary file is removed on error."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Sectioned key = value text (run configs, synth profiles); manifest files
 # ---------------------------------------------------------------------------
@@ -409,7 +431,6 @@ def parse_manifest(path: "Path | str") -> Manifest:
 
 
 def write_manifest(path: "Path | str", manifest: Manifest) -> None:
-    path = Path(path)
     lines = ["format_version = 1", f"name = {manifest.name}"]
     for modality in Modality:
         if modality in manifest.rates_hz:
@@ -421,7 +442,7 @@ def write_manifest(path: "Path | str", manifest: Manifest) -> None:
     for e in manifest.entries:
         head = [str(e.participant_id), str(e.trial_id), e.condition.value, repr(float(e.onset_s))]
         lines.append(",".join(head + [e.paths.get(m) or "-" for m in Modality]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_file(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +510,8 @@ def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[s
 def write_trial_csv(
     path: "Path | str", times: np.ndarray, values: np.ndarray, columns: "list[str]"
 ) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["time_s"] + list(columns)) + "\n")
-        for t, row in zip(times, np.asarray(values)):
-            fh.write(",".join([repr(float(t))] + [repr(float(v)) for v in row]) + "\n")
+    rows = [",".join(map(repr, row.tolist())) for row in np.column_stack((times, values))]
+    write_file(path, "\n".join([",".join(["time_s", *columns]), *rows]) + "\n")
 
 
 def _load_stream(
@@ -613,15 +630,12 @@ def convert_dataset(source_root: "Path | str", out_root: "Path | str") -> Path:
             if src is None:
                 continue
             rel = f"{modality.value}/p{pid:02d}_t{trial_id:03d}.csv"
-            dest = out / rel
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_bytes(src.read_bytes())
+            write_file(out / rel, src.read_bytes())
             paths[modality] = rel
         entries.append(ManifestEntry(pid, trial_id, rec["condition"], 0.0, paths))
     manifest = Manifest(
         name=source.name, rates_hz={}, eeg_channels=None, entries=entries
     )
-    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.txt"
     write_manifest(manifest_path, manifest)
     return manifest_path

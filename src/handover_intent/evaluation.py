@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifiers import LdaRecipe, LstmRecipe, fit_flat_preprocessing
-from .core_data import epoch_rows
+from .core_data import epoch_rows, write_file
 from .features import FeatureSequence, WindowGrid
 from .lda import lda_fit, lda_predict_proba
 from .lstm import (
@@ -803,27 +803,27 @@ def write_figure_csvs(out_dir, timelines) -> "list[Path]":
     return list(tables)
 
 
-def write_run_csvs(out_dir, timelines) -> None:
+def write_run_csvs(out_dir, timelines) -> "list[Path]":
     """Every CSV of a run, from its timelines: ``timelines/p###_<tag>_<model>.csv``
     per timeline, ``results.csv``, ``aggregate.csv`` and ``latency_<model>.csv``
-    per model."""
+    per model; returns the paths written."""
     out = Path(out_dir)
+    written = []
     for t in timelines:
         name = f"p{t.participant_id:03d}_{_safe_tag(t.tag)}_{t.model}.csv"
-        write_timeline_csv(out / "timelines" / name, t)
-    write_results_csv(out / "results.csv", timelines)
+        written.append(out / "timelines" / name)
+        write_timeline_csv(written[-1], t)
+    written.append(out / "results.csv")
+    write_results_csv(written[-1], timelines)
     grouped = group_timelines(timelines)
     aggregates = [aggregate_participants(tls) for g in grouped.values() for tls in g.values()]
-    write_aggregate_csv(out / "aggregate.csv", aggregates)
+    written.append(out / "aggregate.csv")
+    write_aggregate_csv(written[-1], aggregates)
     for model, by_tag in grouped.items():
-        rows = detection_latency_table(by_tag)
-        write_latency_csv(out / f"latency_{model}.csv", rows, list(by_tag))
+        written.append(out / f"latency_{model}.csv")
+        write_latency_csv(written[-1], detection_latency_table(by_tag), list(by_tag))
+    return written
 
 
 def _write_csv(path, header, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_file(path, "".join(",".join(cells) + "\n" for cells in [header, *rows]))

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
+import io
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +19,7 @@ from .core_data import (
     TrialRecording,
     epoch,
     label_for,
+    write_file,
 )
 from .dsp import TfSpec, average_channels, default_tf_spec, interpolate_gaps, morlet_tf
 
@@ -260,7 +260,8 @@ def pca_apply(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Feature cache (saves re-running the Morlet transform across runs; within a
-# run, each participant's features are built once and shared by its views)
+# run, each participant's features are built once and shared by its views).
+# Entries are written, like every file, by ``core_data.write_file``.
 # ---------------------------------------------------------------------------
 
 CACHE_VERSION = 1
@@ -271,7 +272,6 @@ class FeatureCache:
 
     def __init__(self, directory: "Path | str"):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, trial_ref: tuple, modality: Modality, param_key: str) -> Path:
         digest = hashlib.sha256(param_key.encode("utf-8")).hexdigest()[:16]
@@ -300,21 +300,15 @@ class FeatureCache:
         )
 
     def put(self, seq: FeatureSequence, param_key: str) -> None:
-        """Write through a temporary file in the cache directory and rename it
-        into place, so a reader never sees a half-written entry."""
-        path = self._path(seq.trial_ref, seq.modality, param_key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    version=CACHE_VERSION,
-                    key=param_key,
-                    start_time_s=seq.series.start_time_s,
-                    step_s=seq.series.step_s,
-                    values=seq.series.values,
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        """Store ``seq`` whole through ``write_file``, so a reader never sees
+        a half-written entry."""
+        buffer = io.BytesIO()
+        np.savez(
+            buffer,
+            version=CACHE_VERSION,
+            key=param_key,
+            start_time_s=seq.series.start_time_s,
+            step_s=seq.series.step_s,
+            values=seq.series.values,
+        )
+        write_file(self._path(seq.trial_ref, seq.modality, param_key), buffer.getvalue())

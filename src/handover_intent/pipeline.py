@@ -19,11 +19,13 @@ from . import BLAS_THREAD_VARS, __version__
 from .classifiers import LstmRecipe, lda_recipe_for, lstm_recipe_for
 from .config import ExperimentConfig, config_text_hash
 from .core_data import (
+    DatasetError,
     Modality,
     is_uncorrupted,
     label_for,
     load_dataset,
     parse_manifest,
+    write_file,
 )
 from .evaluation import AucTimeline, assemble_timeline, make_view, window_result, write_run_csvs
 from .features import (
@@ -117,29 +119,25 @@ def _views(cfg: ExperimentConfig) -> list:
 
 @dataclass
 class PreparedTrials:
-    """What one prepare task returns to the parent process, for a slice of one
-    participant's trials: each trial's (participant, trial) reference and the
+    """What one prepare task returns to the parent process, for a slice of the
+    manifest's trials: each trial's (participant, trial) reference and the
     modalities that pass the corruption rule, in manifest order; and the
     feature sequences built and the messages of the builds that failed, both
-    keyed by (modality, trial reference).  ``load_error`` is set, and nothing
-    else, when a file of the slice could not be loaded."""
+    keyed by (modality, trial reference)."""
 
-    load_error: str | None = None
     trials: list = field(default_factory=list)  # (ref, frozenset of Modality)
     features: dict = field(default_factory=dict)
     feature_errors: dict = field(default_factory=dict)
 
 
 def prepare_trials(cfg: ExperimentConfig, manifest) -> PreparedTrials:
-    """Load the trials ``manifest`` lists (a slice of one participant's
-    entries), run the corruption rule once per trial and modality, and build
-    a modality's features for every trial that is complete for some view with
-    that modality.  Gating and aligning a view need the participant's whole
-    trial list, so the parent does them, from what this returns."""
-    try:
-        trials = load_dataset(cfg.dataset_root, manifest)
-    except Exception as exc:
-        return PreparedTrials(load_error=str(exc))
+    """Load the trials ``manifest`` lists (a slice of the manifest's entries),
+    run the corruption rule once per trial and modality, and build a
+    modality's features for every trial that is complete for some view with
+    that modality.  A file that cannot be loaded raises.  Gating and aligning
+    a view need each participant's whole trial list, so the parent does them,
+    from what this returns."""
+    trials = load_dataset(cfg.dataset_root, manifest)
     view_modalities = [set(recipes) for _, recipes, _ in _views(cfg)]
     needed = [m for m in Modality if any(m in mods for mods in view_modalities)]
     cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
@@ -165,53 +163,49 @@ def _slices(entries: list, n: int) -> list:
 
 
 def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
-    """The prepare phase: load and featurize every participant's trials, in
-    slices of up to ``jobs`` per participant, then gate and align each view.
-    Returns (participant, tag, ``evaluation.View``) in output order, the
-    gated participants by tag, and the worker count.
+    """The prepare phase: load and featurize the manifest's trials, cut into
+    up to ``jobs`` contiguous slices, then gate and align each view.  Returns
+    (participant, tag, ``evaluation.View``) in output order, the gated
+    participants by tag, and the worker count.
 
     Errors are raised in the order a serial run meets them: the first load
-    error in manifest order of the lowest-numbered failing participant, then
-    per view a gating error or, participant by participant, the first feature
-    error in the view's modality order and trial order, or a view that cannot
-    be built (a class with fewer trials than its CV folds)."""
-    pids = sorted({e.participant_id for e in manifest.entries})
-    tasks = [
-        (pid, replace(manifest, entries=part))
-        for pid in pids
-        for part in _slices([e for e in manifest.entries if e.participant_id == pid], jobs)
-    ]
-    prepared, workers = _map(prepare_trials, cfg, [m for _, m in tasks], jobs)
-    participants: dict = {}  # pid -> its slices merged, in pid order
-    for (pid, _), part in zip(tasks, prepared):
-        if part.load_error is not None:
-            raise PipelineError(f"dataset load: {part.load_error}")
-        whole = participants.setdefault(pid, PreparedTrials())
-        whole.trials += part.trials
-        whole.features.update(part.features)
-        whole.feature_errors.update(part.feature_errors)
+    error in manifest order, then per view a gating error or, participant by
+    participant, the first feature error in the view's modality order and
+    trial order, or a view that cannot be built (a class with fewer trials
+    than its CV folds)."""
+    slices = [replace(manifest, entries=part) for part in _slices(manifest.entries, jobs)]
+    try:
+        prepared, workers = _map(prepare_trials, cfg, slices, jobs)
+    except (DatasetError, OSError, ValueError) as exc:
+        raise PipelineError(f"dataset load: {exc}") from exc
+    features, errors = {}, {}
+    trials_by_pid: dict = {}  # pid -> its (ref, usable modalities), in manifest order
+    for part in prepared:
+        features.update(part.features)
+        errors.update(part.feature_errors)
+        for ref, usable in part.trials:
+            trials_by_pid.setdefault(ref[0], []).append((ref, usable))
 
     evaluated = []
     participants_by_tag: dict = {}
     for tag, recipes, late in _views(cfg):
         gated = []
-        for pid, whole in participants.items():
-            refs = [ref for ref, usable in whole.trials if usable.issuperset(recipes)]
+        for pid in sorted(trials_by_pid):
+            refs = [ref for ref, usable in trials_by_pid[pid] if usable.issuperset(recipes)]
             if len(refs) >= cfg.min_trials:
-                gated.append((pid, whole, refs))
+                gated.append((pid, refs))
         if not gated:
             what = f"{tag} trials" if len(recipes) == 1 else f"trials for {tag}"
             raise PipelineError(
                 f"gating: no participant has >= {cfg.min_trials} complete {what}"
             )
-        participants_by_tag[tag] = [pid for pid, _, _ in gated]
-        for pid, whole, refs in gated:
-            errors = whole.feature_errors
+        participants_by_tag[tag] = [pid for pid, _ in gated]
+        for pid, refs in gated:
             failed = [(m, ref) for m in recipes for ref in refs if (m, ref) in errors]
             if failed:
                 raise PipelineError(f"participant {pid}, {tag} features: {errors[failed[0]]}")
             blocks = [
-                ([whole.features[(m, ref)] for ref in refs], recipe)
+                ([features[(m, ref)] for ref in refs], recipe)
                 for m, recipe in recipes.items()
             ]
             scheme = replace(cfg.cv, seed=derive_seed(cfg.seed, "cv", tag, pid))
@@ -275,18 +269,24 @@ def run_experiment(
 
     The run has two phases, each a list of independent tasks that ``_map``
     spreads over up to ``jobs`` worker processes.  Preparing
-    (``prepare_views``) cuts each participant's trials into up to ``jobs``
-    slices, one task each: load, run the corruption rule, build features; the
-    parent then gates and aligns each view.  Evaluating is one task per
-    (participant, view, window), the longest windows first, since a window's
-    cost grows with its end; the parent puts the results back in grid order.
-    Every error of the first phase is raised before the second starts, in the
-    order a serial run meets them.
+    (``prepare_views``) cuts the manifest's trials into up to ``jobs``
+    contiguous slices, one task each: load, run the corruption rule, build
+    features; the parent then gates and aligns each view.  Evaluating is one
+    task per (participant, view, window), the longest windows first, since a
+    window's cost grows with its end; the parent puts the results back in grid
+    order.  Every error of the first phase is raised before the second starts,
+    in the order a serial run meets them.  The output directory is made before
+    either, so that a path that cannot hold it fails before any work.
     """
     try:
         manifest = parse_manifest(cfg.manifest_path)
     except Exception as exc:
         raise PipelineError(f"dataset load: {exc}") from exc
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. a path under a regular file
+        raise PipelineError(f"output: {exc}") from exc
     evaluated, participants_by_tag, prepare_workers = prepare_views(cfg, manifest, jobs)
 
     views = [view for *_, view in evaluated]
@@ -309,8 +309,7 @@ def run_experiment(
             records = {"ensemble_weight_fallbacks": fallbacks}
             lstm_audits.append({"participant": pid, "tag": tag, "records": records})
 
-    out = Path(cfg.out_dir)
-    write_run_csvs(out, timelines)
+    written = write_run_csvs(out, timelines)
 
     errors = [
         {
@@ -339,11 +338,30 @@ def run_experiment(
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
             "workers": {"prepare": prepare_workers, "evaluate": evaluate_workers},
         },
+        "outputs": sorted(path.relative_to(out).as_posix() for path in written),
     }
-    with open(out / "run_metadata.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _remove_stale_outputs(out, written)
+    write_file(out / "run_metadata.json", json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     return RunResult(out_dir=out, timelines=timelines, metadata=metadata)
+
+
+def _remove_stale_outputs(out: Path, written: list) -> None:
+    """Delete each file that the previous run's ``run_metadata.json`` in
+    ``out`` lists under ``outputs`` and this run did not write.  An absolute
+    path, or one that resolves outside ``out``, deletes nothing; nor does
+    metadata without ``outputs``, as older versions wrote it."""
+    try:
+        listed = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):  # no earlier run, or no outputs
+        return
+    root = out.resolve()
+    kept = {path.resolve() for path in written}
+    for rel in listed:
+        if not isinstance(rel, str) or Path(rel).is_absolute():
+            continue
+        path = (out / rel).resolve()
+        if path.is_relative_to(root) and path not in kept and path.is_file():
+            path.unlink()
 
 
 def _library_versions() -> dict:

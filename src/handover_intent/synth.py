@@ -24,6 +24,7 @@ from .core_data import (
     Modality,
     parse_modalities,
     read_sections,
+    write_file,
     write_manifest,
     write_trial_csv,
 )
@@ -158,7 +159,6 @@ def _eeg_trial(profile: SynthProfile, rng, condition: Condition, channels):
 def generate_dataset(profile: SynthProfile, out_dir: "Path | str") -> Path:
     """Write the dataset under ``out_dir``; returns the manifest path."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     channels = list(DEFAULT_EEG_CHANNELS)
     columns = {**STREAM_COLUMNS, Modality.EEG: channels}
     entries = []
@@ -219,6 +219,4 @@ def _write_ground_truth(path: Path, profile: SynthProfile) -> None:
             "eeg_uv": profile.eeg_noise_uv,
         },
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_file(path, json.dumps(truth, indent=2, sort_keys=True) + "\n")

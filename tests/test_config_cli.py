@@ -505,6 +505,34 @@ class TestCli:
                 figure.setdefault((tag, cells[0]), {})[stat] = cell
         assert figure == expected
 
+    @pytest.mark.parametrize(
+        "command, prefix",
+        [("run", "pipeline error: output: "), ("report", "report error: "),
+         ("synth", "synth error: ")],
+        ids=["run", "report", "synth"],
+    )
+    def test_output_under_a_regular_file_fails_with_one_line(
+        self, tmp_path, capsys, monkeypatch, command, prefix
+    ):
+        from handover_intent import pipeline
+
+        profile, config = write_experiment(tmp_path)
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        (tmp_path / "results.csv").write_text(",".join(TIMELINE_COLUMNS) + "\n" + ROW)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        monkeypatch.setattr(pipeline, "prepare_views", lambda *args: pytest.fail("work began"))
+        capsys.readouterr()
+        argv = {
+            "run": ["run", "--config", str(config), "--out", out],
+            "report": ["report", "--results", str(tmp_path), "--out", out],
+            "synth": ["synth", "--profile", str(profile), "--out", out],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "Not a directory" in err
+        assert err.count("\n") == 1
+
     def test_report_missing_inputs_exits_1(self, tmp_path, capsys):
         assert main(["report", "--results", str(tmp_path)]) == 1
         assert "results.csv" in capsys.readouterr().err
@@ -722,7 +750,57 @@ class TestLstmPipeline:
         assert capsys.readouterr().err == (
             f"pipeline error: participant 1, {modality} view: {message}\n"
         )
-        assert not (tmp_path / "out").exists()
+        # The run makes its output directory before any work and writes nothing into it.
+        assert not any((tmp_path / "out").iterdir())
+
+    def test_a_rerun_removes_only_the_previous_runs_outputs(self, tmp_path):
+        profile = tmp_path / "profile.txt"
+        profile.write_text(
+            "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
+            "modalities = motion\nseed = 8\n"
+        )
+        config = tmp_path / "config.txt"
+        text = (
+            "[dataset]\nroot = ./data\n"
+            "[experiment]\nmodalities = motion\nmodel = {model}\nseed = 3\nmin_trials = 10\n"
+            "[cv]\nfolds = 2\nrepeats = 1\ninner_folds = 2\n"
+            "[windows]\nfirst_end_s = -4.0\nlast_end_s = -4.0\nstep_s = 0.25\n"
+            "[output]\ndir = ./out\n"
+        )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
+        config.write_text(text.format(model="lda"))
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        metadata = json.loads((out / "run_metadata.json").read_text())
+        assert metadata["outputs"] == [
+            "aggregate.csv", "latency_lda.csv", "results.csv", "timelines/p001_motion_lda.csv"
+        ]
+        config.write_text(text.format(model="lstm"))
+        # Metadata from before ``outputs`` existed deletes nothing.
+        older = {k: v for k, v in metadata.items() if k != "outputs"}
+        (out / "run_metadata.json").write_text(json.dumps(older))
+        assert main(["run", "--config", str(config)]) == 0
+        assert (out / "latency_lda.csv").exists()
+
+        (out / "notes.txt").write_text("mine")
+        outside = tmp_path / "x"
+        outside.write_text("not the run's")
+        # Hand-edited: a path outside ``out`` and an absolute one.
+        metadata["outputs"] += ["../x", str(out / "notes.txt")]
+        (out / "run_metadata.json").write_text(json.dumps(metadata))
+        assert main(["run", "--config", str(config)]) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
+            "aggregate.csv",
+            "latency_lstm.csv",
+            "notes.txt",
+            "results.csv",
+            "run_metadata.json",
+            "timelines/p001_motion_lstm.csv",
+        ]
+        assert outside.read_text() == "not the run's"
+        assert json.loads((out / "run_metadata.json").read_text())["outputs"] == [
+            "aggregate.csv", "latency_lstm.csv", "results.csv", "timelines/p001_motion_lstm.csv"
+        ]
 
     def test_fusion_views_use_lda_in_an_lstm_run(self, tmp_path):
         profile = tmp_path / "profile.txt"

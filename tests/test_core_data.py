@@ -1,10 +1,15 @@
+import ast
+import stat
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import handover_intent
+from handover_intent import core_data
 from handover_intent.config import ConfigError, parse_config_text
 from handover_intent.synth import SynthProfile, generate_dataset
 from handover_intent.core_data import (
@@ -26,6 +31,7 @@ from handover_intent.core_data import (
     parse_manifest,
     read_sections,
     read_trial_csv,
+    write_file,
     write_manifest,
     write_trial_csv,
 )
@@ -532,3 +538,110 @@ class TestConverter:
         (tmp_path / "whatever").mkdir()
         with pytest.raises(DatasetError, match="sub-"):
             convert_dataset(tmp_path, tmp_path / "out")
+
+
+def _writes(source: str, exempt_function: str | None = None) -> list:
+    """``line: what`` for each way ``source`` writes a file other than through
+    ``write_file``: ``open`` in a write mode, ``write_text``, ``write_bytes``,
+    ``json.dump``, ``tempfile``/``mkstemp`` and ``os.replace``.  The body of
+    the function named ``exempt_function`` is not searched."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == exempt_function:
+            exempt |= set(ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        what = None
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None)]
+            if "tempfile" in names or "mkstemp" in names:
+                what = "tempfile"
+            elif getattr(node, "module", None) == "os" and "replace" in names:
+                what = "os.replace"
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "mkstemp":
+                what = "mkstemp"
+            elif node.attr == "replace" and getattr(node.value, "id", None) == "os":
+                what = "os.replace"
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("write_text", "write_bytes"):
+                what = name
+            elif name == "dump" and getattr(getattr(func, "value", None), "id", None) == "json":
+                what = "json.dump"
+            elif name == "open":
+                # open(file, mode) or path.open(mode); no mode means "r".
+                args = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                modes = [k.value for k in node.keywords if k.arg == "mode"] + args
+                mode = modes[0] if modes else ast.Constant("r")
+                text = mode.value if isinstance(mode, ast.Constant) else "?"  # unknown
+                if not isinstance(text, str) or set(text) & set("wax+?"):
+                    what = "open for writing"
+        if what is not None:
+            found.append(f"{node.lineno}: {what}")
+    return found
+
+
+class TestWriteFile:
+    def test_str_is_utf8_with_newlines_as_given_and_directories_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "notes.txt"
+        write_file(path, "x\r\n\u00fc\n")
+        assert path.read_bytes() == b"x\r\n\xc3\xbc\n"
+        write_file(path, b"\x00raw")
+        assert path.read_bytes() == b"\x00raw"
+        assert [p.name for p in path.parent.iterdir()] == ["notes.txt"]
+
+    def test_failed_replace_keeps_the_old_bytes_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "results.csv"
+        write_file(path, "old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(core_data.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_file(path, "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]  # no .tmp file
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        write_file(tmp_path / "written", "x")
+        with open(tmp_path / "opened", "w"):
+            pass
+        modes = [stat.S_IMODE((tmp_path / n).stat().st_mode) for n in ("written", "opened")]
+        assert modes[0] == modes[1]
+
+    def test_the_program_writes_files_only_through_write_file(self):
+        found = []
+        for path in sorted(Path(handover_intent.__file__).parent.glob("*.py")):
+            exempt = "write_file" if path.name == "core_data.py" else None
+            found += [f"{path.name}:{w}" for w in _writes(path.read_text(), exempt)]
+        assert found == []
+
+    def test_the_guard_finds_every_kind_of_write(self):
+        source = (
+            "import tempfile\n"
+            "from os import replace\n"
+            "open(p, 'w')\n"
+            "open(p, mode='ab')\n"
+            "open(p, m)\n"
+            "p.open('r+')\n"
+            "p.write_text(s)\n"
+            "p.write_bytes(b)\n"
+            "json.dump(x, fh)\n"
+            "tempfile.mkstemp()\n"
+            "os.replace(a, b)\n"
+            "open(p)\n"
+            "open(p, 'rb')\n"
+            "p.open()\n"
+            "def write_file():\n"
+            "    open(p, 'wb')\n"
+        )
+        lines = [int(w.split(":")[0]) for w in _writes(source, "write_file")]
+        assert sorted(set(lines)) == list(range(1, 12))

@@ -1,4 +1,4 @@
-"""The process pools of a run (slices of each participant's trials, then
+"""The process pools of a run (slices of the manifest's trials, then
 windows) and the process-level setup they rely on: one BLAS thread per
 process, and no scipy import at CLI start-up, for EEG features or for LDA
 fits."""
@@ -149,12 +149,12 @@ class TestParticipantPool:
         assert "dataset load" in err and str(bad) in err
 
     def test_first_load_error_in_manifest_order_is_raised(self, fusion_dataset, capsys):
-        # At --jobs 2 participant 1's 18 trials are cut into trials 0-8 and
-        # 9-17, so both slices with a bad file fail, each in its own task.
+        # At --jobs 2 the manifest's 54 trials are cut into entries 0-26 and
+        # 27-53, so both slices have a bad file and fail, each in its own task.
         base = fusion_dataset
         first = malform(base / "data" / "motion" / "p01_t012.csv")
         malform(base / "data" / "gaze" / "p01_t015.csv")
-        later = malform(base / "data" / "gaze" / "p02_t003.csv")
+        later = malform(base / "data" / "gaze" / "p03_t003.csv")
         for jobs in (1, 2):
             assert run(base, jobs, f"out{jobs}") == 1
             err = capsys.readouterr().err
