@@ -221,6 +221,13 @@ class RawStream:
             )
 
 
+def _check_ids(participant_id: int, trial_id: int) -> None:
+    if participant_id < 1:
+        raise ValueError(f"participant_id must be >= 1, got {participant_id}")
+    if trial_id < 0:
+        raise ValueError(f"trial_id must be >= 0, got {trial_id}")
+
+
 @dataclass(frozen=True)
 class TrialRecording:
     participant_id: int
@@ -230,10 +237,7 @@ class TrialRecording:
     streams: dict  # Modality -> RawStream, the modalities recorded
 
     def __post_init__(self):
-        if self.participant_id < 1:
-            raise ValueError("participant_id must be >= 1")
-        if self.trial_id < 0:
-            raise ValueError("trial_id must be >= 0")
+        _check_ids(self.participant_id, self.trial_id)
         if not self.streams:
             raise ValueError(
                 f"trial ({self.participant_id}, {self.trial_id}) has no modality stream"
@@ -333,6 +337,9 @@ class ManifestEntry:
     condition: Condition
     onset_s: float
     paths: dict  # Modality -> trial CSV path relative to the manifest
+
+    def __post_init__(self):
+        _check_ids(self.participant_id, self.trial_id)
 
 
 @dataclass(frozen=True)

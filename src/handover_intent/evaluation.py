@@ -1,8 +1,9 @@
 """ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
 every view (a single modality, early or late fusion, an LSTM) in two stages
-per split, the label-free ``prepare_split`` and a label stage (``score_split``
-for LDA, ``_lstm_scores`` for an LSTM), sustained-level detection latency,
-the group statistics used for the summary tables, and every result CSV:
+per split, the label-free ``prepare_split`` and a label stage that returns
+test scores (``score_split`` for LDA, ``_lstm_scores`` for an LSTM), which
+``evaluate_window`` alone ranks; sustained-level detection latency, the group
+statistics used for the summary tables, and every result CSV:
 ``write_run_csvs`` writes a run's, ``write_figure_csvs`` a report's figures,
 both grouped by ``group_timelines``."""
 
@@ -164,18 +165,12 @@ def make_splits(labels: np.ndarray, scheme: CvScheme) -> "list[Split]":
 
 @dataclass(frozen=True)
 class WindowScore:
-    """One window's test AUCs across the CV splits, and what its models did:
-    ``fused_dims`` holds each split's LDA input width when the blocks fuse
+    """One window's test AUC per CV split, in split order, and what its models
+    did: ``fused_dims`` holds each split's LDA input width when the blocks fuse
     early (one block included), and ``weight_fallbacks`` counts the splits
     whose late-fusion or LSTM-ensemble weights fell back to equal weights."""
 
     end_time_s: float
-    mean: float
-    std: float  # across folds, ddof=1
-    stderr: float
-    median: float
-    q25: float
-    q75: float
     split_aucs: tuple
     fused_dims: tuple
     weight_fallbacks: int
@@ -196,26 +191,6 @@ def _sorted_sequences(sequences) -> "list[FeatureSequence]":
     if len(set(refs)) != len(refs):
         raise ValueError("duplicate trial_refs in the sequence list")
     return ordered
-
-
-def _score_stats(end_time_s: float, results) -> WindowScore:
-    """Aggregate each split's (test AUC, fused width or None, weight fallback)."""
-    aucs, dims, fallbacks = zip(*results)
-    arr = np.asarray(aucs, dtype=float)
-    std = float(arr.std(ddof=1))  # a CvScheme makes at least two splits
-    median, q25, q75 = np.percentile(arr, (50, 25, 75))
-    return WindowScore(
-        end_time_s=end_time_s,
-        mean=float(arr.mean()),
-        std=std,
-        stderr=float(std / np.sqrt(arr.shape[0])),
-        median=float(median),
-        q25=float(q25),
-        q75=float(q75),
-        split_aucs=tuple(arr.tolist()),
-        fused_dims=tuple(dim for dim in dims if dim is not None),
-        weight_fallbacks=sum(fallbacks),
-    )
 
 
 def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
@@ -298,10 +273,11 @@ def prepare_split(view: View, xs, split: Split) -> list:
 
 
 def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages) -> tuple:
-    """The label stage: (test AUC, fused width or None, weight fallback).
-    Early fusion fits one LDA on the blocks side by side (first block's
-    shrinkage); late fusion, one per block, weighted by its training AUC."""
-    y_train, y_test = labels[split.train_idx], labels[split.test_idx]
+    """The LDA label stage: (test scores, fused width or None, weight
+    fallback).  Early fusion scores one LDA on the blocks side by side (first
+    block's shrinkage); late fusion, the sum of one LDA per block, weighted by
+    its training AUC.  The scores are class-1 probabilities."""
+    y_train = labels[split.train_idx]
     members = zip(parts, shrinkages)
     if not late:
         members = [(tuple(map(np.hstack, zip(*parts))), shrinkages[0])]
@@ -312,14 +288,14 @@ def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages)
             perfs.append(auc_roc(lda_predict_proba(model, x_train), y_train))
         member_scores.append(lda_predict_proba(model, x_test))
     if not late:
-        return auc_roc(member_scores[0], y_test), x_train.shape[1], False
+        return member_scores[0], x_train.shape[1], False
     weights, fallback = late_fusion_weights(perfs)
-    return auc_roc(weights @ np.stack(member_scores), y_test), None, fallback
+    return weights @ np.stack(member_scores), None, fallback
 
 
 def _lstm_scores(view: View, x: np.ndarray, window_index: int):
-    """Yield each split's (test AUC, None, weight fallback), in split order,
-    from an ensemble with one member per inner (fit, val) fold of that split.
+    """Yield each split's (test scores, None, weight fallback), in split
+    order, from an ensemble with one member per inner (fit, val) fold.
 
     Each split's rows come from ``prepare_split``.  Consecutive members train
     as one stack, filled up to ``STACK_BYTES``, and a split is scored once its
@@ -355,7 +331,7 @@ def _lstm_scores(view: View, x: np.ndarray, window_index: int):
                 # member order, as ``ensemble_predict`` sums one sequence.
                 x_test = test_rows.pop(owner)
                 scores = sum(w * predict_proba_batch(m, x_test) for m, w in zip(models, weights))
-                yield auc_roc(scores, labels[view.splits[owner].test_idx]), None, fallback
+                yield scores, None, fallback
 
     for split_index, split in enumerate(view.splits):
         seed = derive_seed(view.seed, "lstm", window_index, split_index)
@@ -384,7 +360,8 @@ def _lstm_scores(view: View, x: np.ndarray, window_index: int):
 def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
     """Fit and score every CV split of ``view`` on one window of ``grid``:
     build each block's window once, then run ``prepare_split`` per split and
-    its label stage, ``score_split`` for LDA or ``_lstm_scores`` for an LSTM.
+    its label stage (``score_split`` for LDA, ``_lstm_scores`` for an LSTM),
+    and rank the test scores it returns: the one place a test AUC is made.
     A failure is tagged with the split it occurred in."""
     end = float(grid.end_times()[window_index])
     try:
@@ -400,15 +377,18 @@ def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowSc
             score_split(prepare_split(view, flat, split), view.labels, split, view.late, shrinkages)
             for split in view.splits
         )
-    results = []
+    aucs, dims, fallbacks = [], [], 0
     try:
-        for result in scored:
-            results.append(result)
+        for (scores, dim, fallback), split in zip(scored, view.splits):
+            aucs.append(auc_roc(scores, view.labels[split.test_idx]))
+            if dim is not None:
+                dims.append(dim)
+            fallbacks += fallback
     except EvaluationError:
         raise
     except Exception as exc:
-        raise EvaluationError(f"split {len(results)}: {exc}") from exc
-    return _score_stats(end, results)
+        raise EvaluationError(f"split {len(aucs)}: {exc}") from exc
+    return WindowScore(end, tuple(aucs), tuple(dims), fallbacks)
 
 
 @dataclass(frozen=True)
@@ -463,34 +443,35 @@ def assemble_timeline(
     tag: str | None = None,
 ) -> AucTimeline:
     """The timeline of ``view`` from its windows' ``window_result`` values,
-    in grid order.  A failing window is recorded in ``errors`` and marked
-    missing (nan).  The participant and tag default to the first trial's
-    participant and the first block's modality."""
+    in grid order: each column reduces the rows of a (windows x splits)
+    matrix of split AUCs.  A failing window is recorded in ``errors`` and is
+    a nan row, missing in every column.  The participant and tag default to
+    the first trial's participant and the first block's modality."""
     sequences, recipe = view.blocks[0]
     end_times = grid.end_times()
     if len(results) != end_times.shape[0]:
         raise ValueError("one result per window of the grid is required")
-    stats = ("mean", "std", "stderr", "median", "q25", "q75")
-    cols = {name: np.full(end_times.shape[0], np.nan) for name in stats}
+    aucs = np.full((end_times.shape[0], len(view.splits)), np.nan)
     errors = []
     for i, (score, message) in enumerate(results):
-        if message is not None:
+        if message is None:
+            aucs[i] = score.split_aucs
+        else:
             errors.append((float(end_times[i]), message))
-            continue
-        for name in stats:
-            cols[name][i] = getattr(score, name)
+    std = aucs.std(axis=1, ddof=1)  # a CvScheme makes at least two splits
+    median, q25, q75 = np.percentile(aucs, (50, 25, 75), axis=1)
     return AucTimeline(
         participant_id=sequences[0].trial_ref[0] if participant_id is None else participant_id,
         tag=sequences[0].modality.value if tag is None else tag,
         model=recipe.name,
         window_end_times_s=end_times,
-        auc=cols["mean"],
-        auc_std=cols["std"],
-        auc_stderr=cols["stderr"],
-        auc_median=cols["median"],
-        auc_q25=cols["q25"],
-        auc_q75=cols["q75"],
-        n_splits=len(view.splits),
+        auc=aucs.mean(axis=1),
+        auc_std=std,
+        auc_stderr=std / np.sqrt(aucs.shape[1]),
+        auc_median=median,
+        auc_q25=q25,
+        auc_q75=q75,
+        n_splits=aucs.shape[1],
         errors=tuple(errors),
     )
 

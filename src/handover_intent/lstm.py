@@ -126,14 +126,9 @@ def init_model(spec: LstmSpec) -> LstmModel:
     rng = substream(spec.seed, "lstm-init")
     scale = 1.0 / np.sqrt(spec.hidden)
     params = rng.uniform(-scale, scale, size=param_count(spec))
-    h = spec.hidden
-    offset = 0
-    d = spec.input_dim
-    for _ in range(spec.layers):
-        offset += 4 * h * d + 4 * h * h
-        params[offset + h : offset + 2 * h] += 1.0  # forget-gate bias
-        offset += 4 * h
-        d = h
+    layers, _, _ = _unpack(spec, params[None])
+    for _, _, b in layers:  # views into params
+        b[0, spec.hidden : 2 * spec.hidden] += 1.0  # forget-gate bias
     return LstmModel(spec=spec, parameters=params)
 
 
@@ -302,9 +297,7 @@ def lstm_forward(model: LstmModel, seq: np.ndarray) -> float:
     seq = np.asarray(seq, dtype=float)
     if seq.ndim != 2:
         raise ValueError(f"sequence must be (T, D), got shape {seq.shape}")
-    logits, _ = _forward(model.spec, model.parameters[None], seq[None, None])
-    p = float(_sigmoid(logits)[0, 0])
-    return float(np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)))
+    return float(predict_proba_batch(model, seq[None])[0])
 
 
 def predict_proba_batch(model: LstmModel, x: np.ndarray) -> np.ndarray:

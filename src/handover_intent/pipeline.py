@@ -346,10 +346,16 @@ def run_experiment(
 
 
 def _remove_stale_outputs(out: Path, written: list) -> None:
-    """Delete each file that the previous run's ``run_metadata.json`` in
-    ``out`` lists under ``outputs`` and this run did not write.  An absolute
-    path, or one that resolves outside ``out``, deletes nothing; nor does
-    metadata without ``outputs``, as older versions wrote it."""
+    """Delete ``report``'s default figures in ``out/figures``, drawn from the
+    results this run replaces, and each file that the previous run's
+    ``run_metadata.json`` in ``out`` lists under ``outputs`` and this run did
+    not write.  An absolute path, or one that resolves outside ``out``,
+    deletes nothing; nor does metadata without ``outputs``, as older versions
+    wrote it."""
+    for model in ("lda", "lstm"):
+        figure = out / "figures" / f"figure_{model}.csv"
+        if figure.is_file():
+            figure.unlink()
     try:
         listed = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))["outputs"]
     except (OSError, ValueError, KeyError, TypeError):  # no earlier run, or no outputs

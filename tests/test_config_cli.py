@@ -753,12 +753,16 @@ class TestLstmPipeline:
         # The run makes its output directory before any work and writes nothing into it.
         assert not any((tmp_path / "out").iterdir())
 
-    def test_a_rerun_removes_only_the_previous_runs_outputs(self, tmp_path):
+    @staticmethod
+    def one_window_run(tmp_path):
+        """A 1-participant motion dataset, and a function that runs one window
+        of it with the given model into ``tmp_path / "out"``."""
         profile = tmp_path / "profile.txt"
         profile.write_text(
             "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
             "modalities = motion\nseed = 8\n"
         )
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
         config = tmp_path / "config.txt"
         text = (
             "[dataset]\nroot = ./data\n"
@@ -767,19 +771,25 @@ class TestLstmPipeline:
             "[windows]\nfirst_end_s = -4.0\nlast_end_s = -4.0\nstep_s = 0.25\n"
             "[output]\ndir = ./out\n"
         )
-        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "data")]) == 0
-        config.write_text(text.format(model="lda"))
-        assert main(["run", "--config", str(config)]) == 0
+
+        def run(model):
+            config.write_text(text.format(model=model))
+            assert main(["run", "--config", str(config)]) == 0
+
+        return run
+
+    def test_a_rerun_removes_only_the_previous_runs_outputs(self, tmp_path):
+        run = self.one_window_run(tmp_path)
+        run("lda")
         out = tmp_path / "out"
         metadata = json.loads((out / "run_metadata.json").read_text())
         assert metadata["outputs"] == [
             "aggregate.csv", "latency_lda.csv", "results.csv", "timelines/p001_motion_lda.csv"
         ]
-        config.write_text(text.format(model="lstm"))
         # Metadata from before ``outputs`` existed deletes nothing.
         older = {k: v for k, v in metadata.items() if k != "outputs"}
         (out / "run_metadata.json").write_text(json.dumps(older))
-        assert main(["run", "--config", str(config)]) == 0
+        run("lstm")
         assert (out / "latency_lda.csv").exists()
 
         (out / "notes.txt").write_text("mine")
@@ -788,7 +798,7 @@ class TestLstmPipeline:
         # Hand-edited: a path outside ``out`` and an absolute one.
         metadata["outputs"] += ["../x", str(out / "notes.txt")]
         (out / "run_metadata.json").write_text(json.dumps(metadata))
-        assert main(["run", "--config", str(config)]) == 0
+        run("lstm")
         assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == [
             "aggregate.csv",
             "latency_lstm.csv",
@@ -801,6 +811,19 @@ class TestLstmPipeline:
         assert json.loads((out / "run_metadata.json").read_text())["outputs"] == [
             "aggregate.csv", "latency_lstm.csv", "results.csv", "timelines/p001_motion_lstm.csv"
         ]
+
+    def test_a_run_removes_the_figures_drawn_from_the_results_it_replaces(self, tmp_path):
+        run = self.one_window_run(tmp_path)
+        out = tmp_path / "out"
+        figures = out / "figures"
+        run("lda")
+        assert main(["report", "--results", str(out)]) == 0
+        (figures / "notes.txt").write_text("mine")
+        run("lstm")
+        assert sorted(p.name for p in figures.iterdir()) == ["notes.txt"]
+        assert main(["report", "--results", str(out)]) == 0
+        assert sorted(p.name for p in figures.iterdir()) == ["figure_lstm.csv", "notes.txt"]
+        assert (figures / "notes.txt").read_text() == "mine"
 
     def test_fusion_views_use_lda_in_an_lstm_run(self, tmp_path):
         profile = tmp_path / "profile.txt"

@@ -513,6 +513,24 @@ class TestManifestFormat:
         with pytest.raises(DatasetError, match="m.txt:4"):
             parse_manifest(tmp_path / "m.txt")
 
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            ("0,0", "participant_id must be >= 1, got 0"),
+            ("-2,0", "participant_id must be >= 1, got -2"),
+            ("1,-3", "trial_id must be >= 0, got -3"),
+        ],
+    )
+    def test_bad_trial_ids_name_their_line(self, tmp_path, ids, message):
+        (tmp_path / "m.txt").write_text(
+            "format_version = 1\n[trials]\n"
+            "participant,trial,condition,onset_s,eeg,gaze,motion\n"
+            f"1,1,Solo,0.0,-,g.csv,-\n{ids},Solo,0.0,-,g.csv,-\n"
+        )
+        with pytest.raises(DatasetError) as info:
+            parse_manifest(tmp_path / "m.txt")
+        assert str(info.value) == f"{tmp_path}/m.txt:5: {message}"
+
 
 class TestConverter:
     def test_converts_documented_layout(self, tmp_path):

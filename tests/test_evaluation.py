@@ -1,10 +1,13 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import handover_intent
 from handover_intent import evaluation
 from handover_intent.classifiers import (
     fit_flat_preprocessing,
@@ -18,8 +21,11 @@ from handover_intent.evaluation import (
     AucTimeline,
     CvScheme,
     EvaluationError,
+    View,
+    WindowScore,
     aggregate_participants,
     anova_oneway,
+    assemble_timeline,
     auc_roc,
     detection_latency_table,
     evaluate_window,
@@ -253,7 +259,7 @@ class TestEvaluateWindow:
         score = evaluate_at(
             seqs, 0.0, lda_recipe_for(Modality.MOTION), CvScheme(k=10, repeats=3, seed=4)
         )
-        assert 0.4 <= score.mean <= 0.6
+        assert 0.4 <= np.mean(score.split_aucs) <= 0.6
 
     def test_post_onset_signal_splits_pre_and_post_windows(self, rng):
         seqs = toy_sequences(rng, signal_at=1.0, effect=3.0)
@@ -261,8 +267,8 @@ class TestEvaluateWindow:
         scheme = CvScheme(k=10, repeats=3, seed=4)
         pre = evaluate_at(seqs, 0.0, recipe, scheme)
         post = evaluate_at(seqs, 3.0, recipe, scheme)
-        assert 0.4 <= pre.mean <= 0.6
-        assert post.mean >= 0.9
+        assert 0.4 <= np.mean(pre.split_aucs) <= 0.6
+        assert np.mean(post.split_aucs) >= 0.9
 
     def test_deterministic(self, rng):
         seqs = toy_sequences(rng, signal_at=2.0)
@@ -350,7 +356,7 @@ class TestEvaluateWindow:
         scheme = CvScheme(k=3, repeats=1, nested=True, inner_k=3, seed=2)
         score = evaluate_at(seqs, -3.0, recipe, scheme)
         assert len(score.split_aucs) == 3
-        assert score.mean > 0.8  # signal everywhere, easy sequences
+        assert np.mean(score.split_aucs) > 0.8  # signal everywhere, easy sequences
         assert (score.fused_dims, score.weight_fallbacks) == ((), 0)
 
     def test_inner_folds_a_class_cannot_fill_are_rejected(self, rng):
@@ -514,6 +520,61 @@ class TestStages:
         assert score.split_aucs == tuple(aucs)
 
 
+RANKERS = {
+    "evaluate_window": "the reported test AUC",
+    "score_split": "late-fusion training AUCs",
+    "fit_lstm_ensemble": "validation AUCs",
+}
+
+
+def stray_auc_refs(source: str) -> list:
+    """The line of each reference to ``auc_roc`` (a call, or a name or
+    attribute passed on) in ``source`` outside the bodies of ``RANKERS``."""
+    tree = ast.parse(source)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in RANKERS:
+            allowed |= set(ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if node not in allowed
+        and (
+            (isinstance(node, ast.Name) and node.id == "auc_roc")
+            or (isinstance(node, ast.Attribute) and node.attr == "auc_roc")
+        )
+    )
+
+
+class TestOneScoringPlace:
+    def test_the_program_ranks_scores_only_in_the_rankers(self):
+        found = []
+        for path in sorted(Path(handover_intent.__file__).parent.glob("*.py")):
+            found += [f"{path.name}:{line}" for line in stray_auc_refs(path.read_text())]
+        assert found == []
+
+    def test_the_guard_flags_a_reference_anywhere_else(self):
+        source = (
+            "auc_roc(s, y)\n"
+            "rank = evaluation.auc_roc\n"
+            "def _lstm_scores():\n"
+            "    yield auc_roc(s, y)\n"
+            "class A:\n"
+            "    def score(self):\n"
+            "        return list(map(auc_roc, xs))\n"
+            "from handover_intent.evaluation import auc_roc\n"
+            "def auc_roc(scores, labels):\n"
+            "    return 0.5\n"
+            "def evaluate_window():\n"
+            "    return auc_roc(s, y)\n"
+            "def score_split():\n"
+            "    return evaluation.auc_roc(s, y)\n"
+            "def fit_lstm_ensemble():\n"
+            "    return [auc_roc(p, y) for p in ps]\n"
+        )
+        assert stray_auc_refs(source) == [1, 2, 4, 7]
+
+
 class TestSweep:
     def test_grid_size_and_order_invariance(self, rng):
         seqs = toy_sequences(rng, n=30, signal_at=1.0)
@@ -588,6 +649,56 @@ class TestSweep:
         assert [end for end, _ in timeline.errors] == [0.5, 1.0]
         assert all("infs or NaNs" in message for _, message in timeline.errors)
         assert np.isfinite(timeline.auc[:3]).all() and np.isnan(timeline.auc[3:]).all()
+
+
+def same_bits(actual, expected) -> bool:
+    """Equal to the bit, any nan matching any nan."""
+    actual, expected = np.float64(actual), np.float64(expected)
+    if np.isnan(expected):
+        return bool(np.isnan(actual))
+    return actual.tobytes() == expected.tobytes()
+
+
+class TestAssembleTimeline:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_columns_are_numpys_statistics_of_each_windows_split_aucs(self, data):
+        n_splits = data.draw(st.integers(2, 12))
+        n_windows = data.draw(st.integers(1, 6))
+        # A small pool makes ties likely; nan is an AUC of nan scores.
+        auc = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan]), st.floats(0.0, 1.0))
+        window = st.one_of(
+            st.none(), st.lists(auc, min_size=n_splits, max_size=n_splits).map(tuple)
+        )
+        windows = data.draw(st.lists(window, min_size=n_windows, max_size=n_windows))
+        grid = WindowGrid(first_end_s=-4.0, last_end_s=-4.0 + 0.5 * (n_windows - 1), step_s=0.5)
+        ends = grid.end_times()
+        results = [
+            (None, "split 0: failed") if aucs is None else (WindowScore(end, aucs, (), 0), None)
+            for end, aucs in zip(ends, windows)
+        ]
+        blocks = (((), lda_recipe_for(Modality.GAZE)),)  # only the model name is read
+        view = View(blocks, np.array([]), (None,) * n_splits, 0)
+        timeline = assemble_timeline(view, grid, results, participant_id=1, tag="gaze")
+        columns = (
+            timeline.auc,
+            timeline.auc_std,
+            timeline.auc_stderr,
+            timeline.auc_median,
+            timeline.auc_q25,
+            timeline.auc_q75,
+        )
+        for i, aucs in enumerate(windows):
+            if aucs is None:
+                assert all(np.isnan(column[i]) for column in columns)
+                continue
+            std = np.std(aucs, ddof=1)
+            quartiles = np.percentile(aucs, (50, 25, 75))
+            expected = (np.mean(aucs), std, std / np.sqrt(n_splits), *quartiles)
+            assert all(same_bits(c[i], e) for c, e in zip(columns, expected, strict=True))
+        assert timeline.n_splits == n_splits
+        failed = [end for end, aucs in zip(ends, windows) if aucs is None]
+        assert [end for end, _ in timeline.errors] == failed
 
 
 def timeline_from(auc_values, participant_id=1, tag="gaze", model="lda"):
