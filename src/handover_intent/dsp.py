@@ -1,5 +1,6 @@
 """Signal conditioning: IIR filtering, gap interpolation,
-standardization, and the Morlet time-frequency transform."""
+standardization, and the Morlet time-frequency transform, whose power comes
+back as one (channels, times, frequencies) array."""
 
 from __future__ import annotations
 
@@ -191,26 +192,6 @@ def default_tf_spec(lo_hz: int = 5, hi_hz: int = 40, **rest) -> TfSpec:
     return TfSpec(freqs_hz=tuple(range(lo_hz, hi_hz + 1)), **rest)
 
 
-@dataclass(frozen=True)
-class TfFeature:
-    times_s: np.ndarray
-    freqs_hz: np.ndarray
-    power: np.ndarray  # (T', F), nonnegative
-
-    def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=float)
-        f = np.asarray(self.freqs_hz, dtype=float)
-        p = np.asarray(self.power, dtype=float)
-        if p.shape != (t.shape[0], f.shape[0]):
-            raise ValueError(
-                f"power shape {p.shape} does not match {t.shape[0]} times x "
-                f"{f.shape[0]} freqs"
-            )
-        object.__setattr__(self, "times_s", t)
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "power", p)
-
-
 def morlet_wavelet(freq_hz: float, n_cycles: float, step_s: float) -> np.ndarray:
     """Complex Morlet wavelet sampled at ``step_s``; sigma_t = n_cycles/(2 pi f),
     support cut off at +-5 sigma_t.
@@ -228,8 +209,9 @@ def morlet_wavelet(freq_hz: float, n_cycles: float, step_s: float) -> np.ndarray
     return wavelet / envelope.sum()
 
 
-def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
-    """Morlet time-frequency power per channel of ``x``.
+def morlet_tf(x: TimeSeries, spec: TfSpec) -> "tuple[np.ndarray, np.ndarray]":
+    """Morlet time-frequency power of every channel of ``x``: the output
+    times (T',) and the power (channels, T', F), nonnegative.
 
     Power is the squared magnitude of the same-mode convolution with each
     wavelet, kept every ``stride`` input samples starting at the first; only
@@ -256,37 +238,16 @@ def morlet_tf(x: TimeSeries, spec: TfSpec) -> "list[TfFeature]":
     # window centred on i with the time-reversed wavelet.  Every wavelet has
     # odd length, so centring each one in ``longest`` rows lets one sliding
     # window serve them all; real parts fill the first F columns, imaginary
-    # parts the last F.
+    # parts the last F.  The windows of every channel, (channels, T', longest),
+    # meet the bank in one product.
     half = (longest - 1) // 2
     bank = np.zeros((longest, len(wavelets)), dtype=complex)
     for j, wavelet in enumerate(wavelets):
         lo = half - (len(wavelet) - 1) // 2
         bank[lo : lo + len(wavelet), j] = wavelet[::-1]
     bank = np.hstack([bank.real, bank.imag])
+    padded = np.pad(x.values.T, ((0, 0), (half, half)))
+    coef = sliding_window_view(padded, longest, axis=1)[:, ::stride] @ bank
     n_freqs = len(wavelets)
-    times = x.times()[::stride]
-    features = []
-    for ch in range(x.n_features):
-        padded = np.pad(x.values[:, ch], half)
-        coef = sliding_window_view(padded, longest)[::stride] @ bank
-        power = coef[:, :n_freqs] ** 2 + coef[:, n_freqs:] ** 2
-        features.append(
-            TfFeature(times_s=times, freqs_hz=np.asarray(spec.freqs_hz), power=power)
-        )
-    return features
-
-
-def average_channels(tf: "list[TfFeature]") -> TfFeature:
-    """Elementwise mean of per-channel power on a shared time/frequency grid."""
-    if not tf:
-        raise ValueError("no channels to average")
-    first = tf[0]
-    for other in tf[1:]:
-        if (
-            other.power.shape != first.power.shape
-            or not np.array_equal(other.times_s, first.times_s)
-            or not np.array_equal(other.freqs_hz, first.freqs_hz)
-        ):
-            raise ValueError("channel time/frequency grids do not match")
-    mean = np.mean([f.power for f in tf], axis=0)
-    return TfFeature(times_s=first.times_s, freqs_hz=first.freqs_hz, power=mean)
+    power = coef[..., :n_freqs] ** 2 + coef[..., n_freqs:] ** 2
+    return x.times()[::stride], power

@@ -577,9 +577,8 @@ def group_timelines(timelines) -> dict:
 
 
 def anova_oneway(groups) -> tuple[float, float]:
-    """Classic one-way ANOVA: between/within mean-square ratio, p from F."""
-    from scipy import stats as sstats
-
+    """Classic one-way ANOVA: between/within mean-square ratio, p from F's
+    upper tail (``fdtrc``, which ``scipy.stats.f.sf`` calls)."""
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2 or any(g.ndim != 1 or g.shape[0] < 2 for g in groups):
         raise ValueError("need >= 2 groups with >= 2 samples each")
@@ -592,8 +591,9 @@ def anova_oneway(groups) -> tuple[float, float]:
     if ss_within == 0.0:
         raise ValueError("zero within-group variance; F statistic undefined")
     f = (ss_between / df_between) / (ss_within / df_within)
-    p = sstats.f.sf(f, df_between, df_within)
-    return float(f), float(p)
+    from scipy.special import fdtrc
+
+    return float(f), float(fdtrc(df_between, df_within, f))
 
 
 # ---------------------------------------------------------------------------
@@ -761,6 +761,14 @@ def write_aggregate_csv(path, aggregates) -> None:
     _write_csv(path, header, rows)
 
 
+FIGURES_DIR = "figures"  # report's default output directory, inside a run's
+
+
+def figure_path(out_dir, model: str) -> Path:
+    """The figure CSV of ``model`` that ``write_figure_csvs`` writes in ``out_dir``."""
+    return Path(out_dir) / f"figure_{model}.csv"
+
+
 def write_figure_csvs(out_dir, timelines) -> "list[Path]":
     """``figure_<model>.csv`` per model under ``out_dir`` (window_end_s,
     onset_s = 0.0 for the dashed onset marker, then per tag <tag>_q25,
@@ -778,7 +786,7 @@ def write_figure_csvs(out_dir, timelines) -> "list[Path]":
             header += [f"{_safe_tag(agg.tag)}_{stat}" for stat in ("q25", "median", "q75")]
             columns += [agg.q25, agg.auc, agg.q75]
         rows = [list(map(_fmt, values)) for values in zip(*columns)]
-        tables[Path(out_dir) / f"figure_{model}.csv"] = header, rows
+        tables[figure_path(out_dir, model)] = header, rows
     for path, (header, rows) in tables.items():
         _write_csv(path, header, rows)
     return list(tables)

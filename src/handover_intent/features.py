@@ -1,4 +1,6 @@
-"""Per-modality feature sequences, windowing, flattening, and PCA."""
+"""Per-modality feature sequences, windowing, flattening, and PCA.  A run
+builds EEG features, the channel mean of ``dsp.morlet_tf``'s power, through
+``cached_eeg_features``, which alone knows the feature cache's keys."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .core_data import (
     label_for,
     write_file,
 )
-from .dsp import TfSpec, average_channels, default_tf_spec, interpolate_gaps, morlet_tf
+from .dsp import TfSpec, default_tf_spec, interpolate_gaps, morlet_tf
 
 # Central/frontal montage subset used for classification features.
 DEFAULT_EEG_CHANNELS = [
@@ -101,7 +103,7 @@ def build_eeg_features(
     tf: TfSpec | None = None,
     log_power: bool = False,
 ) -> FeatureSequence:
-    """Channel-averaged Morlet power over the montage subset, (T', F).
+    """Morlet power averaged over the montage subset's channels, (T', F).
 
     ``log_power`` switches the emitted features to log10(power + eps); the
     default is raw power.
@@ -118,11 +120,10 @@ def build_eeg_features(
     rows = [available.index(c) for c in channels]
     series = stream.series
     subset = TimeSeries(series.start_time_s, series.step_s, series.values[:, rows])
-    mean_tf = average_channels(morlet_tf(subset, tf))
-    power = mean_tf.power
+    times, power = morlet_tf(subset, tf)
+    power = power.mean(axis=0)
     if log_power:
         power = np.log10(power + 1e-20)
-    times = mean_tf.times_s
     return _sequence(
         trial, Modality.EEG, TimeSeries(float(times[0]), float(times[1] - times[0]), power)
     )
@@ -312,3 +313,31 @@ class FeatureCache:
             values=seq.series.values,
         )
         write_file(self._path(seq.trial_ref, seq.modality, param_key), buffer.getvalue())
+
+
+
+def cached_eeg_features(
+    trial: TrialRecording,
+    channels: "list[str]",
+    tf: TfSpec,
+    log_power: bool,
+    cache: FeatureCache | None,
+) -> FeatureSequence:
+    """``build_eeg_features``, served from ``cache`` when it holds the trial's
+    entry and stored there after a build; no cache builds.  The key holds the
+    feature parameters and a short hash of the trial's EEG content (samples,
+    start time, step, channel names), so that an entry is only served for the
+    recording it was built from."""
+    if cache is None:
+        return build_eeg_features(trial, channels, tf, log_power=log_power)
+    eeg = _stream(trial, Modality.EEG)
+    digest = hashlib.sha256(eeg.series.values.tobytes())
+    digest.update(repr((eeg.series.start_time_s, eeg.series.step_s, eeg.columns)).encode())
+    key = tf.cache_key() + f"_ch{'-'.join(channels)}_log{int(log_power)}"
+    key += f"_eeg{digest.hexdigest()[:16]}"
+    ref = (trial.participant_id, trial.trial_id)
+    seq = cache.get(ref, Modality.EEG, key, label_for(trial.condition))
+    if seq is None:
+        seq = build_eeg_features(trial, channels, tf, log_power=log_power)
+        cache.put(seq, key)
+    return seq

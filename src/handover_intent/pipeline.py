@@ -3,15 +3,13 @@ outputs (its CSVs through ``evaluation.write_run_csvs``, then its metadata).
 
 ``_views`` describes every view, one modality or a fusion, as (tag,
 {modality: recipe}, late); one code path gates its trials on those
-modalities and builds it with one block per modality."""
+modalities and builds it with one block per modality, from the features
+``features`` builds (or, for EEG, serves from the run's feature cache)."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,17 +20,24 @@ from .core_data import (
     DatasetError,
     Modality,
     is_uncorrupted,
-    label_for,
     load_dataset,
     parse_manifest,
     write_file,
 )
-from .evaluation import AucTimeline, assemble_timeline, make_view, window_result, write_run_csvs
+from .evaluation import (
+    FIGURES_DIR,
+    AucTimeline,
+    assemble_timeline,
+    figure_path,
+    make_view,
+    window_result,
+    write_run_csvs,
+)
 from .features import (
     FeatureCache,
-    build_eeg_features,
     build_gaze_features,
     build_motion_features,
+    cached_eeg_features,
 )
 from .fusion import FusionMode
 from .rng import derive_seed
@@ -63,32 +68,13 @@ class RunResult:
     metadata: dict
 
 
-def _eeg_digest(eeg) -> str:
-    """Short hash of an EEG recording's content, so that a cache entry is
-    only served for the recording it was built from."""
-    h = hashlib.sha256(eeg.series.values.tobytes())
-    h.update(repr((eeg.series.start_time_s, eeg.series.step_s, eeg.columns)).encode())
-    return h.hexdigest()[:16]
-
-
 def _build_features(cfg, trial, modality, cache):
-    """One trial's feature sequence for one modality.  Cached EEG features are
-    keyed by the trial's EEG content as well as by the feature parameters."""
+    """One trial's feature sequence for one modality; EEG through ``cache``."""
     if modality is Modality.GAZE:
         return build_gaze_features(trial)
     if modality is Modality.MOTION:
         return build_motion_features(trial)
-    if cache is not None:
-        key = cfg.tf.cache_key() + f"_ch{'-'.join(cfg.eeg_channels)}_log{int(cfg.tf_log_power)}"
-        key += f"_eeg{_eeg_digest(trial.streams[Modality.EEG])}"
-        ref = (trial.participant_id, trial.trial_id)
-        seq = cache.get(ref, Modality.EEG, key, label_for(trial.condition))
-        if seq is not None:
-            return seq
-    seq = build_eeg_features(trial, list(cfg.eeg_channels), cfg.tf, log_power=cfg.tf_log_power)
-    if cache is not None:
-        cache.put(seq, key)
-    return seq
+    return cached_eeg_features(trial, list(cfg.eeg_channels), cfg.tf, cfg.tf_log_power, cache)
 
 
 def _recipe(cfg: ExperimentConfig, model: str, modality: Modality):
@@ -241,7 +227,7 @@ def _call(task):
 def _map(fn, shared, tasks: list, jobs: int):
     """``[fn(shared, task) for task in tasks]`` and the worker count,
     ``min(jobs, len(tasks))``.  With one worker the tasks run in this
-    process, which forks nothing.
+    process, which forks nothing and imports no process pool.
 
     Workers are forked, so they inherit the imported modules instead of
     importing them again, and ``shared`` reaches them through the fork rather
@@ -252,6 +238,9 @@ def _map(fn, shared, tasks: list, jobs: int):
     workers = max(1, min(jobs, len(tasks)))
     if workers == 1:
         return [fn(shared, task) for task in tasks], 1
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=context, initializer=_install, initargs=(shared,)
@@ -353,7 +342,7 @@ def _remove_stale_outputs(out: Path, written: list) -> None:
     deletes nothing; nor does metadata without ``outputs``, as older versions
     wrote it."""
     for model in ("lda", "lstm"):
-        figure = out / "figures" / f"figure_{model}.csv"
+        figure = figure_path(out / FIGURES_DIR, model)
         if figure.is_file():
             figure.unlink()
     try:

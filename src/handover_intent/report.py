@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .evaluation import read_timelines_csv, write_figure_csvs
+from .evaluation import FIGURES_DIR, read_timelines_csv, write_figure_csvs
 
 
 def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None) -> "list[Path]":
@@ -14,7 +14,7 @@ def write_report(results_dir: "Path | str", out_dir: "Path | str | None" = None)
     run's grouping and aggregate; the paths written, in model order.  A
     ValueError names ``results.csv``, and nothing is written then."""
     results_dir = Path(results_dir)
-    out = results_dir / "figures" if out_dir is None else Path(out_dir)
+    out = results_dir / FIGURES_DIR if out_dir is None else Path(out_dir)
     results_csv = results_dir / "results.csv"
     if not results_csv.is_file():
         raise FileNotFoundError(

@@ -118,8 +118,8 @@ def test_criterion_3_spectral_correctness():
     peak_errors = {}
     for freq in (7.0, 12.0, 25.0, 38.0):
         tone = series(0.0, 1.0 / rate, np.sin(2 * np.pi * freq * t))
-        tf = morlet_tf(tone, spec)[0]
-        peak = float(tf.freqs_hz[np.argmax(tf.power.mean(axis=0))])
+        power = morlet_tf(tone, spec)[1]
+        peak = float(spec.freqs_hz[np.argmax(power[0].mean(axis=0))])
         peak_errors[freq] = abs(peak - freq)
     peaks_ok = all(err <= 1.0 for err in peak_errors.values())
 

@@ -7,7 +7,6 @@ from handover_intent.dsp import (
     Standardization,
     TfSpec,
     apply_filter,
-    average_channels,
     band_pass,
     butterworth_magnitude,
     default_tf_spec,
@@ -186,16 +185,15 @@ def direct_convolution_power(values, wavelet):
 def assert_matches_oracle(values, spec, stride, step=0.004):
     """Every channel's power equals the oracle's at every ``stride``-th sample,
     to 1e-12 of the oracle's largest value at that frequency."""
-    tfs = morlet_tf(series(0.0, step, values), spec)
-    assert len(tfs) == values.shape[1]
+    times, power = morlet_tf(series(0.0, step, values), spec)
     kept = -(-values.shape[0] // stride)
-    for ch, tf in enumerate(tfs):
-        assert tf.power.shape == (kept, len(spec.freqs_hz))
-        assert np.allclose(tf.times_s, step * stride * np.arange(kept))
+    assert power.shape == (values.shape[1], kept, len(spec.freqs_hz))
+    assert np.allclose(times, step * stride * np.arange(kept))
+    for ch in range(values.shape[1]):
         for j, f in enumerate(spec.freqs_hz):
             wavelet = morlet_wavelet(f, spec.n_cycles, step)
             oracle = direct_convolution_power(values[:, ch], wavelet)[::stride]
-            assert np.abs(tf.power[:, j] - oracle).max() <= 1e-12 * oracle.max()
+            assert np.abs(power[ch, :, j] - oracle).max() <= 1e-12 * oracle.max()
 
 
 class TestMorlet:
@@ -212,17 +210,17 @@ class TestMorlet:
     def test_pure_tone_peaks_at_true_frequency(self):
         spec = default_tf_spec()
         for freq in (7.0, 12.0, 25.0, 38.0):
-            tf = morlet_tf(sine(freq, 250.0, 3.0), spec)[0]
-            peak = tf.freqs_hz[np.argmax(tf.power.mean(axis=0))]
+            power = morlet_tf(sine(freq, 250.0, 3.0), spec)[1][0]
+            peak = spec.freqs_hz[np.argmax(power.mean(axis=0))]
             assert abs(peak - freq) <= 1.0
 
     def test_matches_direct_convolution_oracle(self, rng):
         x = rng.normal(size=300)
         spec = TfSpec(freqs_hz=(6.0, 11.0, 19.0), n_cycles=3.0, output_step_s=0.004)
-        tf = morlet_tf(series(0.0, 0.004, x), spec)[0]
+        power = morlet_tf(series(0.0, 0.004, x), spec)[1][0]
         for j, f in enumerate(spec.freqs_hz):
             oracle = direct_convolution_power(x, morlet_wavelet(f, 3.0, 0.004))
-            assert np.abs(tf.power[:, j] - oracle).max() < 1e-9 * oracle.max()
+            assert np.abs(power[:, j] - oracle).max() < 1e-9 * oracle.max()
 
     @pytest.mark.parametrize("stride", [2, 7, 12])
     def test_strided_output_matches_oracle(self, rng, stride):
@@ -250,39 +248,39 @@ class TestMorlet:
             morlet_tf(series(0.0, 0.004, np.zeros(longest - 1)), spec)
 
     def test_zero_signal_zero_power(self):
-        tf = morlet_tf(series(0.0, 0.004, np.zeros(600)), default_tf_spec())[0]
-        assert np.all(tf.power == 0.0)
+        _, power = morlet_tf(series(0.0, 0.004, np.zeros(600)), default_tf_spec())
+        assert np.all(power == 0.0)
 
     def test_power_is_quadratic_in_amplitude(self):
         spec = TfSpec(freqs_hz=(8.0, 14.0), n_cycles=3.0, output_step_s=0.02)
-        base = morlet_tf(sine(10.0, 250.0, 2.0), spec)[0]
-        doubled = morlet_tf(sine(10.0, 250.0, 2.0, amplitude=2.0), spec)[0]
-        assert np.allclose(doubled.power, 4.0 * base.power, rtol=1e-9)
+        _, base = morlet_tf(sine(10.0, 250.0, 2.0), spec)
+        _, doubled = morlet_tf(sine(10.0, 250.0, 2.0, amplitude=2.0), spec)
+        assert np.allclose(doubled, 4.0 * base, rtol=1e-9)
 
     def test_sign_flip_invariance(self, rng):
         x = rng.normal(size=400)
         spec = TfSpec(freqs_hz=(9.0, 21.0), n_cycles=3.0, output_step_s=0.01)
-        a = morlet_tf(series(0.0, 0.004, x), spec)[0]
-        b = morlet_tf(series(0.0, 0.004, -x), spec)[0]
-        assert np.allclose(a.power, b.power)
+        _, a = morlet_tf(series(0.0, 0.004, x), spec)
+        _, b = morlet_tf(series(0.0, 0.004, -x), spec)
+        assert np.allclose(a, b)
 
     def test_short_signal_error_states_minimum_length(self):
         with pytest.raises(ValueError, match="at least"):
             morlet_tf(series(0.0, 0.004, np.zeros(50)), default_tf_spec())
 
     def test_output_step_snaps_to_grid(self):
-        tf = morlet_tf(sine(10.0, 250.0, 3.0), default_tf_spec())[0]
-        step = tf.times_s[1] - tf.times_s[0]
+        times, _ = morlet_tf(sine(10.0, 250.0, 3.0), default_tf_spec())
+        step = times[1] - times[0]
         assert step == pytest.approx(0.052)  # nearest multiple of 4 ms to 50 ms
-        assert np.allclose(np.diff(tf.times_s), step)
+        assert np.allclose(np.diff(times), step)
 
     def test_half_step_tie_is_broken_by_float_noise_in_the_step(self):
         # 50 ms is 12.5 steps of 4 ms.  An exact 1/250 s step rounds up; the
         # median spacing of a time column parsed from CSV lands a hair above
         # 4 ms and rounds down.
         for step, expected in ((1.0 / 250.0, 0.052), (0.0040000000000000036, 0.048)):
-            tf = morlet_tf(series(0.0, step, np.zeros(600)), default_tf_spec())[0]
-            assert tf.times_s[1] - tf.times_s[0] == pytest.approx(expected)
+            times, _ = morlet_tf(series(0.0, step, np.zeros(600)), default_tf_spec())
+            assert times[1] - times[0] == pytest.approx(expected)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -292,40 +290,3 @@ class TestMorlet:
         spec = TfSpec(freqs_hz=(5.0, 40.0))
         with pytest.raises(ValueError, match="Nyquist"):
             spec.validate_at(60.0)
-
-
-class TestAverageChannels:
-    def test_identity_for_identical_channels(self, rng):
-        x = rng.normal(size=(200, 2))
-        tfs = morlet_tf(series(0.0, 0.004, np.stack([x[:, 0], x[:, 0]], axis=1)),
-                        TfSpec(freqs_hz=(10.0,), n_cycles=3.0, output_step_s=0.004))
-        avg = average_channels(tfs)
-        assert np.allclose(avg.power, tfs[0].power)
-
-    def test_mean_of_p_and_3p(self):
-        from handover_intent.dsp import TfFeature
-
-        times = np.arange(4.0)
-        freqs = np.array([5.0, 6.0])
-        p = np.arange(8.0).reshape(4, 2) + 1.0
-        a = TfFeature(times, freqs, p)
-        b = TfFeature(times, freqs, 3.0 * p)
-        assert np.allclose(average_channels([a, b]).power, 2.0 * p)
-
-    def test_twelve_random_channels_match_summation_oracle(self, rng):
-        from handover_intent.dsp import TfFeature
-
-        times = np.arange(6.0)
-        freqs = np.array([5.0, 9.0, 13.0])
-        powers = [rng.random((6, 3)) for _ in range(12)]
-        tfs = [TfFeature(times, freqs, p) for p in powers]
-        oracle = sum(powers) / 12.0
-        assert np.abs(average_channels(tfs).power - oracle).max() < 1e-12
-
-    def test_grid_mismatch(self):
-        from handover_intent.dsp import TfFeature
-
-        a = TfFeature(np.arange(3.0), np.array([5.0]), np.ones((3, 1)))
-        b = TfFeature(np.arange(3.0) + 1.0, np.array([5.0]), np.ones((3, 1)))
-        with pytest.raises(ValueError, match="grid"):
-            average_channels([a, b])

@@ -825,6 +825,14 @@ class TestAnova:
         assert f == pytest.approx(ref.statistic)
         assert p == pytest.approx(ref.pvalue)
 
+    def test_p_is_bit_equal_to_scipy_stats_f_sf(self, rng):
+        from scipy.stats import f as f_dist
+
+        for sizes in ((2, 2), (3, 5, 4), (8, 12, 9), (30, 2, 7, 11)):
+            groups = [rng.normal(loc=0.3 * i, size=n) for i, n in enumerate(sizes)]
+            f, p = anova_oneway(groups)
+            assert p == f_dist.sf(f, len(sizes) - 1, sum(sizes) - len(sizes))
+
     def test_degenerate_groups_rejected(self):
         with pytest.raises(ValueError):
             anova_oneway([[1.0, 2.0]])

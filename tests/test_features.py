@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from handover_intent.cli import main
 from handover_intent.core_data import Condition, Modality
-from handover_intent.dsp import TfSpec, interpolate_gaps
+from handover_intent import features
+from handover_intent.dsp import TfSpec, default_tf_spec, interpolate_gaps
 from handover_intent.features import (
     DEFAULT_EEG_CHANNELS,
     FeatureCache,
@@ -18,6 +19,7 @@ from handover_intent.features import (
     build_eeg_features,
     build_gaze_features,
     build_motion_features,
+    cached_eeg_features,
     flatten,
     pca_apply,
     pca_fit,
@@ -371,6 +373,35 @@ class TestFeatureCache:
         back = cache.get((1, 0), Modality.GAZE, "k1", 1)
         assert np.array_equal(back.series.values, seq.series.values)
         assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+    def test_eeg_cache_key_is_unchanged(self, tmp_path):
+        # Entries written under this key by earlier versions must still hit.
+        values = (np.arange(2 * 1101) % 7).reshape(2, 1101).T.astype(float)
+        trial = make_trial(eeg=make_eeg(channels=["Cz", "C3"], values=values))
+        cached_eeg_features(trial, ["Cz", "C3"], default_tf_spec(8, 12), True,
+                            FeatureCache(tmp_path))
+        [path] = tmp_path.iterdir()
+        assert path.name == "p001_t0000_eeg_53972df69c9c04d5.npz"
+        with np.load(path) as data:
+            key = str(data["key"])
+        assert key == "f8-9-10-11-12_c3_s0.05_chCz-C3_log1_eegd0cc516f2f07e217"
+
+    def test_eeg_features_are_built_once_then_served(self, tmp_path, monkeypatch):
+        trial = make_trial(trial_id=3, eeg=make_eeg(channels=["Cz", "C3"]))
+        spec = default_tf_spec(8, 12)
+        built = build_eeg_features(trial, ["Cz", "C3"], spec)
+        cache = FeatureCache(tmp_path)
+        first = cached_eeg_features(trial, ["Cz", "C3"], spec, False, cache)
+        assert np.array_equal(first.series.values, built.series.values)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a cached trial was built again")
+
+        monkeypatch.setattr(features, "build_eeg_features", no_build)
+        served = cached_eeg_features(trial, ["Cz", "C3"], spec, False, cache)
+        assert np.array_equal(served.series.values, built.series.values)
+        assert (served.trial_ref, served.label) == ((1, 3), built.label)
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_dataset_rewritten_in_place_gets_fresh_eeg_features(self, tmp_path):
         profile = tmp_path / "profile.txt"

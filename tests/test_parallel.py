@@ -1,8 +1,10 @@
 """The process pools of a run (slices of the manifest's trials, then
 windows) and the process-level setup they rely on: one BLAS thread per
-process, and no scipy import at CLI start-up, for EEG features or for LDA
-fits."""
+process, and no scipy or process-pool import at CLI start-up, no scipy.signal
+for EEG features, no scipy.linalg for LDA fits and no scipy.stats for the
+latency table's ANOVA."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -314,7 +316,8 @@ class TestWindowPool:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was created with --jobs 1")
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        # ``pipeline._map`` imports the pool from ``concurrent.futures`` when it forks.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert run(fusion_dataset, 1, "out") == 0
 
 
@@ -337,6 +340,35 @@ class TestProcessSetup:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert python(code) == "[]"
+
+    def test_cli_import_loads_no_process_pool(self):
+        # Only a run that forks needs the pool; validate-config, synth,
+        # report and --jobs 1 runs never pay for its import.
+        code = (
+            "import sys, handover_intent.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m in ('concurrent.futures.process', 'multiprocessing')))"
+        )
+        assert python(code) == "[]"
+
+    def test_latency_table_anova_loads_no_scipy_stats(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from handover_intent.evaluation import AucTimeline, detection_latency_table\n"
+            "def timeline(pid, tag, reach_at):\n"
+            "    auc = np.full(8, 0.5)\n"
+            "    auc[reach_at:] = 0.9\n"
+            "    ends = np.arange(8.0)\n"
+            "    return AucTimeline(pid, tag, 'lda', ends, auc, auc * 0, auc * 0, auc, auc,\n"
+            "                       auc, n_splits=2)\n"
+            "tags = {tag: [timeline(pid, tag, at + pid % 2) for pid in (1, 2, 3)]\n"
+            "        for tag, at in (('gaze', 1), ('motion', 4))}\n"
+            "[row] = detection_latency_table(tags, levels=(0.8,))\n"
+            "print(row.anova_p is not None)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        assert python(code).splitlines() == ["True", "[]"]
 
     def test_cli_import_loads_every_package_module(self):
         # A module the CLI never imports is code no run can reach.
