@@ -23,10 +23,12 @@ format (UTF-8, line oriented)::
     participant,trial,condition,onset_s,eeg,gaze,motion
     1,0,Handover,0.0,eeg/p01_t000.csv,gaze/p01_t000.csv,-
 
-The header accepts only the keys above, each at most once.  Paths are
-relative to the manifest's directory; ``-`` marks an absent modality.  Trial
-CSVs have a header row and a first column of onset-relative time in seconds
-on a uniform grid:
+The header follows the run config's rules (``read_sections``), its keys in
+no section; it accepts only the keys above, each at most once.  Paths are
+relative to the manifest's directory; ``-`` marks an absent modality.  A run
+reads only the files of the modalities its views use.  Trial CSVs have a
+header row and a first column of onset-relative time in seconds on a uniform
+grid:
 
 * EEG:    ``time_s,<channel>,<channel>,...`` (microvolts)
 * gaze:   ``time_s,gaze_x,gaze_y,ref_x,ref_y`` (pixels; ``nan`` = missing)
@@ -43,6 +45,7 @@ import csv
 import logging
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -292,12 +295,15 @@ def read_sections(text: str, origin: str, keys: dict, error=ValueError) -> dict:
     """Read ``[section]`` blocks of ``key = value`` lines into {field: value}.
 
     ``keys`` maps each allowed (section, key) to (field, convert), one field
-    per key.  Blank lines and ``#`` comments are skipped.  A line that is not
-    ``key = value``, a key outside any section, an unknown or repeated key and
-    a failed conversion raise ``error("origin:line: ...")``.
+    per key; a section of ``None`` allows the key before the first
+    ``[section]`` line, and messages name such a key without brackets.  Blank
+    lines and ``#`` comments are skipped.  A line that is not ``key = value``,
+    a key outside any section when ``keys`` allows none there, an unknown or
+    repeated key and a failed conversion raise ``error("origin:line: ...")``.
     """
     values: dict = {}
     section = None
+    sectionless = any(s is None for s, _ in keys)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -308,26 +314,24 @@ def read_sections(text: str, origin: str, keys: dict, error=ValueError) -> dict:
         where = f"{origin}:{lineno}"
         if "=" not in line:
             raise error(f"{where}: expected 'key = value'")
-        if section is None:
+        if section is None and not sectionless:
             raise error(f"{where}: key outside any [section]")
         key, _, value = line.partition("=")
         key = key.strip()
+        label = key if section is None else f"[{section}] {key}"
         if (section, key) not in keys:
-            raise error(f"{where}: unknown key [{section}] {key}")
+            raise error(f"{where}: unknown key {label}")
         name, convert = keys[(section, key)]
         if name in values:
-            raise error(f"{where}: duplicate key [{section}] {key}")
+            raise error(f"{where}: duplicate key {label}")
         try:
             values[name] = convert(value.strip())
         except (ValueError, KeyError) as exc:
-            raise error(f"{where}: [{section}] {key}: {exc}") from exc
+            raise error(f"{where}: {label}: {exc}") from exc
     return values
 
 
 _TRIAL_HEADER = ["participant", "trial", "condition", "onset_s"] + [m.value for m in Modality]
-_HEADER_KEYS = {"format_version", "name", "eeg_channels"} | {
-    f"{m.value}_rate_hz" for m in Modality
-}
 
 
 @dataclass(frozen=True)
@@ -350,89 +354,67 @@ class Manifest:
     entries: list[ManifestEntry]
 
 
-def _rate(text: str, where: str) -> float:
+def _rate(text: str) -> float:
     try:
         rate = float(text)
     except ValueError:
         rate = math.nan
     if not (math.isfinite(rate) and rate > 0):
-        raise DatasetError(f"{where}: expected a positive number of Hz, got {text!r}")
+        raise ValueError(f"expected a positive number of Hz, got {text!r}")
     return rate
+
+
+# The manifest header's keys, before any [section]: a rate's field is its
+# Modality.
+_HEADER_KEYS = {
+    (None, "format_version"): ("format_version", str),
+    (None, "name"): ("name", str),
+    (None, "eeg_channels"): ("eeg_channels", lambda text: list(parse_channels(text))),
+    **{(None, f"{m.value}_rate_hz"): (m, _rate) for m in Modality},
+}
 
 
 def parse_manifest(path: "Path | str") -> Manifest:
     path = Path(path)
-    keys: dict[str, str] = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    n_header = next((i for i, line in enumerate(lines) if line.strip() == "[trials]"), len(lines))
+    header = read_sections("\n".join(lines[:n_header]), str(path), _HEADER_KEYS, DatasetError)
+    rows = [
+        (lineno, [f.strip() for f in line.split(",")])
+        for lineno, line in enumerate(map(str.strip, lines[n_header + 1 :]), start=n_header + 2)
+        if line and not line.startswith("#")
+    ]
+    if rows and rows[0][1] != _TRIAL_HEADER:
+        raise DatasetError(f"{path}:{rows[0][0]}: trial header must be {','.join(_TRIAL_HEADER)}")
     entries: list[ManifestEntry] = []
-    in_trials = False
-    saw_header = False
     seen_ids: set[tuple[int, int]] = set()
-    rates: dict = {}
-    channels = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "[trials]":
-                in_trials = True
-                continue
-            if not in_trials:
-                if "=" not in line:
-                    raise DatasetError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _HEADER_KEYS:
-                    raise DatasetError(f"{path}:{lineno}: unknown key {key}")
-                if key in keys:
-                    raise DatasetError(f"{path}:{lineno}: duplicate key {key}")
-                keys[key] = value.strip()
-                if key == "eeg_channels":
-                    try:
-                        channels = list(parse_channels(keys[key]))
-                    except ValueError as exc:
-                        raise DatasetError(f"{path}:{lineno}: {key}: {exc}") from exc
-                elif key.endswith("_rate_hz"):
-                    rates[Modality(key.removesuffix("_rate_hz"))] = _rate(
-                        keys[key], f"{path}:{lineno}: {key}"
-                    )
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if not saw_header:
-                if fields != _TRIAL_HEADER:
-                    raise DatasetError(
-                        f"{path}:{lineno}: trial header must be "
-                        f"{','.join(_TRIAL_HEADER)}"
-                    )
-                saw_header = True
-                continue
-            if len(fields) != len(_TRIAL_HEADER):
-                raise DatasetError(
-                    f"{path}:{lineno}: expected {len(_TRIAL_HEADER)} fields, "
-                    f"got {len(fields)}"
-                )
-            try:
-                entry = ManifestEntry(
-                    participant_id=int(fields[0]),
-                    trial_id=int(fields[1]),
-                    condition=Condition.parse(fields[2]),
-                    onset_s=float(fields[3]),
-                    paths={m: f for m, f in zip(Modality, fields[4:]) if f != "-"},
-                )
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-            key = (entry.participant_id, entry.trial_id)
-            if key in seen_ids:
-                raise DatasetError(f"{path}:{lineno}: duplicate trial {key}")
-            seen_ids.add(key)
-            entries.append(entry)
-    version = keys.get("format_version")
+    for lineno, fields in rows[1:]:
+        if len(fields) != len(_TRIAL_HEADER):
+            raise DatasetError(
+                f"{path}:{lineno}: expected {len(_TRIAL_HEADER)} fields, got {len(fields)}"
+            )
+        try:
+            entry = ManifestEntry(
+                participant_id=int(fields[0]),
+                trial_id=int(fields[1]),
+                condition=Condition.parse(fields[2]),
+                onset_s=float(fields[3]),
+                paths={m: f for m, f in zip(Modality, fields[4:]) if f != "-"},
+            )
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        key = (entry.participant_id, entry.trial_id)
+        if key in seen_ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate trial {key}")
+        seen_ids.add(key)
+        entries.append(entry)
+    version = header.get("format_version")
     if version != "1":
         raise DatasetError(f"{path}: unsupported format_version {version!r}")
     return Manifest(
-        name=keys.get("name", path.stem),
-        rates_hz=rates,
-        eeg_channels=channels,
+        name=header.get("name", path.stem),
+        rates_hz={m: header[m] for m in Modality if m in header},
+        eeg_channels=header.get("eeg_channels"),
         entries=entries,
     )
 
@@ -494,15 +476,18 @@ def read_trial_csv(path: "Path | str") -> tuple[float, float, np.ndarray, list[s
         if len(columns) < 2 or columns[0] != "time_s":
             raise DatasetError(f"{path}:1: header must start with time_s, got {header!r}")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # a body without rows fails the sample count below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise DatasetError(_diagnose_bad_rows(path, len(columns))) from exc
+    if data.shape[0] < 2:
+        raise DatasetError(f"{path}: need at least two samples")
     if data.shape[1] != len(columns):
         raise DatasetError(
             f"{path}: {data.shape[1]} data columns but {len(columns)} header names"
         )
-    if data.shape[0] < 2:
-        raise DatasetError(f"{path}: need at least two samples")
     times = data[:, 0]
     if not np.isfinite(times).all():
         raise DatasetError(f"{path}: non-finite entries in the time column")
@@ -524,7 +509,9 @@ def write_trial_csv(
 def _load_stream(
     path: Path, entry: ManifestEntry, modality: Modality, manifest: Manifest
 ) -> RawStream | None:
-    if not path.exists():
+    try:
+        start, step, values, columns = read_trial_csv(path)
+    except FileNotFoundError:
         log.warning(
             "trial (%d, %d): missing %s file %s; loading without that modality",
             entry.participant_id,
@@ -533,7 +520,6 @@ def _load_stream(
             path,
         )
         return None
-    start, step, values, columns = read_trial_csv(path)
     rate = 1.0 / step
     declared_hz = manifest.rates_hz.get(modality)
     if declared_hz is not None and abs(rate - declared_hz) > 1e-3 * declared_hz:
@@ -555,12 +541,17 @@ def _load_stream(
 
 
 def load_dataset(
-    root_path: "Path | str", manifest: "Manifest | Path | str"
+    root_path: "Path | str",
+    manifest: "Manifest | Path | str",
+    modalities: "tuple | list" = tuple(Modality),
 ) -> "list[TrialRecording]":
-    """Load every parseable trial listed in the manifest.
+    """Load the manifest's trials from their files of ``modalities`` alone.
 
-    A listed-but-missing file degrades to an absent modality (with a warning);
-    malformed numeric content raises ``DatasetError`` naming file and row.
+    A missing file degrades to an absent modality (with a warning); malformed
+    content, or a rate or columns unlike the manifest's, raises
+    ``DatasetError`` naming the file (and row).  Other files are only tested
+    for existence: a trial none of whose listed files exists raises, and a
+    trial with none of ``modalities`` is left out.
     """
     root = Path(root_path)
     if not isinstance(manifest, Manifest):
@@ -569,10 +560,14 @@ def load_dataset(
     for entry in manifest.entries:
         streams = {}
         for modality, rel in entry.paths.items():
-            stream = _load_stream(root / rel, entry, modality, manifest)
-            if stream is not None:
-                streams[modality] = stream
+            if modality in modalities:
+                stream = _load_stream(root / rel, entry, modality, manifest)
+                if stream is not None:
+                    streams[modality] = stream
         if not streams:
+            skipped = [rel for m, rel in entry.paths.items() if m not in modalities]
+            if any((root / rel).exists() for rel in skipped):
+                continue
             raise DatasetError(
                 f"trial ({entry.participant_id}, {entry.trial_id}): "
                 "no modality stream could be loaded"

@@ -52,6 +52,8 @@ DECISION_FLAGS = {
     "missing_windows": "fail the sustained-level condition; a nan window breaks a run",
     "eeg_lda_preprocessing": "standardize then PCA, fitted on training folds only",
     "fusion_model": "fusion views always use LDA, whatever [experiment] model is",
+    "read_modalities": "only the files of modalities some view uses are read and checked "
+    "against the manifest; a trial none of whose listed files exists stops the run",
     "cv_folds": "each class needs at least k trials, and an LSTM view at least inner_k "
     "training trials per class in every outer split; otherwise the run stops",
 }
@@ -118,14 +120,14 @@ class PreparedTrials:
 
 def prepare_trials(cfg: ExperimentConfig, manifest) -> PreparedTrials:
     """Load the trials ``manifest`` lists (a slice of the manifest's entries),
-    run the corruption rule once per trial and modality, and build a
-    modality's features for every trial that is complete for some view with
-    that modality.  A file that cannot be loaded raises.  Gating and aligning
-    a view need each participant's whole trial list, so the parent does them,
-    from what this returns."""
-    trials = load_dataset(cfg.dataset_root, manifest)
+    reading only the modalities some view uses, run the corruption rule once
+    per trial and modality, and build a modality's features for every trial
+    that is complete for some view with that modality.  A file that cannot be
+    loaded raises.  Gating and aligning a view need each participant's whole
+    trial list, so the parent does them, from what this returns."""
     view_modalities = [set(recipes) for _, recipes, _ in _views(cfg)]
     needed = [m for m in Modality if any(m in mods for mods in view_modalities)]
+    trials = load_dataset(cfg.dataset_root, manifest, needed)
     cache = FeatureCache(cfg.cache_dir) if cfg.cache_dir is not None else None
     out = PreparedTrials()
     for trial in trials:

@@ -16,7 +16,7 @@ from handover_intent.config import (
     parse_config_text,
     validate_config,
 )
-from handover_intent.core_data import Modality, load_dataset
+from handover_intent.core_data import Modality, load_dataset, parse_manifest, write_manifest
 from handover_intent.dsp import default_tf_spec
 from handover_intent.evaluation import TIMELINE_COLUMNS, CvScheme
 from handover_intent.fusion import FusionMode
@@ -366,6 +366,20 @@ def write_experiment(tmp_path, extra=""):
     return profile, config
 
 
+def write_three_modality_gaze_experiment(tmp_path):
+    """``write_experiment``'s gaze-only config over one participant's synthetic
+    EEG, gaze and motion recordings; returns the config and the data directory."""
+    profile, config = write_experiment(tmp_path)
+    profile.write_text(
+        profile.read_text()
+        .replace("participants = 2", "participants = 1")
+        .replace("modalities = gaze", "modalities = eeg,gaze,motion")
+    )
+    data = tmp_path / "data"
+    assert main(["synth", "--profile", str(profile), "--out", str(data)]) == 0
+    return config, data
+
+
 # One well-formed results.csv row: participant 1, gaze, lda, the window ending at 0.25 s.
 ROW = "1,gaze,lda,0.25,0.5,0.1,0.1,0.5,0.4,0.6\n"
 
@@ -464,6 +478,40 @@ class TestCli:
         assert main(["run", "--config", str(fused)]) == 1
         assert capsys.readouterr().err == (
             "pipeline error: gating: no participant has >= 10 complete trials for late:gaze+motion\n"
+        )
+
+    def test_a_gaze_run_reads_no_eeg_or_motion_file(self, tmp_path):
+        config, data = write_three_modality_gaze_experiment(tmp_path)
+        # The reference: the same trials with no EEG or motion file listed.
+        manifest = parse_manifest(data / "manifest.txt")
+        entries = [
+            replace(e, paths={Modality.GAZE: e.paths[Modality.GAZE]}) for e in manifest.entries
+        ]
+        write_manifest(data / "gaze_only.txt", replace(manifest, entries=entries))
+        reference = tmp_path / "reference.txt"
+        reference.write_text(
+            config.read_text()
+            .replace("root = ./data\n", "root = ./data\nmanifest = ./data/gaze_only.txt\n")
+            .replace("dir = ./out", "dir = ./reference")
+        )
+        assert main(["run", "--config", str(reference)]) == 0
+        # EEG files whose channels and rate differ from the manifest's, and
+        # motion files that do not parse.
+        for path in (data / "eeg").glob("*.csv"):
+            path.write_text("time_s,X\n0.0,1.0\n0.5,1.0\n")
+        for path in (data / "motion").glob("*.csv"):
+            path.write_text("time_s,hand_x,hand_y,hand_z\n0.0,oops\n")
+        assert main(["run", "--config", str(config)]) == 0
+        results = (tmp_path / "out" / "results.csv").read_bytes()
+        assert results == (tmp_path / "reference" / "results.csv").read_bytes()
+
+    def test_a_trial_with_every_listed_file_missing_stops_a_gaze_run(self, tmp_path, capsys):
+        config, data = write_three_modality_gaze_experiment(tmp_path)
+        for path in data.glob("*/p01_t003.csv"):
+            path.unlink()
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.endswith(
+            "pipeline error: dataset load: trial (1, 3): no modality stream could be loaded\n"
         )
 
     def test_repeated_modality_exits_2_before_running(self, tmp_path, capsys):
@@ -921,16 +969,18 @@ class TestFusionPipeline:
 
         original = pipeline.is_uncorrupted
         calls = []
+        streams = set()
 
         def counting(trial, modality, *args):
             calls.append((trial.trial_id, modality))
+            streams.update(trial.streams)
             return original(trial, modality, *args)
 
         monkeypatch.setattr(pipeline, "is_uncorrupted", counting)
         profile = tmp_path / "profile.txt"
         profile.write_text(
             "[synth]\nparticipants = 1\ntrials_per_condition = 6\n"
-            "modalities = gaze,motion\nseed = 4\n"
+            "modalities = eeg,gaze,motion\nseed = 4\n"
         )
         config = tmp_path / "config.txt"
         config.write_text(
@@ -947,3 +997,5 @@ class TestFusionPipeline:
         # serve the views gaze, motion, early:gaze+motion and late:gaze+motion.
         assert len(calls) == 18 * 2
         assert set(calls) == {(t, m) for t in range(18) for m in (Modality.GAZE, Modality.MOTION)}
+        # The manifest lists EEG files, but no view uses EEG, so none is read.
+        assert streams == {Modality.GAZE, Modality.MOTION}

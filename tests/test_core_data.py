@@ -315,6 +315,21 @@ class TestLoadDataset:
         trials = load_dataset(tmp_path, manifest_path)
         assert set(trials[0].streams) == {Modality.GAZE}
 
+    def test_reads_only_the_requested_modalities(self, tmp_path):
+        manifest = _write_dataset(
+            tmp_path, [(1, t, "Solo", ("gaze", "motion")) for t in range(3)]
+        )
+        for t in range(3):  # unreadable, so opening one would raise
+            (tmp_path / f"motion/p1_t{t}.csv").write_text("time_s,hand_x\n0.0,oops\n")
+        (tmp_path / "gaze/p1_t1.csv").unlink()
+        trials = load_dataset(tmp_path, manifest, (Modality.GAZE,))
+        # Trial 1 has no gaze and an unread motion file: it is left out.
+        assert [t.trial_id for t in trials] == [0, 2]
+        assert all(set(t.streams) == {Modality.GAZE} for t in trials)
+        (tmp_path / "motion/p1_t1.csv").unlink()
+        with pytest.raises(DatasetError, match=r"\(1, 1\): no modality stream could be loaded"):
+            load_dataset(tmp_path, manifest, (Modality.GAZE,))
+
     def test_empty_manifest_gives_empty_list(self, tmp_path):
         manifest = _write_dataset(tmp_path, [])
         assert load_dataset(tmp_path, manifest) == []
@@ -373,11 +388,13 @@ class TestLoadDataset:
             ("time_s,x\n0.0,1\n0.1,1,2\n", "bad.csv:3: expected 2 columns, got 3"),
             ("time_s,x,y\n0.0,1\n0.1,1\n", "bad.csv: 2 data columns but 3 header names"),
             ("time_s,x\n0.0,1\n", "bad.csv: need at least two samples"),
+            ("time_s,x,y\n", "bad.csv: need at least two samples"),
             ("time_s,x\n0.0,1\nnan,1\n", "bad.csv: non-finite entries in the time column"),
             ("time_s,x\n0.0,1\n0.1,1\n0.2,1\n0.4,1\n", "bad.csv:5: time grid is not uniform"),
             ("time_s,x\n0.0,1\n0.0,1\n", "bad.csv:3: time grid is not uniform"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_malformed_file_names_file_and_row(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
@@ -398,25 +415,34 @@ class TestLoadDataset:
 
 class TestReadSections:
     KEYS = {("a", "n"): ("n", int), ("a", "s"): ("s", str), ("b", "n"): ("b_n", int)}
+    # KEYS plus a key that belongs to no section, as a manifest header's do.
+    SECTIONLESS = {**KEYS, (None, "v"): ("v", int)}
 
     def test_reads_fields_and_skips_blanks_and_comments(self):
         text = "# comment\n[a]\nn = 3\n\ns = x = y\n[ b ]\nn=4\n"
         assert read_sections(text, "t", self.KEYS) == {"n": 3, "s": "x = y", "b_n": 4}
+        text = "# comment\n v=5 \n[a]\nn = 3\n"
+        assert read_sections(text, "t", self.SECTIONLESS) == {"v": 5, "n": 3}
 
     @pytest.mark.parametrize(
-        "text, message",
+        "keys, text, message",
         [
-            ("[a]\nn 3\n", "t:2: expected 'key = value'"),
-            ("n = 3\n", "t:1: key outside any [section]"),
-            ("[a]\nm = 3\n", "t:2: unknown key [a] m"),
-            ("[a]\nn = 3\n[b]\nn = 1\n[a]\nn = 4\n", "t:6: duplicate key [a] n"),
-            ("[a]\nn = x\n", "t:2: [a] n: invalid literal"),
-            ("[a]\nn = x\nm = 1\n", "t:2: [a] n: "),  # the first bad line wins
+            (KEYS, "[a]\nn 3\n", "t:2: expected 'key = value'"),
+            (KEYS, "n = 3\n", "t:1: key outside any [section]"),
+            (KEYS, "[a]\nm = 3\n", "t:2: unknown key [a] m"),
+            (KEYS, "[a]\nn = 3\n[b]\nn = 1\n[a]\nn = 4\n", "t:6: duplicate key [a] n"),
+            (KEYS, "[a]\nn = x\n", "t:2: [a] n: invalid literal"),
+            (KEYS, "[a]\nn = x\nm = 1\n", "t:2: [a] n: "),  # the first bad line wins
+            (SECTIONLESS, "v = 1\nv 3\n", "t:2: expected 'key = value'"),
+            (SECTIONLESS, "v = 1\nn = 3\n", "t:2: unknown key n"),
+            (SECTIONLESS, "[a]\nv = 1\n", "t:2: unknown key [a] v"),
+            (SECTIONLESS, "v = 1\n# c\nv = 2\n", "t:3: duplicate key v"),
+            (SECTIONLESS, "v = x\n", "t:1: v: invalid literal"),
         ],
     )
-    def test_errors_name_the_line(self, text, message):
+    def test_errors_name_the_line(self, keys, text, message):
         with pytest.raises(ValueError) as info:
-            read_sections(text, "t", self.KEYS)
+            read_sections(text, "t", keys)
         assert str(info.value).startswith(message)
 
     def test_raises_the_callers_error_class(self):
