@@ -6,7 +6,7 @@ earliest sustained AUC level."""
 import os
 
 # One BLAS thread per process: parallelism lives in the run's process pools
-# (slices of trials, then (participant, view, window) tasks), not in BLAS.
+# (slices of trials, then (participant, view, CV split) tasks), not in BLAS.
 # Measured alone on a 2-vCPU Xeon (OpenBLAS 0.3.31), a 230x241 by 241x72
 # product took 0.105-0.107 ms with 2 threads against 0.17-0.24 ms with 1.
 # OpenBLAS reads these variables once, when numpy first loads it, so this must

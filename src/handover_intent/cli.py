@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for loading and featurizing trials (the "
         "manifest's trials cut into up to this many slices) and for "
-        "evaluating windows",
+        "evaluating (participant, view, CV split) tasks, each over every window",
     )
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", type=Path, default=None, help="override the output dir")

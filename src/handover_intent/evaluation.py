@@ -1,11 +1,14 @@
-"""ROC/AUC, cross-validation schemes, the window-sweep engine that evaluates
-every view (a single modality, early or late fusion, an LSTM) in two stages
-per split, the label-free ``prepare_split`` and a label stage that returns
-test scores (``score_split`` for LDA, ``_lstm_scores`` for an LSTM), which
-``evaluate_window`` alone ranks; sustained-level detection latency, the group
-statistics used for the summary tables, and every result CSV:
-``write_run_csvs`` writes a run's, ``write_figure_csvs`` a report's figures,
-both grouped by ``group_timelines``."""
+"""ROC/AUC, cross-validation schemes, the window-sweep engine, sustained-level
+detection latency, the group statistics used for the summary tables, and
+every result CSV: ``write_run_csvs`` writes a run's, ``write_figure_csvs`` a
+report's figures, both grouped by ``group_timelines``.
+
+The engine's task, ``evaluate_split``, evaluates one CV split of a view (a
+single modality, early or late fusion, an LSTM) on every window in grid
+order, in two stages: label-free preparation, each block's widest window
+prepared once where a column's statistics do not depend on the window, and a
+label stage that returns test scores, which ``evaluate_split`` alone ranks.
+``evaluate_window`` is the engine restricted to one window."""
 
 from __future__ import annotations
 
@@ -17,11 +20,10 @@ import numpy as np
 
 from .classifiers import LdaRecipe, LstmRecipe, fit_flat_preprocessing
 from .core_data import epoch_rows, write_file
-from .features import FeatureSequence, WindowGrid
+from .features import WindowGrid
 from .lda import lda_fit, lda_predict_proba
 from .lstm import (
     STACK_BYTES,
-    LstmModel,
     LstmSpec,
     lstm_train_members,
     member_bytes,
@@ -176,23 +178,6 @@ class WindowScore:
     weight_fallbacks: int
 
 
-def _window(sequences, end_time_s: float, grid: WindowGrid) -> np.ndarray:
-    """(trials, time, features): each sequence's rows in [grid.start,
-    end_time_s), as ``window_features`` selects them."""
-    grid.index_of(end_time_s)  # raises GridError when off the grid
-    return np.stack(
-        [s.series.values[epoch_rows(s.series, grid.start_s, end_time_s)] for s in sequences]
-    )
-
-
-def _sorted_sequences(sequences) -> "list[FeatureSequence]":
-    ordered = sorted(sequences, key=lambda s: s.trial_ref)
-    refs = [s.trial_ref for s in ordered]
-    if len(set(refs)) != len(refs):
-        raise ValueError("duplicate trial_refs in the sequence list")
-    return ordered
-
-
 def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
     """Weights proportional to training performance; equal-weight fallback
     (flagged) when every performance is zero.  Weights late-fusion members by
@@ -208,17 +193,18 @@ def late_fusion_weights(member_train_perf) -> tuple[np.ndarray, bool]:
     return perf / total, False
 
 
-def fit_lstm_ensemble(spec: LstmSpec, members) -> "list[tuple[LstmModel, float]]":
+def fit_lstm_ensemble(spec: LstmSpec, members) -> list:
     """Train ensemble members as one stack; each member is (seed, x_fit,
-    y_fit, x_val, y_val), every val set holding both classes.  Returns each
-    member's model and validation AUC.  A training error carries the failing
-    member's index in ``.member``."""
+    y_fit, x_val, y_val), every val set holding both classes, and members may
+    differ in sequence length.  Returns each member's (model, validation AUC),
+    or its training error, which carries the member's index in ``.member``."""
     seeds, x_fits, y_fits, x_vals, y_vals = zip(*members)
     models = lstm_train_members(
         spec, seeds, list(zip(x_fits, y_fits)), list(zip(x_vals, y_vals))
     )
     return [
-        (model, auc_roc(predict_proba_batch(model, x_val), y_val))
+        model if isinstance(model, Exception)
+        else (model, auc_roc(predict_proba_batch(model, x_val), y_val))
         for model, x_val, y_val in zip(models, x_vals, y_vals)
     ]
 
@@ -232,8 +218,9 @@ class View:
     are shared by every window.  LDA blocks fuse early (one LDA on their
     concatenation; a single modality is one block) unless ``late`` (one LDA
     per block, weighted by training AUC).  An LSTM view has one block, and
-    only its splits carry inner folds; every fold holds both classes.  Every
-    view's splits run through ``prepare_split``, which never reads ``labels``.
+    only its splits carry inner folds; every fold holds both classes.  A
+    view's rows are prepared (standardized, PCA-reduced) without reading
+    ``labels``.
     """
 
     blocks: tuple
@@ -248,28 +235,19 @@ def make_view(blocks, scheme: CvScheme, late: bool = False) -> View:
     cover the same (trial, label) pairs, and draw the CV splits, with inner
     folds exactly for an LSTM, whatever ``scheme.nested`` says (they do not
     move the outer folds).  Too few trials of a class is a ValueError."""
-    ordered = tuple((_sorted_sequences(seqs), recipe) for seqs, recipe in blocks)
+    ordered = tuple((sorted(seqs, key=lambda s: s.trial_ref), r) for seqs, r in blocks)
     if not ordered:
         raise ValueError("a view needs at least one block")
     if len(ordered) > 1 and not all(isinstance(r, LdaRecipe) for _, r in ordered):
         raise ValueError("only LDA blocks can be fused")
     keys = [[(s.trial_ref, s.label) for s in seqs] for seqs, _ in ordered]
+    if len({ref for ref, _ in keys[0]}) != len(keys[0]):
+        raise ValueError("duplicate trial_refs in the sequence list")
     if any(key != keys[0] for key in keys[1:]):
         raise ValueError("modalities cover different trials; gate upstream")
     labels = np.array([s.label for s in ordered[0][0]])
     scheme = replace(scheme, nested=isinstance(ordered[0][1], LstmRecipe))
     return View(ordered, labels, tuple(make_splits(labels, scheme)), scheme.seed, late)
-
-
-def prepare_split(view: View, xs, split: Split) -> list:
-    """The label-free stage of every view: each block's (train rows, test
-    rows), given its window in ``xs`` ((trials, D) flattened for LDA, (trials,
-    T, D) sequences for an LSTM), preprocessed as fitted on the training fold."""
-    parts = []
-    for x, (_, recipe) in zip(xs, view.blocks):
-        prep, x_train = fit_flat_preprocessing(x[split.train_idx], recipe)
-        parts.append((x_train, prep.apply(x[split.test_idx])))
-    return parts
 
 
 def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages) -> tuple:
@@ -293,102 +271,163 @@ def score_split(parts, labels: np.ndarray, split: Split, late: bool, shrinkages)
     return weights @ np.stack(member_scores), None, fallback
 
 
-def _lstm_scores(view: View, x: np.ndarray, window_index: int):
-    """Yield each split's (test scores, None, weight fallback), in split
-    order, from an ensemble with one member per inner (fit, val) fold.
+def _block_windows(sequences, grid: WindowGrid, windows) -> tuple:
+    """(The widest of ``windows`` that builds, (trials, time, features) with
+    each sequence's rows in [grid.start, end) as ``window_features`` selects
+    them, or None; each window's step count, or the exception building it
+    raises.)  Every window that builds is the first steps of the widest, as
+    all start at ``grid.start_s``; sequences on one time base share rows."""
+    ends = grid.end_times()
+    keys = [(s.series.start_time_s, s.series.step_s, s.series.values.shape) for s in sequences]
+    bases = {}  # time base -> its first series, in sequence order
+    for key, s in zip(keys, sequences):
+        bases.setdefault(key, s.series)
 
-    Each split's rows come from ``prepare_split``.  Consecutive members train
-    as one stack, filled up to ``STACK_BYTES``, and a split is scored once its
-    last member is trained, so only one split's training rows, one stack's
-    data and the test rows and models of unfinished splits are held.
-    Ensemble weights are the members' validation AUCs, normalized (equal
-    weights when every AUC is zero).  Every fold holds both classes, so only
-    training can fail: ``EvaluationError`` names the split that serial
-    training would have failed in first.
-    """
-    labels, recipe = view.labels, view.blocks[0][1]
-    test_rows, trained = {}, {}  # by split, until it is scored
-    pending = []  # (split, seed, x_fit, y_fit, x_val, y_val, bytes)
+    def stack(rows: dict) -> np.ndarray:
+        return np.stack([s.series.values[rows[key]] for key, s in zip(keys, sequences)])
 
-    def train_pending():
-        if not pending:
-            return
-        owners = [member[0] for member in pending]
+    steps, widest = [], None
+    for k in windows:
         try:
-            results = fit_lstm_ensemble(spec, [member[1:6] for member in pending])
+            rows = {key: epoch_rows(ts, grid.start_s, float(ends[k])) for key, ts in bases.items()}
+            lengths = {(r.stop - r.start, key[2][1:]) for key, r in rows.items()}
+            if len(lengths) > 1:
+                stack(rows)  # raises numpy's error for arrays of different shapes
+            [(n_steps, _)] = lengths
+            steps.append(n_steps)
+            widest = rows
         except Exception as exc:
-            member = getattr(exc, "member", None)
-            where = "window" if member is None else f"split {owners[member]}"
-            raise EvaluationError(f"{where}: {exc}") from exc
-        pending.clear()
-        for owner, result in zip(owners, results):
-            trained[owner].append(result)
-        for owner in sorted(set(owners)):
-            if len(trained[owner]) == len(view.splits[owner].inner):
-                models, aucs = zip(*trained.pop(owner))
-                weights, fallback = late_fusion_weights(aucs)
-                # Each member scores the whole fold; the weighted sum runs in
-                # member order, as ``ensemble_predict`` sums one sequence.
-                x_test = test_rows.pop(owner)
-                scores = sum(w * predict_proba_batch(m, x_test) for m, w in zip(models, weights))
-                yield scores, None, fallback
+            steps.append(exc)
+    return None if widest is None else stack(widest), steps
 
-    for split_index, split in enumerate(view.splits):
-        seed = derive_seed(view.seed, "lstm", window_index, split_index)
+
+def _lda_scores(view: View, grid: WindowGrid, split_index: int, windows) -> dict:
+    """One split's LDA stages on each window: {window: ``score_split``'s
+    result or message}.  Each block's widest window, flattened time-major, is
+    standardized once (a column's training statistics are the same in every
+    window that holds it); each window fits the PCA on its columns' prefix."""
+    split, blocks, results = view.splits[split_index], [], {}
+    for seqs, recipe in view.blocks:
+        x, steps = _block_windows(seqs, grid, windows)
+        if x is not None:
+            train, test = (x[i].reshape(len(i), -1) for i in (split.train_idx, split.test_idx))
+            prep, train = fit_flat_preprocessing(train, replace(recipe, pca_variance_target=None))
+            x = (train, prep.apply(test), x.shape[2], replace(recipe, standardize=False))
+        blocks.append((x, steps))
+    shrinkages = [recipe.shrinkage for _, recipe in view.blocks]
+    for j, k in enumerate(windows):
+        failed = [steps[j] for _, steps in blocks if isinstance(steps[j], Exception)]
+        if failed:
+            results[k] = f"window setup: {failed[0]}"
+            continue
+        try:
+            parts = []
+            for (x_train, x_test, d, pca), steps in blocks:
+                prep, x_part = fit_flat_preprocessing(x_train[:, : steps[j] * d], pca)
+                parts.append((x_part, prep.apply(x_test[:, : steps[j] * d])))
+            results[k] = score_split(parts, view.labels, split, view.late, shrinkages)
+        except Exception as exc:
+            results[k] = f"split {split_index}: {exc}"
+    return results
+
+
+def _lstm_scores(view: View, grid: WindowGrid, split_index: int, windows) -> dict:
+    """One split's LSTM label stage on each window: {window: (test scores,
+    None, weight fallback) or message}, from an ensemble with one member per
+    inner (fit, val) fold on the window's rows, preprocessed as fitted on the
+    training fold and weighted by validation AUC (``late_fusion_weights``).
+    Members train in grid order as one stack, filled up to ``STACK_BYTES`` at
+    the newest, longest window's length, and a window is scored once its last
+    member is trained.  A window fails on its first failing member alone."""
+    (seqs, recipe), labels = view.blocks[0], view.labels
+    split = view.splits[split_index]
+    x, steps = _block_windows(seqs, grid, windows)
+    results, unscored, stack = {}, {}, []  # unscored: window -> (test rows, members)
+
+    def train():
+        try:
+            trained = fit_lstm_ensemble(spec, [member[1:6] for member in stack])
+        except Exception as exc:
+            trained = [exc] * len(stack)
+        for member, result in zip(stack, trained):
+            unscored[member[0]][1].append(result)
+        stack.clear()
+        for k, (x_test, members) in list(unscored.items()):
+            if len(members) < len(split.inner):
+                break
+            del unscored[k]
+            failed = [m for m in members if isinstance(m, Exception)]
+            if failed:
+                results[k] = f"split {split_index}: {failed[0]}"
+                continue
+            models, aucs = zip(*members)
+            weights, fallback = late_fusion_weights(aucs)
+            # Each member scores the whole fold; the weighted sum runs in
+            # member order, as ``ensemble_predict`` sums one sequence.
+            scores = sum(w * predict_proba_batch(m, x_test) for m, w in zip(models, weights))
+            results[k] = (scores, None, fallback)
+
+    for j, k in enumerate(windows):
+        if isinstance(steps[j], Exception):
+            results[k] = f"window setup: {steps[j]}"
+            continue
+        seed = derive_seed(view.seed, "lstm", k, split_index)
         spec = recipe.spec(input_dim=x.shape[2], seed=seed)
-        [(x_train, test_rows[split_index])] = prepare_split(view, [x], split)
-        trained[split_index] = []
+        try:  # a window that cannot be prepared (out of memory, say) fails alone
+            prep, x_train = fit_flat_preprocessing(x[split.train_idx, : steps[j]], recipe)
+            unscored[k] = (prep.apply(x[split.test_idx, : steps[j]]), [])
+        except Exception as exc:
+            results[k] = f"split {split_index}: {exc}"
+            continue
         for inner_index, (fit_idx, val_idx) in enumerate(split.inner):
-            cost = member_bytes(spec, x.shape[1], len(fit_idx), len(val_idx))
-            if sum(member[-1] for member in pending) + cost > STACK_BYTES:
-                yield from train_pending()
+            sizes = [member[-1] for member in stack] + [(len(fit_idx), len(val_idx))]
+            if stack and sum(member_bytes(spec, steps[j], *n) for n in sizes) > STACK_BYTES:
+                train()
             fit, val = (np.searchsorted(split.train_idx, idx) for idx in (fit_idx, val_idx))
-            pending.append(
-                (
-                    split_index,
-                    derive_seed(seed, "member", inner_index),
-                    x_train[fit],
-                    labels[fit_idx],
-                    x_train[val],
-                    labels[val_idx],
-                    cost,
-                )
-            )
-    yield from train_pending()
+            stack.append((k, derive_seed(seed, "member", inner_index), x_train[fit],
+                          labels[fit_idx], x_train[val], labels[val_idx], sizes[-1]))
+    if stack:
+        train()
+    return results
+
+
+def evaluate_split(view: View, grid: WindowGrid, split_index: int, windows=None) -> list:
+    """The engine's task: split ``split_index`` of ``view`` on the ``windows``
+    of ``grid`` (indices in grid order; default all), whose test scores it
+    ranks, the one place a test AUC is made.  Per window: (test AUC, fused
+    width or None, weight fallback), or a message, ``window setup: ...`` or
+    ``split i: ...``.  The result depends only on the arguments."""
+    windows = range(grid.end_times().shape[0]) if windows is None else windows
+    y_test = view.labels[view.splits[split_index].test_idx]
+    stage = _lstm_scores if isinstance(view.blocks[0][1], LstmRecipe) else _lda_scores
+    scored = map(stage(view, grid, split_index, windows).get, windows)
+    return [r if isinstance(r, str) else (auc_roc(r[0], y_test), *r[1:]) for r in scored]
+
+
+def gather_windows(end_times, columns) -> list:
+    """Per window ending at ``end_times``: (``WindowScore``, None), or (None,
+    the lowest failing split's message), from each split's ``evaluate_split``
+    list (``columns[i]`` is split i's)."""
+    gathered = []
+    for end, row in zip(end_times, zip(*columns)):
+        failed = [result for result in row if isinstance(result, str)]
+        if failed:
+            gathered.append((None, failed[0]))
+        else:
+            aucs, dims, fallbacks = zip(*row)
+            fused = tuple(dim for dim in dims if dim is not None)
+            gathered.append((WindowScore(float(end), aucs, fused, sum(fallbacks)), None))
+    return gathered
 
 
 def evaluate_window(view: View, grid: WindowGrid, window_index: int) -> WindowScore:
-    """Fit and score every CV split of ``view`` on one window of ``grid``:
-    build each block's window once, then run ``prepare_split`` per split and
-    its label stage (``score_split`` for LDA, ``_lstm_scores`` for an LSTM),
-    and rank the test scores it returns: the one place a test AUC is made.
-    A failure is tagged with the split it occurred in."""
-    end = float(grid.end_times()[window_index])
-    try:
-        xs = [_window(seqs, end, grid) for seqs, _ in view.blocks]
-    except Exception as exc:
-        raise EvaluationError(f"window setup: {exc}") from exc
-    if isinstance(view.blocks[0][1], LstmRecipe):
-        scored = _lstm_scores(view, xs[0], window_index)
-    else:
-        flat = [x.reshape(x.shape[0], -1) for x in xs]  # time-major, as ``flatten``
-        shrinkages = [recipe.shrinkage for _, recipe in view.blocks]
-        scored = (
-            score_split(prepare_split(view, flat, split), view.labels, split, view.late, shrinkages)
-            for split in view.splits
-        )
-    aucs, dims, fallbacks = [], [], 0
-    try:
-        for (scores, dim, fallback), split in zip(scored, view.splits):
-            aucs.append(auc_roc(scores, view.labels[split.test_idx]))
-            if dim is not None:
-                dims.append(dim)
-            fallbacks += fallback
-    except EvaluationError:
-        raise
-    except Exception as exc:
-        raise EvaluationError(f"split {len(aucs)}: {exc}") from exc
-    return WindowScore(end, tuple(aucs), tuple(dims), fallbacks)
+    """Every split's ``evaluate_split`` on one window: the reference the
+    engine is tested against.  A failed window raises ``EvaluationError``."""
+    columns = [evaluate_split(view, grid, i, [window_index]) for i in range(len(view.splits))]
+    [(score, message)] = gather_windows(grid.end_times()[[window_index]], columns)
+    if message is not None:
+        raise EvaluationError(message)
+    return score
 
 
 @dataclass(frozen=True)
@@ -425,16 +464,6 @@ def _check_auc(auc) -> None:  # nan marks a missing window
         raise ValueError("AUC values must lie in [0, 1]")
 
 
-def window_result(view: View, grid: WindowGrid, window_index: int):
-    """(score, None) for one window of ``view``, or (None, message) when it
-    fails.  The result depends only on its arguments, so windows can be
-    evaluated in any order and in any process."""
-    try:
-        return evaluate_window(view, grid, window_index), None
-    except EvaluationError as exc:
-        return None, str(exc)
-
-
 def assemble_timeline(
     view: View,
     grid: WindowGrid,
@@ -442,7 +471,7 @@ def assemble_timeline(
     participant_id: int | None = None,
     tag: str | None = None,
 ) -> AucTimeline:
-    """The timeline of ``view`` from its windows' ``window_result`` values,
+    """The timeline of ``view`` from its windows' ``gather_windows`` values,
     in grid order: each column reduces the rows of a (windows x splits)
     matrix of split AUCs.  A failing window is recorded in ``errors`` and is
     a nan row, missing in every column.  The participant and tag default to
@@ -484,7 +513,8 @@ def sweep(
     tag: str | None = None,
     late: bool = False,
 ) -> AucTimeline:
-    """Evaluate one view on every window end of the grid, serially.
+    """Evaluate one view on every window end of the grid, one split after
+    another.
 
     ``blocks`` is a list of (sequences, recipe), one per modality; ``late``
     is as in ``View``; the other arguments are as in ``assemble_timeline``.
@@ -492,7 +522,8 @@ def sweep(
     """
     grid = WindowGrid() if grid is None else grid
     view = make_view(blocks, scheme, late)
-    results = [window_result(view, grid, i) for i in range(grid.end_times().shape[0])]
+    columns = [evaluate_split(view, grid, i) for i in range(len(view.splits))]
+    results = gather_windows(grid.end_times(), columns)
     return assemble_timeline(view, grid, results, participant_id, tag)
 
 
@@ -544,9 +575,7 @@ def aggregate_participants(timelines) -> AggregateTimeline:
     stack = np.stack([t.auc for t in timelines])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", category=RuntimeWarning)  # all-nan windows
-        median = np.nanpercentile(stack, 50, axis=0)
-        q25 = np.nanpercentile(stack, 25, axis=0)
-        q75 = np.nanpercentile(stack, 75, axis=0)
+        median, q25, q75 = np.nanpercentile(stack, (50, 25, 75), axis=0)
     return AggregateTimeline(
         tag=first.tag,
         model=first.model,

@@ -7,21 +7,22 @@ Loss is binary cross-entropy on the logit.  Optimizer is adaptive-moment
 gradient descent (lr 1e-3, global gradient-norm clip 5.0).
 
 The kernel (``_forward``, ``_loss_and_grad``) works on a stack of G members
-that share a spec and a sequence shape: parameters (G, P), sequences
-(G, B, T, D), one loss per member.  As in Appleyard et al., "Optimizing
-Performance of Recurrent Neural Networks on GPUs" (arXiv:1604.01946), each
-layer's input projection and weight-gradient products are one product over
-all T*B rows of a member, outside the time loop, so a step runs only the
-recurrent product and the gate arithmetic.  ``lstm_train_members`` trains a
-stack in one loop: each batch step and each validation pass is one call, with
-shorter batches and val sets zero-padded and their padding rows given no
-weight.  A member's model is the one training it alone would give, up to
-float rounding, since the sums run in another order than one step and one
-member at a time: parameters agree with the one-model loop to about 1e-13
-relative over 200 epochs, and the tests allow 1e-10.  A stack's memory grows
-with its member count, so callers fill stacks up to ``STACK_BYTES`` as
-estimated by ``member_bytes``.  Prediction and ``lstm_train`` use stacks of
-one.
+that share a spec: parameters (G, P), sequences (G, B, T, D), one loss per
+member; member g's sequences are left-aligned, zero-padded to T, and read at
+its own last step.  As in Appleyard et al., "Optimizing Performance of
+Recurrent Neural Networks on GPUs" (arXiv:1604.01946), each layer's input
+projection and weight-gradient products are one product over all T*B rows of
+a member, outside the time loop, so a step runs only the recurrent product
+and the gate arithmetic.  ``lstm_train_members`` trains a stack in one loop:
+each batch step and each validation pass is one call, with shorter batches,
+val sets and sequences zero-padded and their padding given no weight.  A
+member's model is the one training it alone would give, up to float
+rounding, since the sums run in another order than one step and one member
+at a time: parameters agree with the one-model loop to about 1e-13 relative
+over 200 epochs, and the tests allow 1e-10.  A stack's memory grows with its
+members and their longest sequence, so callers fill stacks up to
+``STACK_BYTES`` as estimated by ``member_bytes``.  Prediction and
+``lstm_train`` use stacks of one.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def _real_rows(rows, shape) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.arange(n_batch) < counts[:, None]
 
 
-def _forward(spec: LstmSpec, params: np.ndarray, x: np.ndarray):
-    """Forward pass of a stack of G members.  params: (G, P), x: (G, B, T, D).
+def _forward(spec: LstmSpec, params: np.ndarray, x: np.ndarray, steps=None):
+    """Forward pass of a stack of G members.  params: (G, P), x: (G, B, T, D);
+    member g's sequences are its first ``steps[g]`` steps (default: all T).
     Returns (logits (G, B), cache).
 
     Each layer projects all of its inputs at once, one (T*B, D) product per
@@ -200,7 +202,7 @@ def _forward(spec: LstmSpec, params: np.ndarray, x: np.ndarray):
                 np.multiply(z[..., 3 * h :], tanh_cells[t], out=outputs[t + 1])
             layer_caches.append((inputs, gates, cand, cells, tanh_cells, outputs))
             seq = outputs[1:]
-    last_hidden = outputs[-1]
+    last_hidden = outputs[-1] if steps is None else outputs[steps, np.arange(n_members)]
     rect = np.maximum(last_hidden, 0.0)
     logits = (rect @ head_w[:, :, None])[..., 0] + head_b[:, None]
     return logits, (layer_caches, last_hidden, rect)
@@ -223,11 +225,12 @@ def _loss_and_grad(
     x: np.ndarray,
     y: np.ndarray,
     rows: "np.ndarray | None" = None,
+    steps: "np.ndarray | None" = None,
 ):
     """Per-member loss (G,) and gradient (G, P) of a stack; y: (G, B).  Only
-    member g's first ``rows[g]`` rows count (default: all B); padding rows
-    get zero weight."""
-    logits, (layer_caches, last_hidden, rect) = _forward(spec, params, x)
+    member g's first ``rows[g]`` rows and ``steps[g]`` steps count (default:
+    all B and T); padding gets zero weight."""
+    logits, (layer_caches, last_hidden, rect) = _forward(spec, params, x, steps)
     counts, real = _real_rows(rows, logits.shape)
     loss = _bce_from_logits(logits, y, counts)
     n_members, n_batch, n_steps = x.shape[:3]
@@ -240,9 +243,11 @@ def _loss_and_grad(
     ghead_w += (rect.transpose(0, 2, 1) @ dlogits[:, :, None])[..., 0]
     ghead_b += dlogits.sum(axis=1)
     drect = dlogits[:, :, None] * head_w[:, None, :]
-    dtop = drect * (last_hidden > 0.0)
-
-    dout = None  # gradient into this layer's outputs from the layer above
+    # Gradient into each layer's outputs from above: for the top layer, the
+    # head's, at each member's last step.
+    dout = np.zeros((n_steps, n_members, n_batch, h))
+    last = n_steps - 1 if steps is None else np.asarray(steps) - 1
+    dout[last, np.arange(n_members)] = drect * (last_hidden > 0.0)
     for layer_index in range(spec.layers - 1, -1, -1):
         w, u, _ = layers[layer_index]
         gw, gu, gb = glayers[layer_index]
@@ -265,14 +270,13 @@ def _loss_and_grad(
         go *= tanh_cells
         dz = gates  # filled in place, last step first
         dz_blocks = dz.reshape(n_steps, n_members, n_batch, 4, h)
-        dh = (dtop if dout is None else dout[-1]).copy()
+        dh = dout[-1].copy()
         dc = np.zeros_like(dh)
         carried = np.empty_like(dh)
         for t in range(n_steps - 1, -1, -1):
             if t < n_steps - 1:
                 np.matmul(dz[t + 1], u, out=dh)
-                if dout is not None:
-                    dh += dout[t]
+                dh += dout[t]
                 dc *= forget[t + 1]
             np.multiply(dh, dc_dh[t], out=carried)
             dc += carried
@@ -377,21 +381,17 @@ def lstm_train(
     loss has not improved for that many epochs, checked only after
     ``early_stop_start`` epochs.  ``history``, when given, collects the
     per-epoch validation losses.  This is ``lstm_train_members`` on a stack
-    of one.
+    of one, whose error it raises.
     """
     if not train or not val:
         raise ValueError("train and val sets must be nonempty")
     histories = None if history is None else [history]
-    return lstm_train_members(
-        spec,
-        [spec.seed],
-        [_stack(train)],
-        [_stack(val)],
-        learning_rate,
-        clip_norm,
-        early_stop_start,
-        histories,
-    )[0]
+    train, val = _stack(train), _stack(val)
+    args = (learning_rate, clip_norm, early_stop_start, histories)
+    [result] = lstm_train_members(spec, [spec.seed], [train], [val], *args)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def member_bytes(spec: LstmSpec, n_steps: int, n_fit: int, n_val: int) -> int:
@@ -406,8 +406,8 @@ def member_bytes(spec: LstmSpec, n_steps: int, n_fit: int, n_val: int) -> int:
     a batch of fit rows, validation over the val rows, and the larger of the
     two counts.  About ten parameter-sized vectors come on top: parameters,
     Adam moments, best snapshot, gradient and update temporaries, and the
-    trained model.  Padding a member to a larger stack-mate costs the rows it
-    is padded by.
+    trained model.  Padding a member to a larger stack-mate costs the rows and
+    steps it is padded by: cost each member at its stack's longest sequence.
     """
     h, d = spec.hidden, spec.input_dim
     forward = d + 8 * h + (spec.layers - 1) * 9 * h
@@ -426,68 +426,60 @@ def lstm_train_members(
     clip_norm: float = CLIP_NORM,
     early_stop_start: int = EARLY_STOP_START_EPOCH,
     histories: "list | None" = None,
-) -> "list[LstmModel]":
+) -> list:
     """Train member g, ``spec`` with seed ``seeds[g]``, on (trains[g],
     vals[g]); all members in one stack.  Each train or val set is an ``(x,
-    y)`` pair of arrays: sequences (N, T, D) and their labels (N,).
+    y)`` pair of arrays: sequences (N, T, D) and their labels (N,); members
+    may differ in T.  ``histories[g]`` collects member g's per-epoch
+    validation losses.
 
     Each member keeps its own batch order, Adam steps, gradient clip, best
     snapshot and early stop, and leaves the stack when it stops, so its model
-    is ``lstm_train`` on it alone up to float rounding: the stacked kernel sums
-    in another order than one member at a time (see the module docstring).  All
-    sequences share one shape.  Every batch step, and every validation pass, is
-    one stack: members with fewer rows than the largest are zero-padded, and
-    padding rows count in neither loss nor gradient.  ``histories[g]`` collects
-    member g's per-epoch validation losses.
-
-    The error raised is the one training the members one after another would
-    raise first, with the failing member's index in ``.member``: once member
-    g has invalid input or diverges, the members after it drop out, and its
-    error is raised when the members before it have finished.
+    is ``lstm_train`` on it alone up to float rounding (see the module
+    docstring).  Returns each member's model, or the error training it alone
+    raises (invalid input, or ``TrainingDivergedError``) with its index in
+    ``.member``; a failing member leaves the others as they are.
     """
     if not len(seeds) == len(trains) == len(vals):
         raise ValueError("need one seed, train set and val set per member")
     specs = [replace(spec, seed=seed) for seed in seeds]
-    failed = {}
-    data = []
+    results: list = [None] * len(specs)
+    data, valid = [], []  # the members with valid input, and their index
     for member, (train, val) in enumerate(zip(trains, vals)):
         try:
-            arrays = _member_data(train, val)
-            if data and arrays[0].shape[1:] != data[0][0].shape[1:]:
-                raise ValueError(
-                    f"sequences {arrays[0].shape[1:]} differ from member 0's "
-                    f"{data[0][0].shape[1:]}"
-                )
+            data.append(_member_data(train, val))
+            valid.append(member)
         except ValueError as exc:
             exc.member = member
-            failed[member] = exc
-            break
-        data.append(arrays)
+            results[member] = exc
     if not data:
-        raise failed[0] if failed else ValueError("no members to train")
+        return results
     x_train, y_train, x_val, y_val = (list(column) for column in zip(*data))
 
     n_members = len(data)
-    sequence_shape = x_train[0].shape[1:]
+    steps = np.array([x.shape[1] for x in x_train])
+    width = (steps.max(), spec.input_dim)
     fit_sizes = np.array([y.shape[0] for y in y_train])
     fit_starts = np.cumsum(fit_sizes) - fit_sizes
-    # All fit sets in one array, ending in the zero row that pads batches.
-    x_fit = np.concatenate(x_train + [np.zeros((1,) + sequence_shape)])
+    # All fit sets in one array, ending in the zero row that pads batches,
+    # and all val sets as one stack, each padded with zeros.
+    x_fit = np.zeros((fit_sizes.sum() + 1,) + width)
+    for x, start in zip(x_train, fit_starts):
+        x_fit[start : start + x.shape[0], : x.shape[1]] = x
     y_fit = np.concatenate(y_train + [np.zeros(1)])
     pad_row = y_fit.shape[0] - 1
-    # All val sets as one zero-padded stack.
     val_sizes = np.array([y.shape[0] for y in y_val])
-    x_vals = np.zeros((n_members, val_sizes.max()) + sequence_shape)
+    x_vals = np.zeros((n_members, val_sizes.max()) + width)
     y_vals = np.zeros((n_members, val_sizes.max()))
     for g, (x, y) in enumerate(zip(x_val, y_val)):
-        x_vals[g, : y.shape[0]] = x
+        x_vals[g, : y.shape[0], : x.shape[1]] = x
         y_vals[g, : y.shape[0]] = y
 
-    params = np.stack([init_model(s).parameters for s in specs[:n_members]])
+    params = np.stack([init_model(specs[g]).parameters for g in valid])
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     step = np.zeros(n_members, dtype=int)
-    order_rngs = [substream(s.seed, "lstm-batch-order") for s in specs[:n_members]]
+    order_rngs = [substream(specs[g].seed, "lstm-batch-order") for g in valid]
     # Adam's bias corrections by step count, from Python's float power.
     max_steps = spec.max_epochs * -(-int(fit_sizes.max()) // spec.batch_size)
     debias_m, debias_v = (
@@ -496,8 +488,12 @@ def lstm_train_members(
     )
 
     def val_losses(members: np.ndarray) -> np.ndarray:
-        logits, _ = _forward(spec, params[members], x_vals[members])
+        longest = steps[members].max()
+        logits, _ = _forward(spec, params[members], x_vals[members, :, :longest], steps[members])
         return _bce_from_logits(logits, y_vals[members], val_sizes[members])
+
+    def fail(g: int, epoch: int) -> None:
+        results[valid[g]] = TrainingDivergedError(epoch, learning_rate, valid[g])
 
     best_loss = val_losses(np.arange(n_members)).tolist()
     best_params = list(params.copy())
@@ -516,18 +512,17 @@ def lstm_train_members(
             orders[row, : sizes[row]] = fit_starts[g] + order
         for start in range(0, sizes.max(), spec.batch_size):
             rows = np.clip(sizes - start, 0, spec.batch_size)
-            rows[members >= min(failed, default=n_members)] = 0
-            stepping = rows > 0
+            stepping = (rows > 0) & np.isin(members, active)  # not diverged
             if not stepping.any():
                 continue
             group, rows = members[stepping], rows[stepping]
             batch = orders[stepping, start : start + rows.max()]
-            loss, grad = _loss_and_grad(
-                spec, params[group], x_fit[batch], y_fit[batch], rows
-            )
+            x = x_fit[batch, : steps[group].max()]
+            loss, grad = _loss_and_grad(spec, params[group], x, y_fit[batch], rows, steps[group])
             finite = np.isfinite(loss)
             for g in group[~finite].tolist():
-                failed[g] = TrainingDivergedError(epoch, learning_rate, g)
+                fail(g, epoch)
+                active.remove(g)
             group, grad = group[finite], grad[finite]
             # The norm as one dot product per member, like np.linalg.norm.
             norm = np.sqrt(grad[:, None, :] @ grad[:, :, None])[:, 0]
@@ -538,16 +533,14 @@ def lstm_train_members(
             m_hat = m[group] / debias_m[step[group]]
             v_hat = v[group] / debias_v[step[group]]
             params[group] -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if failed:
-            active = [g for g in active if g < min(failed)]
-            if not active:
-                break
+        if not active:
+            break
         current = val_losses(np.array(active)).tolist()
         for g, loss in zip(list(active), current):
             if histories is not None:
-                histories[g].append(loss)
+                histories[valid[g]].append(loss)
             if not np.isfinite(loss):
-                failed[g] = TrainingDivergedError(epoch, learning_rate, g)
+                fail(g, epoch)
                 active.remove(g)
                 continue
             if loss < best_loss[g]:
@@ -560,11 +553,10 @@ def lstm_train_members(
                 and epoch - best_epoch[g] >= spec.early_stop_after
             ):
                 active.remove(g)
-        if failed:
-            active = [g for g in active if g < min(failed)]
-    if failed:
-        raise failed[min(failed)]
-    return [LstmModel(spec=s, parameters=p) for s, p in zip(specs, best_params)]
+    for g, member in enumerate(valid):
+        if results[member] is None:
+            results[member] = LstmModel(spec=specs[member], parameters=best_params[g])
+    return results
 
 
 def ensemble_predict(members, seq: np.ndarray) -> float:

@@ -28,9 +28,10 @@ from .evaluation import (
     FIGURES_DIR,
     AucTimeline,
     assemble_timeline,
+    evaluate_split,
     figure_path,
+    gather_windows,
     make_view,
-    window_result,
     write_run_csvs,
 )
 from .features import (
@@ -207,8 +208,8 @@ def prepare_views(cfg: ExperimentConfig, manifest, jobs: int):
 
 def _evaluate(shared, task):
     views, grid = shared
-    view_index, window_index = task
-    return window_result(views[view_index], grid, window_index)
+    view_index, split_index = task
+    return evaluate_split(views[view_index], grid, split_index)
 
 
 # The ``shared`` argument of ``_map``, set in each pool worker by its
@@ -263,11 +264,13 @@ def run_experiment(
     (``prepare_views``) cuts the manifest's trials into up to ``jobs``
     contiguous slices, one task each: load, run the corruption rule, build
     features; the parent then gates and aligns each view.  Evaluating is one
-    task per (participant, view, window), the longest windows first, since a
-    window's cost grows with its end; the parent puts the results back in grid
-    order.  Every error of the first phase is raised before the second starts,
-    in the order a serial run meets them.  The output directory is made before
-    either, so that a path that cannot hold it fails before any work.
+    ``evaluation.evaluate_split`` task per (participant, view, CV split),
+    which sweeps every window; views with EEG or an LSTM start first.  The
+    parent gathers each view's (windows x splits) results in grid order.
+    Every error of the first phase is raised before the second starts, in the
+    order a serial run meets them.  The output directory is made before
+    either, so that a path that cannot hold it fails before any work; what
+    the previous run in it wrote is deleted before the first CSV is written.
     """
     try:
         manifest = parse_manifest(cfg.manifest_path)
@@ -281,14 +284,20 @@ def run_experiment(
     evaluated, participants_by_tag, prepare_workers = prepare_views(cfg, manifest, jobs)
 
     views = [view for *_, view in evaluated]
-    n_windows = cfg.grid.end_times().shape[0]
-    tasks = [(v, i) for i in reversed(range(n_windows)) for v in range(len(views))]
+    # EEG and LSTM views cost the most per task, so their tasks start first.
+    light = [
+        all(s[0].modality is not Modality.EEG and r.name == "lda" for s, r in v.blocks)
+        for v in views
+    ]
+    tasks = [(v, i) for v, view in enumerate(views) for i in range(len(view.splits))]
+    tasks.sort(key=lambda task: light[task[0]])
     results, evaluate_workers = _map(_evaluate, (views, cfg.grid), tasks, jobs)
     by_task = dict(zip(tasks, results))
     timelines: list[AucTimeline] = []
     fusion_audits, lstm_audits = [], []
     for v, (pid, tag, view) in enumerate(evaluated):
-        in_grid_order = [by_task[(v, i)] for i in range(n_windows)]
+        columns = [by_task[(v, i)] for i in range(len(view.splits))]
+        in_grid_order = gather_windows(cfg.grid.end_times(), columns)
         timelines.append(assemble_timeline(view, cfg.grid, in_grid_order, pid, tag))
         scores = [score for score, _ in in_grid_order if score is not None]
         fallbacks = sum(score.weight_fallbacks for score in scores)
@@ -300,6 +309,7 @@ def run_experiment(
             records = {"ensemble_weight_fallbacks": fallbacks}
             lstm_audits.append({"participant": pid, "tag": tag, "records": records})
 
+    _remove_previous_run(out)
     written = write_run_csvs(out, timelines)
 
     errors = [
@@ -331,34 +341,28 @@ def run_experiment(
         },
         "outputs": sorted(path.relative_to(out).as_posix() for path in written),
     }
-    _remove_stale_outputs(out, written)
     write_file(out / "run_metadata.json", json.dumps(metadata, indent=2, sort_keys=True) + "\n")
     return RunResult(out_dir=out, timelines=timelines, metadata=metadata)
 
 
-def _remove_stale_outputs(out: Path, written: list) -> None:
-    """Delete ``report``'s default figures in ``out/figures``, drawn from the
-    results this run replaces, and each file that the previous run's
-    ``run_metadata.json`` in ``out`` lists under ``outputs`` and this run did
-    not write.  An absolute path, or one that resolves outside ``out``,
-    deletes nothing; nor does metadata without ``outputs``, as older versions
-    wrote it."""
-    for model in ("lda", "lstm"):
-        figure = figure_path(out / FIGURES_DIR, model)
-        if figure.is_file():
-            figure.unlink()
+def _remove_previous_run(out: Path) -> None:
+    """Delete each file the previous run's ``run_metadata.json`` in ``out``
+    lists under ``outputs`` (not an absolute path, nor one outside ``out``),
+    ``report``'s default figures, and that metadata: a run stopped partway
+    leaves no metadata vouching for its files."""
+    metadata = out / "run_metadata.json"
     try:
-        listed = json.loads((out / "run_metadata.json").read_text(encoding="utf-8"))["outputs"]
+        listed = json.loads(metadata.read_text(encoding="utf-8"))["outputs"]
     except (OSError, ValueError, KeyError, TypeError):  # no earlier run, or no outputs
-        return
+        listed = []
     root = out.resolve()
-    kept = {path.resolve() for path in written}
-    for rel in listed:
-        if not isinstance(rel, str) or Path(rel).is_absolute():
-            continue
-        path = (out / rel).resolve()
-        if path.is_relative_to(root) and path not in kept and path.is_file():
-            path.unlink()
+    for rel in listed if isinstance(listed, list) else []:
+        if isinstance(rel, str) and not Path(rel).is_absolute():
+            path = (out / rel).resolve()
+            if path.is_relative_to(root) and path.is_file():
+                path.unlink()
+    for path in [figure_path(out / FIGURES_DIR, m) for m in ("lda", "lstm")] + [metadata]:
+        path.unlink(missing_ok=True)
 
 
 def _library_versions() -> dict:

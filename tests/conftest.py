@@ -1,5 +1,5 @@
 """Shared builders for small in-memory trials and on-disk datasets, and a
-serial window sweep."""
+serial sweep of a view."""
 
 from __future__ import annotations
 
@@ -20,7 +20,12 @@ from handover_intent.core_data import (
     TrialRecording,
     is_uncorrupted,
 )
-from handover_intent.evaluation import assemble_timeline, make_view, window_result
+from handover_intent.evaluation import (
+    assemble_timeline,
+    evaluate_split,
+    gather_windows,
+    make_view,
+)
 
 
 def series(start: float, step: float, values) -> TimeSeries:
@@ -113,9 +118,10 @@ def complete_trials(trials, modalities) -> list:
 
 def sweep_view(blocks, scheme, grid, late=False):
     """Build the view of ``blocks`` and evaluate it on every window of
-    ``grid``, one ``window_result`` after another, as the pipeline's window
+    ``grid``, one ``evaluate_split`` task after another, as the pipeline's
     tasks do.  Returns its timeline and each window's ``WindowScore`` in grid
     order (None where the window failed)."""
     view = make_view(blocks, scheme, late)
-    results = [window_result(view, grid, i) for i in range(grid.end_times().shape[0])]
+    columns = [evaluate_split(view, grid, i) for i in range(len(view.splits))]
+    results = gather_windows(grid.end_times(), columns)
     return assemble_timeline(view, grid, results), [score for score, _ in results]

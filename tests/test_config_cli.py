@@ -860,6 +860,29 @@ class TestLstmPipeline:
             "aggregate.csv", "latency_lstm.csv", "results.csv", "timelines/p001_motion_lstm.csv"
         ]
 
+    def test_a_run_stopped_after_its_first_csv_leaves_no_metadata(self, tmp_path, monkeypatch):
+        import handover_intent.evaluation as evaluation
+
+        run = self.one_window_run(tmp_path)
+        run("lda")
+        out = tmp_path / "out"
+        assert (out / "run_metadata.json").is_file()
+        write = evaluation.write_file
+        written = []
+
+        def failing_after_one(path, text):
+            if written:
+                raise OSError("disk full")
+            written.append(path)
+            write(path, text)
+
+        monkeypatch.setattr(evaluation, "write_file", failing_after_one)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run", "--config", str(tmp_path / "config.txt")])
+        # The new CSV alone: no old file, and no metadata vouching for either.
+        assert written == [out / "timelines/p001_motion_lda.csv"]
+        assert [p.relative_to(out) for p in out.rglob("*.*")] == [written[0].relative_to(out)]
+
     def test_a_run_removes_the_figures_drawn_from_the_results_it_replaces(self, tmp_path):
         run = self.one_window_run(tmp_path)
         out = tmp_path / "out"

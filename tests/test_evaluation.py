@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import handover_intent
-from handover_intent import evaluation
+from handover_intent import classifiers, evaluation
 from handover_intent.classifiers import (
     fit_flat_preprocessing,
     fit_lda_classifier,
@@ -17,7 +17,7 @@ from handover_intent.classifiers import (
 )
 from handover_intent.core_data import CoverageError, Modality
 from handover_intent.evaluation import (
-    _window,
+    _block_windows,
     AucTimeline,
     CvScheme,
     EvaluationError,
@@ -28,13 +28,14 @@ from handover_intent.evaluation import (
     assemble_timeline,
     auc_roc,
     detection_latency_table,
+    evaluate_split,
     evaluate_window,
     fit_lstm_ensemble,
+    gather_windows,
     late_fusion_weights,
     make_splits,
     make_view,
     median_timeline,
-    prepare_split,
     read_timelines_csv,
     sustained_level_time,
     sweep,
@@ -44,7 +45,6 @@ from handover_intent.evaluation import (
 )
 from handover_intent.features import (
     FeatureSequence,
-    GridError,
     WindowGrid,
     flatten,
     window_features,
@@ -320,7 +320,7 @@ class TestEvaluateWindow:
         seqs = toy_sequences(rng, n=18, t_samples=55)
         scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=2, seed=2)
         recipe = lstm_recipe_for(Modality.MOTION)
-        with pytest.raises(EvaluationError, match="^window: out of memory"):
+        with pytest.raises(EvaluationError, match="^split 0: out of memory"):
             evaluate_at(seqs, -3.0, recipe, scheme)
         timeline = sweep([(seqs, recipe)], scheme, participant_id=1, tag="motion")
         assert np.isnan(timeline.auc).all()
@@ -341,7 +341,7 @@ class TestEvaluateWindow:
         )
         scheme = CvScheme(k=2, repeats=1, nested=True, inner_k=3, seed=2)
         whole = evaluate_at(seqs, -3.0, recipe, scheme)
-        assert stacks == [6]
+        assert stacks == [3, 3]  # one stack per split
         stacks.clear()
         monkeypatch.setattr(evaluation, "STACK_BYTES", 1)
         one_by_one = evaluate_at(seqs, -3.0, recipe, scheme)
@@ -382,34 +382,39 @@ class TestWindowArrays:
     def test_slices_equal_window_features_to_the_bit(self, rng):
         seqs = [motion_sequence(rng, start, 40, i) for i, start in enumerate((-5.0, -5.2, -5.4))]
         grid = WindowGrid(first_end_s=-1.0, last_end_s=1.0, step_s=0.5)
-        for end in grid.end_times():
+        widest, steps = _block_windows(seqs, grid, range(5))
+        for end, n_steps in zip(grid.end_times(), steps):
             windows = [window_features(s, end, grid) for s in seqs]
             tensor = np.stack([w.series.values for w in windows])
             matrix = np.stack([flatten(w) for w in windows])
-            window = _window(seqs, end, grid)
+            window = widest[:, :n_steps]
             assert window.tobytes() == tensor.tobytes()
             # LDA flattens each trial's window time-major, as ``flatten`` does.
             assert window.reshape(len(seqs), -1).tobytes() == matrix.tobytes()
 
     def test_errors_are_those_of_window_features(self, rng):
         grid = WindowGrid(first_end_s=-4.95, last_end_s=1.0, step_s=0.05)
-        full, short, off_grid = (
+        full, short, off_grid, shifted = (
             motion_sequence(rng, -5.0, 40),
             motion_sequence(rng, -5.0, 20),  # ends at -1.2 s
             motion_sequence(rng, -5.1, 40),  # no sample in [-5.0, -4.95)
+            motion_sequence(rng, -5.1, 40, trial=1),  # another time base
         )
-        cases = [
-            ([full], 0.02, GridError),
-            ([full, short], 0.0, CoverageError),
-            ([off_grid], -4.95, ValueError),
-        ]
+        cases = [([full, short], 0.0, CoverageError), ([off_grid], -4.95, ValueError)]
         for seqs, end, error in cases:
             with pytest.raises(error) as expected:
                 for s in seqs:
                     window_features(s, end, grid)
-            with pytest.raises(type(expected.value)) as got:
-                _window(seqs, end, grid)
-            assert str(got.value) == str(expected.value)
+            _, [got] = _block_windows(seqs, grid, [grid.index_of(end)])
+            assert (type(got), str(got)) == (type(expected.value), str(expected.value))
+        # Windows of different lengths on two time bases do not stack; the
+        # window before has one length, and builds.
+        x, steps = _block_windows([full, shifted], grid, [grid.index_of(-4.0), grid.index_of(-3.95)])
+        lengths = [len(window_features(s, -3.95, grid).series.values) for s in (full, shifted)]
+        assert lengths == [6, 5] and x.shape[1] == steps[0] == 5
+        with pytest.raises(ValueError) as expected:
+            np.stack([np.zeros((6, 3)), np.zeros((5, 3))])
+        assert (type(steps[1]), str(steps[1])) == (ValueError, str(expected.value))
 
 
 def two_block_view(rng, late, scheme=CvScheme(k=3, repeats=2, seed=5)):
@@ -422,31 +427,46 @@ def two_block_view(rng, late, scheme=CvScheme(k=3, repeats=2, seed=5)):
 
 class TestStages:
     @pytest.mark.parametrize("kind", ["early", "late", "lstm"])
-    def test_prepare_split_reads_no_labels(self, rng, kind):
-        # Shared preparation across views and label permutations rely on it.
+    def test_preparation_reads_no_labels(self, rng, monkeypatch, kind):
+        # Shared preparation across views and label permutations rely on it:
+        # the rows each label stage is given do not move with the labels.
         if kind == "lstm":  # one standardized sequence block
-            recipe = lstm_recipe_for(Modality.MOTION, standardize_all=True)
+            recipe = replace(
+                lstm_recipe_for(Modality.MOTION, standardize_all=True), max_epochs=1, hidden=2
+            )
             scheme = CvScheme(k=3, repeats=2, nested=True, inner_k=2, seed=5)
             view = make_view([(toy_sequences(rng, n=30, signal_at=0.0), recipe)], scheme)
         else:
             view = two_block_view(rng, late=kind == "late")
         permuted = replace(view, labels=rng.permutation(view.labels))
         assert not np.array_equal(permuted.labels, view.labels)
-        grid = WindowGrid()
-        xs = [_window(seqs, 1.0, grid) for seqs, _ in view.blocks]
-        if kind != "lstm":
-            xs = [x.reshape(len(x), -1) for x in xs]
-        for split in view.splits:
-            parts = prepare_split(view, xs, split)
-            if kind == "lstm":
-                [(x_train, x_test)] = parts
-                assert x_train.shape == (len(split.train_idx), *xs[0].shape[1:])
-                assert x_test.shape == (len(split.test_idx), *xs[0].shape[1:])
-                assert np.allclose(x_train.mean(axis=(0, 1)), 0.0)  # standardized
-            else:
-                assert parts[0][0].shape[1] < xs[0].shape[1] == parts[1][0].shape[1]  # PCA, raw
-            for ours, theirs in zip(parts, prepare_split(permuted, xs, split)):
-                assert [rows.tobytes() for rows in ours] == [rows.tobytes() for rows in theirs]
+        seen = []  # per label-stage call, the rows it is given
+        score, fit = evaluation.score_split, evaluation.fit_lstm_ensemble
+
+        def scoring(parts, *args):
+            seen.append([x for part in parts for x in part])
+            return score(parts, *args)
+
+        def fitting(spec, members):
+            seen.append([x for member in members for x in (member[1], member[3])])
+            return fit(spec, members)
+
+        monkeypatch.setattr(evaluation, "score_split", scoring)
+        monkeypatch.setattr(evaluation, "fit_lstm_ensemble", fitting)
+        grid = WindowGrid(first_end_s=0.5, last_end_s=1.0, step_s=0.5)
+        stage = evaluation._lstm_scores if kind == "lstm" else evaluation._lda_scores
+        for labelled in (view, permuted):
+            for i in range(len(view.splits)):
+                stage(labelled, grid, i, [0, 1])
+        ours, theirs = seen[: len(seen) // 2], seen[len(seen) // 2 :]
+        assert len(ours) == len(theirs) == (1 if kind == "lstm" else 2) * len(view.splits)
+        for a, b in zip(ours, theirs):
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+        if kind == "lstm":  # inner fold 0's fit and val rows: the training fold, standardized
+            assert np.allclose(np.concatenate(ours[0][:2]).mean(axis=(0, 1)), 0.0, atol=1e-12)
+        else:  # the PCA block is narrower than the raw one
+            assert ours[0][0].shape[1] < ours[0][2].shape[1]
+
 
     @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
     def test_work_per_window(self, rng, monkeypatch, late):
@@ -463,7 +483,8 @@ class TestStages:
         evaluate_window(view, grid, grid.index_of(1.0))
         splits, blocks = 3 * 2, 2
         assert calls == {
-            "fit_flat_preprocessing": blocks * splits,
+            # Each block's widest window standardized, then the window's PCA.
+            "fit_flat_preprocessing": 2 * blocks * splits,
             "lda_fit": blocks * splits if late else splits,
             "auc_roc": splits + (blocks * splits if late else 0),  # late training AUCs
         }
@@ -520,8 +541,120 @@ class TestStages:
         assert score.split_aucs == tuple(aucs)
 
 
+def failing_views(rng):
+    """Views of 30 trials on [-5, 6) whose windows fail: one trial ends at
+    -2.0 s, so windows ending later cannot be built, and an unshrunk raw LDA
+    block is singular once a window is wider than its 20 training trials."""
+    seqs = toy_sequences(rng, n=30, signal_at=-4.0, effect=2.0)
+    short = seqs[4]
+    seqs[4] = replace(short, series=series(-5.0, 0.2, short.series.values[:15]))
+    pca = lda_recipe_for(Modality.EEG, eeg_pca_target=0.9)
+    unshrunk = replace(lda_recipe_for(Modality.MOTION), shrinkage=0.0)
+    lstm = replace(
+        lstm_recipe_for(Modality.MOTION), max_epochs=3, hidden=3, early_stop_after=None
+    )
+    scheme = CvScheme(k=3, repeats=1, seed=4)
+    return {
+        "eeg": make_view([(seqs, pca)], scheme),
+        "early": make_view([(seqs, unshrunk), (seqs, pca)], scheme),
+        "late": make_view([(seqs, pca), (seqs, unshrunk)], scheme, late=True),
+        "lstm": make_view([(seqs, lstm)], replace(scheme, k=2, inner_k=2)),
+    }
+
+
+class TestSplitTasks:
+    GRID = WindowGrid(first_end_s=-4.0, last_end_s=-1.0, step_s=0.5)
+
+    @pytest.mark.parametrize("kind", ["eeg", "early", "late", "lstm"])
+    def test_split_tasks_match_evaluate_window(self, rng, kind):
+        view = failing_views(rng)[kind]
+        ends = self.GRID.end_times()
+        columns = [evaluate_split(view, self.GRID, i) for i in range(len(view.splits))]
+        gathered = gather_windows(ends, columns)
+        for k, (score, message) in enumerate(gathered):
+            try:
+                expected = (evaluate_window(view, self.GRID, k), None)
+            except EvaluationError as exc:
+                expected = (None, str(exc))
+            assert (score, message) == expected
+        messages = [message for _, message in gathered]
+        assert [m.split(":")[0] for m in messages[-2:]] == ["window setup"] * 2
+        singular = (
+            "split 0: pooled covariance is singular even after shrinkage; "
+            "increase the shrinkage fraction"
+        )
+        # Early fusion is wider than its training trials from the first
+        # window on; the late raw member from the second (D = 24).
+        failing = {"early": 0, "late": 1}.get(kind, 5)
+        assert messages[:5] == [None] * failing + [singular] * (5 - failing)
+
+    def test_a_split_task_standardizes_each_block_once(self, rng, monkeypatch):
+        calls = []
+        standardize = classifiers.standardize
+
+        def counted(x):
+            calls.append(x.shape)
+            return standardize(x)
+
+        monkeypatch.setattr(classifiers, "standardize", counted)
+        view = failing_views(rng)["early"]
+        results = evaluate_split(view, self.GRID, 1)
+        assert len(results) == 7
+        # The PCA block's widest window that builds, -5.0 to -2.0 s.
+        assert calls == [(20, 15 * 3)]
+
+    def test_one_lstm_stack_per_split_not_per_window(self, rng, monkeypatch):
+        # Shaped like the motion-lstm workload: 2x1 outer CV, 2 inner folds,
+        # 5 windows.
+        stacks = []
+        fit = evaluation.fit_lstm_ensemble
+
+        def recording(spec, members):
+            stacks.append([x_fit.shape[1] for _, x_fit, *_ in members])
+            return fit(spec, members)
+
+        monkeypatch.setattr(evaluation, "fit_lstm_ensemble", recording)
+        seqs = toy_sequences(rng, n=30, signal_at=0.0, effect=3.0)
+        recipe = replace(lstm_recipe_for(Modality.MOTION), max_epochs=3)
+        grid = WindowGrid(first_end_s=-0.5, last_end_s=0.5, step_s=0.25)
+        scheme = CvScheme(k=2, repeats=1, inner_k=2, seed=7)
+        timeline = sweep([(seqs, recipe)], scheme, grid)
+        assert np.isfinite(timeline.auc).all()
+        # Each split's stack holds both inner members of every window, in
+        # grid order: the windows' 5 Hz steps from -5.0 s.
+        steps = [23, 24, 25, 27, 28]
+        assert stacks == [[t for t in steps for _ in range(2)]] * 2
+
+    def test_a_window_whose_member_diverges_fails_alone(self, rng, monkeypatch):
+        seqs = toy_sequences(rng, n=30, signal_at=-4.0, effect=3.0)
+        recipe = replace(
+            lstm_recipe_for(Modality.MOTION), max_epochs=4, hidden=3, early_stop_after=None
+        )
+        view = make_view([(seqs, recipe)], CvScheme(k=2, repeats=1, inner_k=2, seed=3))
+        grid = WindowGrid(first_end_s=-4.0, last_end_s=-3.0, step_s=0.25)
+        window_seed = derive_seed(view.seed, "lstm", 2, 1)  # window 2 of split 1
+        poisoned = derive_seed(window_seed, "member", 1)
+        train = evaluation.lstm_train_members
+
+        def poisoning(spec, seeds, trains, vals, **kwargs):
+            trains = [
+                (np.full_like(x, np.nan), y) if seed == poisoned else (x, y)
+                for seed, (x, y) in zip(seeds, trains)
+            ]
+            return train(spec, seeds, trains, vals, **kwargs)
+
+        monkeypatch.setattr(evaluation, "lstm_train_members", poisoning)
+        results = evaluate_split(view, grid, 1)
+        assert results[2] == (
+            "split 1: training loss became non-finite at epoch 1 (learning rate 0.001)"
+        )
+        others = [0, 1, 3, 4]
+        without = evaluate_split(view, grid, 1, others)
+        assert [results[k][0] for k in others] == [auc for auc, _, _ in without]
+
+
 RANKERS = {
-    "evaluate_window": "the reported test AUC",
+    "evaluate_split": "the reported test AUC",
     "score_split": "late-fusion training AUCs",
     "fit_lstm_ensemble": "validation AUCs",
 }
@@ -565,7 +698,7 @@ class TestOneScoringPlace:
             "from handover_intent.evaluation import auc_roc\n"
             "def auc_roc(scores, labels):\n"
             "    return 0.5\n"
-            "def evaluate_window():\n"
+            "def evaluate_split():\n"
             "    return auc_roc(s, y)\n"
             "def score_split():\n"
             "    return evaluation.auc_roc(s, y)\n"

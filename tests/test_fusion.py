@@ -276,7 +276,7 @@ class TestFusionSweep:
             run_fusion_sweep({Modality.GAZE: gaze}, spec, CvScheme(k=3, repeats=1, seed=0))
 
     def test_a_failed_window_leaves_no_audit_records(self, rng, monkeypatch):
-        # The second LDA scoring call, split 1 of the first window, fails.
+        # The second LDA scoring call, split 0's second window, fails.
         calls = []
         predict = evaluation.lda_predict_proba
 
@@ -292,10 +292,11 @@ class TestFusionSweep:
         grid = WindowGrid(first_end_s=-3.0, last_end_s=-1.0, step_s=1.0)
         blocks = [(gaze, lda_recipe_for(Modality.GAZE)), (motion, lda_recipe_for(Modality.MOTION))]
         fused, scores = sweep_view(blocks, CvScheme(k=3, repeats=1, seed=2), grid)
-        assert fused.errors == ((-3.0, "split 1: boom"),)
-        assert np.isnan(fused.auc[0]) and np.isfinite(fused.auc[1:]).all()
-        assert scores[0] is None
-        assert [(s.end_time_s, len(s.fused_dims)) for s in scores[1:]] == [(-2.0, 3), (-1.0, 3)]
+        assert fused.errors == ((-2.0, "split 0: boom"),)
+        assert np.isnan(fused.auc[1]) and np.isfinite(fused.auc[[0, 2]]).all()
+        assert scores[1] is None
+        kept = [scores[0], scores[2]]
+        assert [(s.end_time_s, len(s.fused_dims)) for s in kept] == [(-3.0, 3), (-1.0, 3)]
 
     def test_lstm_blocks_are_not_fused(self, rng):
         blocks = [

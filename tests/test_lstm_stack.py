@@ -2,10 +2,11 @@
 
 The oracle is the one-model implementation frozen in ``lstm_oracle.py``.  The
 stacked kernel hoists the input projection and the weight-gradient products
-out of the time loop and zero-pads ragged batches, so its sums run in another
-order: parameters and validation losses must agree to ``TOLERANCE``, relative
-to the largest parameter and to the loss, and every member must train for the
-oracle's number of epochs.
+out of the time loop and zero-pads ragged batches and shorter sequences, so
+its sums run in another order: parameters and validation losses must agree to
+``TOLERANCE``, relative to the largest parameter and to the loss, and every
+member must train for the oracle's number of epochs.  A member that fails
+fails alone.
 """
 
 from dataclasses import replace
@@ -55,6 +56,7 @@ def assert_matches_oracle(spec, seeds, trains, vals, **kw):
     models = lstm_train_members(
         spec, seeds, list(map(arrays, trains)), list(map(arrays, vals)), histories=histories, **kw
     )
+    # Each member against the oracle on its own, unpadded sequences.
     for seed, train, val, model, history in zip(seeds, trains, vals, models, histories):
         member_spec = replace(spec, seed=seed)
         expected_history = []
@@ -71,14 +73,16 @@ def assert_matches_oracle(spec, seeds, trains, vals, **kw):
     layers=st.integers(1, 2),
     hidden=st.integers(1, 4),
     dim=st.integers(1, 3),
-    steps=st.integers(1, 4),
     batch_size=st.integers(1, 5),
     max_epochs=st.integers(1, 10),
     early_stop_after=st.one_of(st.none(), st.integers(1, 3)),
     early_stop_start=st.integers(0, 4),
     learning_rate=st.sampled_from([0.0, 1e-3, 0.05]),
+    # Per member: fit rows, val rows and sequence length.
     sizes=st.lists(
-        st.tuples(st.integers(2, 11), st.integers(1, 6)), min_size=1, max_size=4
+        st.tuples(st.integers(2, 11), st.integers(1, 6), st.integers(1, 4)),
+        min_size=1,
+        max_size=4,
     ),
     seed=st.integers(0, 2**31 - 1),
 )
@@ -86,7 +90,6 @@ def test_stack_matches_serial_oracle(
     layers,
     hidden,
     dim,
-    steps,
     batch_size,
     max_epochs,
     early_stop_after,
@@ -98,7 +101,7 @@ def test_stack_matches_serial_oracle(
     rng = np.random.default_rng(seed)
     base = LstmSpec(layers, hidden, dim, batch_size, max_epochs, early_stop_after)
     seeds = [int(rng.integers(0, 10_000)) for _ in sizes]
-    data = [member_data(rng, n_fit, n_val, steps, dim) for n_fit, n_val in sizes]
+    data = [member_data(rng, n_fit, n_val, steps, dim) for n_fit, n_val, steps in sizes]
     assert_matches_oracle(
         base,
         seeds,
@@ -125,6 +128,22 @@ def test_members_stopping_at_different_epochs_match_the_oracle():
     assert len({len(h) for h in histories}) > 1
 
 
+def test_members_of_different_lengths_match_the_oracle():
+    # A split's members across growing windows: 2 layers, 3 lengths.
+    rng = np.random.default_rng(13)
+    base = LstmSpec(2, 4, 3, 5, max_epochs=25, early_stop_after=3)
+    sizes = [(8, 7, 2), (7, 8, 2), (8, 7, 5), (7, 8, 5), (8, 7, 9)]
+    data = [member_data(rng, n_fit, n_val, steps, 3) for n_fit, n_val, steps in sizes]
+    assert_matches_oracle(
+        base,
+        [20 + i for i in range(len(sizes))],
+        [fit for fit, _ in data],
+        [val for _, val in data],
+        learning_rate=0.05,
+        early_stop_start=5,
+    )
+
+
 def test_lstm_train_is_the_stack_of_one():
     rng = np.random.default_rng(4)
     spec = LstmSpec(1, 3, 2, 3, max_epochs=6, seed=9)
@@ -141,26 +160,37 @@ def test_lstm_train_is_the_stack_of_one():
     layers=st.integers(1, 2),
     hidden=st.integers(1, 5),
     dim=st.integers(1, 3),
-    steps=st.integers(1, 6),
-    batch=st.integers(1, 6),
-    padding=st.integers(0, 3),
+    # Per member: sequence length, real rows and padding rows.
+    members=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 3)),
+        min_size=1,
+        max_size=3,
+    ),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_one_gradient_matches_the_oracle(layers, hidden, dim, steps, batch, padding, seed):
+def test_one_gradient_matches_the_oracle(layers, hidden, dim, members, seed):
     rng = np.random.default_rng(seed)
-    spec = LstmSpec(layers, hidden, dim, batch_size=batch, max_epochs=1)
-    params = rng.normal(size=param_count(spec))
-    x = rng.normal(size=(batch, steps, dim))
-    y = rng.integers(0, 2, size=batch).astype(float)
-    expected_loss, expected = lstm_oracle.loss_and_grad(spec, params, x, y)
-    # The same batch padded with zero rows, which must count for nothing.
-    padded_x = np.concatenate([x, np.zeros((padding, steps, dim))])
-    padded_y = np.concatenate([y, np.ones(padding)])
-    (loss,), (grad,) = _loss_and_grad(
-        spec, params[None], padded_x[None], padded_y[None], np.array([batch])
-    )
-    assert abs(loss - expected_loss) <= 1e-13 * abs(expected_loss)
-    assert np.abs(grad - expected).max() <= 1e-13 * np.abs(expected).max()
+    spec = LstmSpec(layers, hidden, dim, batch_size=1, max_epochs=1)
+    params = rng.normal(size=(len(members), param_count(spec)))
+    n_steps = max(steps for steps, _, _ in members)
+    n_batch = max(batch + padding for _, batch, padding in members)
+    # Each member's batch zero-padded to the stack's longest sequence and
+    # largest batch; the padding must count for nothing.
+    x = np.zeros((len(members), n_batch, n_steps, dim))
+    y = np.ones((len(members), n_batch))
+    expected = []
+    for g, (steps, batch, _) in enumerate(members):
+        x_g = rng.normal(size=(batch, steps, dim))
+        y_g = rng.integers(0, 2, size=batch).astype(float)
+        x[g, :batch, :steps] = x_g
+        y[g, :batch] = y_g
+        expected.append(lstm_oracle.loss_and_grad(spec, params[g], x_g, y_g))
+    rows = np.array([batch for _, batch, _ in members])
+    steps = np.array([steps for steps, _, _ in members])
+    losses, grads = _loss_and_grad(spec, params, x, y, rows, steps)
+    for loss, grad, (expected_loss, expected_grad) in zip(losses, grads, expected):
+        assert abs(loss - expected_loss) <= 1e-13 * abs(expected_loss)
+        assert np.abs(grad - expected_grad).max() <= 1e-13 * np.abs(expected_grad).max()
 
 
 def test_a_ragged_stack_takes_one_gradient_call_per_batch_step(monkeypatch):
@@ -214,43 +244,53 @@ def poison(member):
     return [(np.full_like(s, np.nan), lbl) for s, lbl in fit], val
 
 
-def test_nan_member_raises_at_epoch_1_with_its_index():
+def test_nan_member_fails_at_epoch_1_with_its_index():
     rng = np.random.default_rng(5)
     spec = LstmSpec(1, 3, 2, 4, max_epochs=5)
     data = [member_data(rng, 8, 3, 3, 2) for _ in range(3)]
     data[1] = poison(data[1])
     histories = [[], [], []]
-    with pytest.raises(TrainingDivergedError, match="epoch 1") as info:
-        lstm_train_members(
-            spec,
-            [0, 1, 2],
-            [arrays(f) for f, _ in data],
-            [arrays(v) for _, v in data],
-            histories=histories,
-        )
-    assert info.value.member == 1
-    # Member 0 trains to the end, as serially; member 2 never trains.
-    expected_history = []
-    lstm_oracle.train(spec, *data[0], history=expected_history)
-    assert histories == [expected_history, [], []]
+    results = lstm_train_members(
+        spec,
+        [0, 1, 2],
+        [arrays(f) for f, _ in data],
+        [arrays(v) for _, v in data],
+        histories=histories,
+    )
+    assert isinstance(results[1], TrainingDivergedError)
+    assert results[1].member == 1 and "epoch 1" in str(results[1])
+    # Members 0 and 2 train to the end, as each does alone.
+    for g in (0, 2):
+        expected_history = []
+        expected = lstm_oracle.train(replace(spec, seed=g), *data[g], history=expected_history)
+        assert_close_to_oracle(results[g], histories[g], expected, expected_history)
+    assert histories[1] == []
 
 
-def test_first_member_diverging_stops_the_stack_at_once():
+def test_a_diverging_member_fails_alone():
     rng = np.random.default_rng(8)
-    spec = LstmSpec(1, 3, 2, 4, max_epochs=500)
-    data = [member_data(rng, 8, 3, 3, 2) for _ in range(2)]
+    spec = LstmSpec(1, 3, 2, 4, max_epochs=30)
+    data = [member_data(rng, 8, 3, 3, 2), member_data(rng, 8, 3, 5, 2)]
     data[0] = poison(data[0])
     histories = [[], []]
-    with pytest.raises(TrainingDivergedError) as info:
-        lstm_train_members(
-            spec,
-            [0, 1],
-            [arrays(f) for f, _ in data],
-            [arrays(v) for _, v in data],
-            histories=histories,
-        )
-    assert info.value.member == 0
-    assert histories == [[], []]
+    results = lstm_train_members(
+        spec,
+        [0, 1],
+        [arrays(f) for f, _ in data],
+        [arrays(v) for _, v in data],
+        histories=histories,
+    )
+    assert isinstance(results[0], TrainingDivergedError) and results[0].member == 0
+    assert histories[0] == []
+    # The later member trains to the end, as it does in a stack of its own.
+    alone_history = []
+    [alone] = lstm_train_members(
+        spec, [1], [arrays(data[1][0])], [arrays(data[1][1])], histories=[alone_history]
+    )
+    assert len(histories[1]) == 30
+    assert_close_to_oracle(results[1], histories[1], alone, alone_history)
+    with pytest.raises(TrainingDivergedError):
+        lstm_train(spec, *data[0])
 
 
 def test_invalid_member_input_names_the_member():
@@ -259,16 +299,17 @@ def test_invalid_member_input_names_the_member():
     good = member_data(rng, 8, 3, 3, 2)
     one_class = [(s, 1) for s, _ in good[0]]
     histories = [[], [], []]
-    with pytest.raises(ValueError, match="single class") as info:
-        lstm_train_members(
-            spec,
-            [0, 1, 2],
-            [arrays(good[0]), arrays(one_class), arrays(good[0])],
-            [arrays(good[1])] * 3,
-            histories=histories,
-        )
-    assert info.value.member == 1
-    assert len(histories[0]) == 5 and histories[1:] == [[], []]
+    results = lstm_train_members(
+        spec,
+        [0, 1, 2],
+        [arrays(good[0]), arrays(one_class), arrays(good[0])],
+        [arrays(good[1])] * 3,
+        histories=histories,
+    )
+    assert isinstance(results[1], ValueError) and "single class" in str(results[1])
+    assert results[1].member == 1
+    assert [len(h) for h in histories] == [5, 0, 5]
+    assert all(isinstance(results[g], lstm.LstmModel) for g in (0, 2))
 
 
 @pytest.mark.parametrize("layers, hidden, batch_size, n_val", [(1, 32, 8, 6), (2, 16, 4, 12)])

@@ -246,7 +246,7 @@ class TestWindowPool:
         assert workers == {"prepare": 1, "evaluate": 1}
         errors, workers = window_errors_and_workers(base / "pooled")
         assert errors == []
-        # One participant's trials in two slices; three windows.
+        # One participant's trials in two slices; two CV splits, so two tasks.
         assert workers == {"prepare": 2, "evaluate": 2}
         audits = [
             json.loads((base / out / "run_metadata.json").read_text())["lstm_audits"]
